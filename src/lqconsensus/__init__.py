@@ -3,9 +3,9 @@ effective-resistance upper and lower bounds and experiment drivers.
 
 The package splits into: `stochastic_core` (validation, invariant measure,
 time reversal, classification), `resistance` (conductances, Laplacians,
-effective resistance, the Phi/Psi correspondences), `lqcost` (exact Stein
-solves, truncated series, Green matrix, noisy Monte Carlo), `bounds` (the
-two bound theorems, the normal-matrix corollary, support oracles and the
+effective resistance, the Phi/Psi correspondences), `lqcost` (the exact dual
+Stein solve, truncated series, Green matrix, noisy Monte Carlo), `bounds`
+(the two bound theorems, the normal-matrix corollary, support oracles and the
 resistance sandwich), `graph_gen` (Cayley tori, named example matrices, the
 random-geometric pipeline) and `experiments_cli` (CSV/plot experiment
 drivers behind the `lqconsensus` command).

@@ -664,7 +664,7 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
     _write_audit(out_dir / "audit.txt", audit_lines, time.perf_counter() - start)
     if svg and aggregates:
         _emit_svg(out_dir / f"{prefix}.svg", [
-            ("mean J (normalized)", n_col, [a[2] for a in aggregates]),
+            ("mean J", n_col, [a[1] for a in aggregates]),
             ("topology upper", n_col, [a[3] for a in aggregates]),
             ("topology lower", n_col, [a[4] for a in aggregates]),
         ], xlabel="nodes", ylabel="cost", logy=True)

@@ -4,8 +4,10 @@ matrix, noisy-consensus Monte Carlo, and the reversiblization trace pair.
 J(P) = (1/n) sum_{t>=0} ||P^t - 1 pi^T||_F^2 and the weighted variant J_w(P)
 inserts Pi inside the trace.  Both sums split their t = 0 term off from the
 rest: with Abar = P - 1 pi^T one has P^t - 1 pi^T = Abar^t for t >= 1 but not
-for t = 0, so the tail is S = sum_{t>=1} (Abar^T)^t Q Abar^t, the solution of
-the Stein fixed point X = Abar^T X Abar + Q minus Q.
+for t = 0.  Both tails come from the one dual Stein fixed point
+Y = Abar Y Abar^T + I, whose solution is Y = sum_{t>=0} Abar^t (Abar^t)^T:
+sum_{t>=1} ||Abar^t||_F^2 = tr(Y) - n and
+sum_{t>=1} tr(Pi Abar^t (Abar^t)^T) = pi^T diag(Y) - 1.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SolveFailure, SteinDivergence
 from .stochastic_core import ConsensusMatrix, time_reversal
 
 STEIN_RESIDUAL_TOL = 1e-11
-STEIN_DIRECT_MAX_N = 60
 GREEN_IDENTITY_TOL = 1e-9
 
 
@@ -36,6 +36,14 @@ class GreenMatrix:
 
 @dataclass(frozen=True)
 class LqReport:
+    """J and J_w with how they were computed.
+
+    An exact report gives the number of Stein doublings in `steps_used` and
+    the relative Stein residual in `stein_residual`; a truncated report gives
+    the number of series terms in `steps_used` and its stopping rule in
+    `change_rule`.
+    """
+
     j: float
     j_weighted: float
     t0_term: float
@@ -79,62 +87,49 @@ def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
     return GreenMatrix(values=g)
 
 
-def _stein_direct(abar: np.ndarray, qs: list[np.ndarray]) -> list[np.ndarray]:
-    n = abar.shape[0]
-    m = np.eye(n * n) - np.kron(abar.T, abar.T)
-    factor = lu_factor(m)
-    return [lu_solve(factor, q.ravel()).reshape(n, n) for q in qs]
+def _solve_dual_stein(abar: np.ndarray, max_doublings: int = 100):
+    """Y = Abar Y Abar^T + I by doubling; returns (Y, number of doublings).
 
-
-def _stein_doubling(abar: np.ndarray, qs: list[np.ndarray],
-                    max_doublings: int = 100) -> list[np.ndarray]:
-    xs = [q.copy() for q in qs]
+    After k doublings Y holds sum_{t < 2^k} Abar^t (Abar^t)^T.
+    """
+    y = np.eye(abar.shape[0])
     a = abar.copy()
-    for _ in range(max_doublings):
-        updates = [a.T @ x @ a for x in xs]
-        step = max(float(np.abs(u).max()) for u in updates)
+    for doublings in range(1, max_doublings + 1):
+        update = a @ y @ a.T
+        step = float(np.abs(update).max())
         if not np.isfinite(step):
             raise SteinDivergence("Stein doubling produced non-finite values")
-        for x, u in zip(xs, updates):
-            x += u
+        y += update
         if step < 1e-16:
-            return xs
+            return y, doublings
         a = a @ a
     raise SteinDivergence(f"Stein doubling did not converge in {max_doublings} steps")
 
 
-def _solve_stein(abar: np.ndarray, qs: list[np.ndarray]):
-    """Solve X = Abar^T X Abar + Q for each Q; returns (solutions, worst residual)."""
-    if abar.shape[0] <= STEIN_DIRECT_MAX_N:
-        xs = _stein_direct(abar, qs)
-    else:
-        xs = _stein_doubling(abar, qs)
-    residual = max(
-        float(np.abs(abar.T @ x @ abar + q - x).max()) for x, q in zip(xs, qs))
-    if not np.isfinite(residual) or residual > STEIN_RESIDUAL_TOL:
-        raise SteinDivergence(
-            f"Stein residual {residual} exceeds {STEIN_RESIDUAL_TOL}")
-    return xs, residual
-
-
 def lq_cost_exact(P: ConsensusMatrix) -> LqReport:
-    """J and J_w through the Stein equation; exact up to solver tolerance.
+    """J and J_w from one dual Stein solve; exact up to solver tolerance.
 
     The t = 0 contribution to J is tr((I - pi 1^T)(I - 1 pi^T)) / n, which
     expands to (n - 2 + n sum(pi^2)) / n; for J_w it is 1 - sum(pi^2).
+    `steps_used` is the number of doublings and `stein_residual` the relative
+    backward error max|Abar Y Abar^T + I - Y| / max|Y|, which must not exceed
+    STEIN_RESIDUAL_TOL.
     """
     pi = P.invariant.pi
     n = P.n
     abar = P.entries - np.outer(np.ones(n), pi)
+    y, doublings = _solve_dual_stein(abar)
+    residual = (float(np.abs(abar @ y @ abar.T + np.eye(n) - y).max())
+                / float(np.abs(y).max()))
+    if not residual <= STEIN_RESIDUAL_TOL:
+        raise SteinDivergence(
+            f"relative Stein residual {residual} exceeds {STEIN_RESIDUAL_TOL}")
     sum_pi2 = float(pi @ pi)
-    xs, residual = _solve_stein(abar, [np.eye(n), np.diag(pi)])
-    s_uniform = xs[0] - np.eye(n)
-    s_weighted = xs[1] - np.diag(pi)
     t0 = (n - 2.0 + n * sum_pi2) / n
-    j = t0 + float(np.trace(s_uniform)) / n
-    jw = (1.0 - sum_pi2) + float(np.trace(s_weighted))
+    j = t0 + (float(np.trace(y)) - n) / n
+    jw = (1.0 - sum_pi2) + float(pi @ np.diag(y)) - 1.0
     return LqReport(j=j, j_weighted=jw, t0_term=t0, method="exact",
-                    stein_residual=residual)
+                    steps_used=doublings, stein_residual=residual)
 
 
 def lq_cost_truncated(P: ConsensusMatrix, t_max: int = 10_000,

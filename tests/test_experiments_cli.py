@@ -11,6 +11,7 @@ from lqconsensus import (
     save_matrix_csv,
     validate_consensus,
 )
+from lqconsensus import experiments_cli
 from lqconsensus.experiments_cli import (
     CSV_COLUMNS,
     _emit_svg,
@@ -288,6 +289,23 @@ class TestGeometricSweep:
         assert len(parse_svg(out / "geometric_d2.svg").findall(
             f".//{SVG_NS}polyline")) == 3
 
+    def test_svg_plots_mean_j_against_its_bounds(self, tmp_path, monkeypatch):
+        charts = []
+        monkeypatch.setattr(experiments_cli, "_emit_svg",
+                            lambda path, curves, **kw: charts.append(curves))
+        out = tmp_path / "run"
+        assert main(["geometric", "--out", str(out), "-p", "d=2",
+                     "-p", "n_list=20,25", "-p", "instances=2", "--seed", "3",
+                     "--svg"]) == 0
+        (curves,) = charts
+        by_label = {label: (list(x), list(y)) for label, x, y in curves}
+        table = np.loadtxt(out / "geometric_d2_j.dat")
+        x, j = by_label["mean J"]
+        assert x == list(table[:, 0])
+        assert j == list(table[:, 1])
+        _, upper = by_label["topology upper"]
+        assert all(a <= b for a, b in zip(j, upper))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["geometric", "-p", "d=2", "-p", "n_list=20", "-p",
                 "instances=2", "--seed", "3"]
@@ -348,6 +366,14 @@ class TestAnalyze:
         assert kv["sandwich_variant"] == "in"
         assert kv["fuzz_edges"] == "3"
         assert kv["fuzz_new_edges"] == "0"
+
+    def test_exact_solve_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "matrix.csv"
+        save_matrix_csv(p_epsilon(0.1), path)
+        assert main(["analyze", str(path)]) == 0
+        kv = self.kv(capsys)
+        assert int(kv["steps_used"]) >= 1
+        assert 0.0 <= float(kv["stein_residual"]) <= 1e-11
 
     def test_commuting_example_report(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"

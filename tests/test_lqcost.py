@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from lqconsensus import (
+    SteinDivergence,
     circle_matrix,
     green_matrix,
     lq_cost_exact,
@@ -11,6 +13,7 @@ from lqconsensus import (
     trace_pair,
     validate_consensus,
 )
+from lqconsensus import lqcost
 from helpers import random_circulant, random_consensus, random_reversible
 
 
@@ -34,6 +37,31 @@ def series_cost(P, terms=60_000, tol=1e-14):
             break
         power = power @ P.entries
     return j, jw
+
+
+def lyapunov_cost(P):
+    """J and J_w from two primal Stein equations X = Abar^T X Abar + Q, solved
+    by scipy; independent of the package's dual doubling solver."""
+    pi = P.invariant.pi
+    n = P.n
+    abar = P.entries - np.outer(np.ones(n), pi)
+    x = solve_discrete_lyapunov(abar.T, np.eye(n))
+    x_w = solve_discrete_lyapunov(abar.T, np.diag(pi))
+    sum_pi2 = float(pi @ pi)
+    j = (float(np.trace(x)) - 2.0 + n * sum_pi2) / n
+    jw = (1.0 - sum_pi2) + float(np.trace(x_w)) - 1.0
+    return j, jw
+
+
+def two_cliques(n, coupling):
+    """Two uniform cliques of n/2 nodes joined by one edge of weight `coupling`."""
+    h = n // 2
+    a = np.zeros((n, n))
+    a[:h, :h] = a[h:, h:] = 1.0 / h
+    a[0, h] = a[h, 0] = coupling
+    a[0, 0] -= coupling
+    a[h, h] -= coupling
+    return validate_consensus(a)
 
 
 class TestGreenMatrix:
@@ -116,6 +144,38 @@ class TestExactCost:
         truncated = lq_cost_truncated(P)
         assert report.j == pytest.approx(truncated.j, rel=1e-4)
         assert report.stein_residual <= 1e-11
+
+    def test_matches_lyapunov_oracle(self, rng):
+        for n in range(2, 61):
+            P = random_consensus(rng, n)
+            report = lq_cost_exact(P)
+            j, jw = lyapunov_cost(P)
+            assert report.j == pytest.approx(j, rel=1e-12)
+            assert report.j_weighted == pytest.approx(jw, rel=1e-12)
+
+    def test_near_reducible_two_cliques(self):
+        # A valid matrix with J ~ 1.25e5: its Stein solution is large, so an
+        # absolute residual gate at 1e-11 refused it; the relative one passes.
+        # The slow mode has 1 - lambda^2 ~ 2e-7, which amplifies rounding by
+        # ~5e6, so two double-precision solvers agree only to ~1e-9.
+        P = two_cliques(40, 1e-6)
+        report = lq_cost_exact(P)
+        j, jw = lyapunov_cost(P)
+        assert report.j == pytest.approx(j, rel=1e-8)
+        assert report.j_weighted == pytest.approx(jw, rel=1e-8)
+        assert report.j_weighted == pytest.approx(report.j, rel=1e-12)
+        assert report.stein_residual <= 1e-11
+
+    def test_residual_gate_fires_on_a_wrong_solution(self, monkeypatch):
+        solve = lqcost._solve_dual_stein
+
+        def off_by_1e6(abar):
+            y, doublings = solve(abar)
+            return y + 1e-6, doublings
+
+        monkeypatch.setattr(lqcost, "_solve_dual_stein", off_by_1e6)
+        with pytest.raises(SteinDivergence):
+            lq_cost_exact(p_epsilon(0.1))
 
 
 class TestTruncatedCost:
