@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NotNormal
 from .lqcost import lq_cost_exact
 from .resistance import (
-    ResistanceMatrix,
     average_resistance,
     conductance_matrix,
     effective_resistance,
@@ -113,7 +112,7 @@ def theorem_topology_bounds(P: ConsensusMatrix,
     inv = P.invariant
     graphs = support_graphs(P)
     n = P.n
-    rbar = average_resistance(effective_resistance(unit_conductance(graphs.undirected)))
+    rbar = average_resistance(P.support_resistance)
     lo, hi = inv.pi_min, inv.pi_max
     p_lo, p_hi = graphs.p_min, graphs.p_max
     f_in = f_delta(graphs.delta_in)
@@ -142,7 +141,7 @@ def corollary_normal_bounds(P: ConsensusMatrix,
     if not cls.normal:
         raise NotNormal("the corollary applies to normal consensus matrices only")
     graphs = support_graphs(P)
-    rbar = average_resistance(effective_resistance(unit_conductance(graphs.undirected)))
+    rbar = average_resistance(P.support_resistance)
     f_in = f_delta(graphs.delta_in)
     constants = {
         "n": P.n, "p_min": graphs.p_min, "p_max": graphs.p_max,
@@ -192,7 +191,8 @@ class SandwichMargins:
     upper_margins = R(G(P)) - R(G(P*P)) and
     lower_margins = R(G(P*P)) - R(G(P)) / (4 delta - 2), both expected
     nonnegative; `variant` records whether delta_in (commuting case) or
-    delta_out was used.
+    delta_out was used, and `support` is the G(P*P) edge set the margins
+    were computed on.
     """
 
     upper_margins: np.ndarray
@@ -201,6 +201,7 @@ class SandwichMargins:
     min_lower_margin: float
     delta_used: int
     variant: str
+    support: FuzzSupport
 
 
 def resistance_sandwich_check(P: ConsensusMatrix,
@@ -213,7 +214,7 @@ def resistance_sandwich_check(P: ConsensusMatrix,
     for u, v in fuzz.edges:
         adj[u, v] = True
         adj[v, u] = True
-    r_base = effective_resistance(unit_conductance(graphs.undirected)).values
+    r_base = P.support_resistance.values
     r_fuzz = effective_resistance(unit_conductance(adj)).values
     if classify(P, tol=tol).commuting:
         delta, variant = graphs.delta_in, "in"
@@ -228,6 +229,7 @@ def resistance_sandwich_check(P: ConsensusMatrix,
         min_lower_margin=float(lower.min()),
         delta_used=delta,
         variant=variant,
+        support=fuzz,
     )
 
 

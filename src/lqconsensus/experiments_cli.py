@@ -143,16 +143,7 @@ class ResultRow:
                      "the topology-theorem weighted upper bound")
 
     def to_cells(self) -> list:
-        values = (
-            self.experiment, self.n, self.d, self.case, self.instance,
-            self.epsilon, self.j, self.j_weighted, self.j_exact_rel_err,
-            self.res_rbar, self.res_j_upper, self.res_j_lower,
-            self.res_jw_upper, self.res_jw_lower, self.topo_rbar,
-            self.topo_j_upper, self.topo_j_lower, self.topo_jw_upper,
-            self.topo_jw_lower, self.norm_j_upper, self.norm_j_lower,
-            self.lower_applicable, self.j_normalized,
-        )
-        return [values[0]] + [_fmt(v) for v in values[1:]]
+        return [self.experiment] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
 
 
 @dataclass(frozen=True)
@@ -403,6 +394,35 @@ def _j_normalized(d: int, n_nodes: int, j: float) -> float:
     return j
 
 
+def bound_fields(matrix, tol: float = CLASSIFICATION_TOL) -> dict:
+    """The res_*, topo_* and lower_applicable columns of a result, then the
+    norm_* columns if `matrix` is normal within `tol`, in `analyze` order."""
+    res = theorem_resistance_bounds(matrix, tol=tol)
+    topo = theorem_topology_bounds(matrix, tol=tol)
+    fields = {}
+    for name, bounds in (("res", res), ("topo", topo)):
+        fields[f"{name}_rbar"] = bounds.constants["r_bar"]
+        fields[f"{name}_j_upper"] = bounds.j_upper
+        fields[f"{name}_j_lower"] = bounds.j_lower
+        fields[f"{name}_jw_upper"] = bounds.jw_upper
+        fields[f"{name}_jw_lower"] = bounds.jw_lower
+    fields["lower_applicable"] = res.lower_applicable
+    if classify(matrix, tol=tol).normal:
+        norm = corollary_normal_bounds(matrix, tol=tol)
+        fields["norm_j_upper"] = norm.j_upper
+        fields["norm_j_lower"] = norm.j_lower
+    return fields
+
+
+def _result_row(matrix, report, started: float, **labels) -> ResultRow:
+    """One result row: `labels` fill the columns before j and the
+    j_exact_rel_err and j_normalized columns, `report` gives J and J_w, and
+    `bound_fields(matrix)` the bound block; wall time runs from `started`."""
+    bounds = {"norm_j_upper": None, "norm_j_lower": None, **bound_fields(matrix)}
+    return ResultRow(**labels, j=report.j, j_weighted=report.j_weighted,
+                     **bounds, wall_time_s=time.perf_counter() - started)
+
+
 def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
                       svg: bool = False) -> int:
     """Cost and bounds of the 3-node family over a log-spaced epsilon grid."""
@@ -419,23 +439,10 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
     for i, eps in enumerate(grid):
         t0 = time.perf_counter()
         matrix = p_epsilon(float(eps))
-        report = lq_cost_exact(matrix)
-        res = theorem_resistance_bounds(matrix)
-        topo = theorem_topology_bounds(matrix)
-        norm = corollary_normal_bounds(matrix) if classify(matrix).normal else None
-        rows.append(ResultRow(
-            experiment="epsilon-sweep", n=matrix.n, d=None, case=None,
-            instance=i, epsilon=float(eps), j=report.j,
-            j_weighted=report.j_weighted, j_exact_rel_err=None,
-            res_rbar=res.constants["r_bar"], res_j_upper=res.j_upper,
-            res_j_lower=res.j_lower, res_jw_upper=res.jw_upper,
-            res_jw_lower=res.jw_lower, topo_rbar=topo.constants["r_bar"],
-            topo_j_upper=topo.j_upper, topo_j_lower=topo.j_lower,
-            topo_jw_upper=topo.jw_upper, topo_jw_lower=topo.jw_lower,
-            norm_j_upper=None if norm is None else norm.j_upper,
-            norm_j_lower=None if norm is None else norm.j_lower,
-            lower_applicable=res.lower_applicable,
-            j_normalized=None, wall_time_s=time.perf_counter() - t0))
+        rows.append(_result_row(
+            matrix, lq_cost_exact(matrix), t0, experiment="epsilon-sweep",
+            n=matrix.n, d=None, case=None, instance=i, epsilon=float(eps),
+            j_exact_rel_err=None, j_normalized=None))
     _write_results_csv(out_dir / "results.csv", rows, p["seed"])
     eps_col = np.array([row.epsilon for row in rows])
     j_col = np.array([row.j for row in rows])
@@ -504,22 +511,10 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
             else:
                 matrix = cayley_case2(n, d)
             report = lq_cost_exact(matrix)
-            res = theorem_resistance_bounds(matrix)
-            topo = theorem_topology_bounds(matrix)
-            norm = corollary_normal_bounds(matrix)
-            row = ResultRow(
-                experiment="cayley", n=n, d=d, case=case, instance=i,
-                epsilon=None, j=report.j, j_weighted=report.j_weighted,
-                j_exact_rel_err=None, res_rbar=res.constants["r_bar"],
-                res_j_upper=res.j_upper, res_j_lower=res.j_lower,
-                res_jw_upper=res.jw_upper, res_jw_lower=res.jw_lower,
-                topo_rbar=topo.constants["r_bar"], topo_j_upper=topo.j_upper,
-                topo_j_lower=topo.j_lower, topo_jw_upper=topo.jw_upper,
-                topo_jw_lower=topo.jw_lower, norm_j_upper=norm.j_upper,
-                norm_j_lower=norm.j_lower,
-                lower_applicable=res.lower_applicable,
-                j_normalized=_j_normalized(d, n ** d, report.j),
-                wall_time_s=time.perf_counter() - t0)
+            row = _result_row(
+                matrix, report, t0, experiment="cayley", n=n, d=d, case=case,
+                instance=i, epsilon=None, j_exact_rel_err=None,
+                j_normalized=_j_normalized(d, n ** d, report.j))
             rows.append(row)
             per_n.append(row)
         aggregates.append((
@@ -611,24 +606,10 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
             if n <= p["exact_check_max_n"]:
                 exact = lq_cost_exact(inst.matrix)
                 rel_err = abs(report.j - exact.j) / exact.j
-            res = theorem_resistance_bounds(inst.matrix)
-            topo = theorem_topology_bounds(inst.matrix)
-            norm = (corollary_normal_bounds(inst.matrix)
-                    if classify(inst.matrix).normal else None)
-            row = ResultRow(
-                experiment="geometric", n=n, d=d, case=None, instance=i,
-                epsilon=None, j=report.j, j_weighted=report.j_weighted,
-                j_exact_rel_err=rel_err, res_rbar=res.constants["r_bar"],
-                res_j_upper=res.j_upper, res_j_lower=res.j_lower,
-                res_jw_upper=res.jw_upper, res_jw_lower=res.jw_lower,
-                topo_rbar=topo.constants["r_bar"], topo_j_upper=topo.j_upper,
-                topo_j_lower=topo.j_lower, topo_jw_upper=topo.jw_upper,
-                topo_jw_lower=topo.jw_lower,
-                norm_j_upper=None if norm is None else norm.j_upper,
-                norm_j_lower=None if norm is None else norm.j_lower,
-                lower_applicable=res.lower_applicable,
-                j_normalized=_j_normalized(d, n, report.j),
-                wall_time_s=time.perf_counter() - t0)
+            row = _result_row(
+                inst.matrix, report, t0, experiment="geometric", n=n, d=d,
+                case=None, instance=i, epsilon=None, j_exact_rel_err=rel_err,
+                j_normalized=_j_normalized(d, n, report.j))
             rows.append(row)
             per_n.append(row)
             audit = inst.audit
@@ -686,10 +667,8 @@ def analyze_matrix(path, tol: float = CLASSIFICATION_TOL,
     inv = matrix.invariant
     report = lq_cost_exact(matrix)
     green = green_matrix(matrix)
-    res = theorem_resistance_bounds(matrix, tol=tol)
-    topo = theorem_topology_bounds(matrix, tol=tol)
+    bounds = bound_fields(matrix, tol=tol)
     sandwich = resistance_sandwich_check(matrix, tol=tol)
-    fuzz = reversiblization_support(matrix)
     lines = [
         f"n={matrix.n}",
         f"reversible={_fmt(cls.reversible)}",
@@ -703,27 +682,13 @@ def analyze_matrix(path, tol: float = CLASSIFICATION_TOL,
         report.to_kv(),
         f"green_trace={_fmt(green.trace)}",
     ]
-    for name, bounds in (("res", res), ("topo", topo)):
-        lines += [
-            f"{name}_rbar={_fmt(bounds.constants['r_bar'])}",
-            f"{name}_j_upper={_fmt(bounds.j_upper)}",
-            f"{name}_j_lower={_fmt(bounds.j_lower)}",
-            f"{name}_jw_upper={_fmt(bounds.jw_upper)}",
-            f"{name}_jw_lower={_fmt(bounds.jw_lower)}",
-        ]
-    lines.append(f"lower_applicable={_fmt(res.lower_applicable)}")
-    if cls.normal:
-        norm = corollary_normal_bounds(matrix, tol=tol)
-        lines += [
-            f"norm_j_upper={_fmt(norm.j_upper)}",
-            f"norm_j_lower={_fmt(norm.j_lower)}",
-        ]
+    lines += [f"{key}={_fmt(value)}" for key, value in bounds.items()]
     lines += [
         f"sandwich_variant={sandwich.variant}",
         f"sandwich_min_upper_margin={_fmt(sandwich.min_upper_margin)}",
         f"sandwich_min_lower_margin={_fmt(sandwich.min_lower_margin)}",
-        f"fuzz_edges={len(fuzz.edges)}",
-        f"fuzz_new_edges={len(fuzz.new_edges)}",
+        f"fuzz_edges={len(sandwich.support.edges)}",
+        f"fuzz_new_edges={len(sandwich.support.new_edges)}",
     ]
     if truncated:
         trunc = lq_cost_truncated(matrix)

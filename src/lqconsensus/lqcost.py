@@ -177,8 +177,9 @@ def noisy_consensus_estimate(P: ConsensusMatrix, horizon: int, trials: int,
     The noisy consensus runs x(t+1) = P x(t) + n(t) with x(0) and all n(t)
     independent standard normal vectors; the stationary value of the estimate
     is J(P).  Each trial draws from its own generator seeded with
-    (seed, trial index), so the result does not depend on chunking or
-    execution order.
+    (seed, trial index), so the draws do not depend on `chunk` or execution
+    order.  The estimate is summed per chunk, so it agrees across chunk
+    sizes up to summation rounding, not bit for bit.
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")

@@ -97,9 +97,12 @@ def _null_space_threshold(L: np.ndarray) -> float:
 
 
 def _check_connected(eigvals: np.ndarray, L: np.ndarray) -> None:
-    null_dim = int((eigvals < _null_space_threshold(L)).sum())
+    threshold = _null_space_threshold(L)
+    null_dim = int((eigvals < threshold).sum())
     if null_dim > 1:
-        raise Disconnected(f"Laplacian null space has dimension {null_dim}")
+        raise Disconnected(
+            f"Laplacian null space has dimension {null_dim}: spectral gap "
+            f"{eigvals[1]:.2e} is below the null-space threshold {threshold:.2e}")
 
 
 def effective_resistance(C: ConductanceMatrix, method: str = "pseudoinverse") -> ResistanceMatrix:

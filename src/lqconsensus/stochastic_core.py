@@ -107,6 +107,17 @@ class ConsensusMatrix:
     def graphs(self) -> SupportGraphs:
         return _build_support_graphs(self)
 
+    @cached_property
+    def classification_residuals(self) -> dict:
+        """Max-norm residuals of the identities that `classify` tests, by flag."""
+        return _classification_residuals(self)
+
+    @cached_property
+    def support_resistance(self):
+        """All-pairs unit-conductance effective resistance of G(P)."""
+        from .resistance import effective_resistance, unit_conductance
+        return effective_resistance(unit_conductance(self.graphs.undirected))
+
 
 def validate_consensus(entries, tol: float = DEFAULT_TOL,
                        support_threshold: float = 0.0) -> ConsensusMatrix:
@@ -208,22 +219,31 @@ def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:
 def classify(P: ConsensusMatrix, tol: float = CLASSIFICATION_TOL) -> MatrixClass:
     """Flags for reversible, normal, commuting (P*P = PP*) and doubly stochastic.
 
-    Each flag tests the max norm of its defining residual against `tol`.
-    The inclusion structure (normal implies doubly stochastic and commuting,
-    reversible implies commuting) is enforced on the result.
+    Each flag tests the max norm of its defining residual, cached on P,
+    against `tol`.  The inclusion structure (normal implies doubly stochastic
+    and commuting, reversible implies commuting) is enforced on the result.
     """
+    r = P.classification_residuals
+    reversible = r["reversible"] <= tol
+    normal = r["normal"] <= tol
+    commuting = r["commuting"] <= tol or reversible or normal
+    doubly = r["doubly_stochastic"] <= tol or normal
+    return MatrixClass(reversible=reversible, normal=normal,
+                       commuting=commuting, doubly_stochastic=doubly)
+
+
+def _classification_residuals(P: ConsensusMatrix) -> dict:
+    """|Pi P - P^T Pi|, |P^T P - P P^T|, |P* P - P P*| and |1^T P - 1^T|."""
     a = P.entries
     pi = P.invariant.pi
     pip = pi[:, None] * a
-    reversible = float(np.abs(pip - pip.T).max()) <= tol
-    normal = float(np.abs(a.T @ a - a @ a.T).max()) <= tol
     star = (a.T * pi[None, :]) / pi[:, None]
-    commuting = float(np.abs(star @ a - a @ star).max()) <= tol
-    doubly = float(np.abs(a.sum(axis=0) - 1.0).max()) <= tol
-    commuting = commuting or reversible or normal
-    doubly = doubly or normal
-    return MatrixClass(reversible=reversible, normal=normal,
-                       commuting=commuting, doubly_stochastic=doubly)
+    return {
+        "reversible": float(np.abs(pip - pip.T).max()),
+        "normal": float(np.abs(a.T @ a - a @ a.T).max()),
+        "commuting": float(np.abs(star @ a - a @ star).max()),
+        "doubly_stochastic": float(np.abs(a.sum(axis=0) - 1.0).max()),
+    }
 
 
 def support_graphs(P: ConsensusMatrix) -> SupportGraphs:

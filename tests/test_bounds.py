@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from lqconsensus import (
+    Disconnected,
     NotNormal,
     average_resistance,
     cayley_case1,
@@ -100,6 +103,25 @@ class TestResistanceTheorem:
 
     def test_noncommuting_lower_not_certified(self):
         assert not theorem_resistance_bounds(p_epsilon(0.1)).lower_applicable
+
+    def test_near_reducible_error_names_the_spectral_gap(self):
+        # Two uniform 20-cliques joined by one edge of weight 1e-12: validation
+        # accepts the matrix, but the second Laplacian eigenvalue of C_{P*P}
+        # falls below the null-space threshold, and the error says by how much.
+        a = np.zeros((40, 40))
+        a[:20, :20] = a[20:, 20:] = 1.0 / 20
+        a[0, 20] = a[20, 0] = 1e-12
+        a[0, 0] -= 1e-12
+        a[20, 20] -= 1e-12
+        P = validate_consensus(a)
+        with pytest.raises(Disconnected, match="null space has dimension 2") as info:
+            theorem_resistance_bounds(P)
+        match = re.search(r"spectral gap (\S+) is below the null-space "
+                          r"threshold (\S+)$", str(info.value))
+        assert match is not None
+        gap, threshold = float(match.group(1)), float(match.group(2))
+        assert gap == pytest.approx(2.0e-13, rel=0.05)
+        assert threshold == pytest.approx(9.52e-11, rel=0.01)
 
     def test_lower_fields_always_populated(self):
         report = theorem_resistance_bounds(p_epsilon(0.1))

@@ -1,3 +1,4 @@
+import sys
 from xml.etree import ElementTree
 
 import numpy as np
@@ -5,13 +6,22 @@ import pytest
 
 from lqconsensus import (
     ConfigError,
+    GeometricParams,
+    cayley_case1,
+    classify,
     commuting_example,
+    corollary_normal_bounds,
+    effective_resistance,
     lq_cost_exact,
     p_epsilon,
+    reversiblization_support,
+    sample_geometric,
     save_matrix_csv,
+    theorem_resistance_bounds,
+    theorem_topology_bounds,
     validate_consensus,
 )
-from lqconsensus import experiments_cli
+from lqconsensus import experiments_cli, stochastic_core
 from lqconsensus.experiments_cli import (
     CSV_COLUMNS,
     _emit_svg,
@@ -43,6 +53,42 @@ def parse_svg(path):
 def strip_wall_time(text):
     return "\n".join(line for line in text.splitlines()
                      if not line.startswith("total_wall_time_s="))
+
+
+def assert_bound_columns_match_library(row, matrix):
+    """The row's bound columns equal direct calls of the public bound functions."""
+    res = theorem_resistance_bounds(matrix)
+    topo = theorem_topology_bounds(matrix)
+    for prefix, report in (("res", res), ("topo", topo)):
+        assert float(row[f"{prefix}_rbar"]) == report.constants["r_bar"]
+        assert float(row[f"{prefix}_j_upper"]) == report.j_upper
+        assert float(row[f"{prefix}_j_lower"]) == report.j_lower
+        assert float(row[f"{prefix}_jw_upper"]) == report.jw_upper
+        assert float(row[f"{prefix}_jw_lower"]) == report.jw_lower
+    assert row["lower_applicable"] == ("true" if res.lower_applicable else "false")
+    if classify(matrix).normal:
+        norm = corollary_normal_bounds(matrix)
+        assert float(row["norm_j_upper"]) == norm.j_upper
+        assert float(row["norm_j_lower"]) == norm.j_lower
+    else:
+        assert row["norm_j_upper"] == row["norm_j_lower"] == ""
+
+
+def count_calls(monkeypatch, func):
+    """Replace `func` in every lqconsensus module that holds it by a counting
+    wrapper; returns the list that grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(func.__name__)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lqconsensus" or name.startswith("lqconsensus."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 class TestBuildConfig:
@@ -252,6 +298,28 @@ class TestCayleySweep:
         assert (out_a / "results.csv").read_bytes() == \
             (out_b / "results.csv").read_bytes()
 
+    def test_row_values_match_library(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["cayley", "--out", str(out), "-p", "case=1", "-p", "d=2",
+                     "-p", "n_list=4", "-p", "instances=2", "--seed", "5"]) == 0
+        _, _, rows = read_results(out / "results.csv")
+        assert len(rows) == 2
+        for i, row in enumerate(rows):
+            _, matrix = cayley_case1(4, 2, seed=[5, 1, 2, 4, i])
+            assert float(row["j"]) == lq_cost_exact(matrix).j
+            assert row["norm_j_upper"] != ""
+            assert_bound_columns_match_library(row, matrix)
+
+    def test_row_computes_each_derived_quantity_once(self, tmp_path, monkeypatch):
+        # One resistance for C_{P*P} and one for G(P), which the topology
+        # theorem and the normal corollary share; one classification.
+        resistances = count_calls(monkeypatch, effective_resistance)
+        residuals = count_calls(monkeypatch, stochastic_core._classification_residuals)
+        assert main(["cayley", "--out", str(tmp_path / "run"), "-p", "case=1",
+                     "-p", "d=2", "-p", "n_list=4", "-p", "instances=1"]) == 0
+        assert len(resistances) == 2
+        assert len(residuals) == 1
+
     def test_bad_case_fails(self, tmp_path, capsys):
         assert main(["cayley", "--out", str(tmp_path / "x"),
                      "-p", "case=3"]) == 1
@@ -305,6 +373,16 @@ class TestGeometricSweep:
         assert j == list(table[:, 1])
         _, upper = by_label["topology upper"]
         assert all(a <= b for a, b in zip(j, upper))
+
+    def test_row_values_match_library(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["geometric", "--out", str(out), "-p", "d=2",
+                     "-p", "n_list=20", "-p", "instances=2", "--seed", "3"]) == 0
+        _, _, rows = read_results(out / "results.csv")
+        assert len(rows) == 2
+        for i, row in enumerate(rows):
+            matrix = sample_geometric(GeometricParams(), 20, 2, seed=[3, 2, 20, i]).matrix
+            assert_bound_columns_match_library(row, matrix)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["geometric", "-p", "d=2", "-p", "n_list=20", "-p",
@@ -395,6 +473,22 @@ class TestAnalyze:
         assert kv["sandwich_variant"] == "out"
         assert float(kv["truncated_rel_err"]) <= 1e-5
         assert int(kv["truncated_steps"]) >= 11
+
+    def test_report_computes_each_derived_quantity_once(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # Resistances of C_{P*P}, G(P) (shared by the topology theorem, the
+        # normal corollary and the sandwich) and G(P*P); one G(P*P) support,
+        # shared by the sandwich and the fuzz_* lines.
+        path = tmp_path / "torus.csv"
+        save_matrix_csv(cayley_case1(4, 2, seed=1)[1], path)
+        resistances = count_calls(monkeypatch, effective_resistance)
+        supports = count_calls(monkeypatch, reversiblization_support)
+        assert main(["analyze", str(path)]) == 0
+        kv = self.kv(capsys)
+        assert kv["normal"] == "true"
+        assert "norm_j_upper" in kv and "fuzz_edges" in kv
+        assert len(resistances) == 3
+        assert len(supports) == 1
 
     def test_tolerance_is_plumbed(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"

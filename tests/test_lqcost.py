@@ -222,6 +222,15 @@ class TestNoisyConsensus:
         b = noisy_consensus_estimate(P, horizon=15, trials=50, seed=3, chunk=64)
         assert a == b
 
+    def test_chunk_sizes_agree_to_summation_rounding(self):
+        # The draws do not depend on the chunk size, but the estimate is summed
+        # per chunk, so one chunk and three chunks can differ in the last bit;
+        # they must agree to rounding.
+        P = p_epsilon(0.2)
+        a = noisy_consensus_estimate(P, horizon=40, trials=3000, seed=3, chunk=4096)
+        b = noisy_consensus_estimate(P, horizon=40, trials=3000, seed=3, chunk=1000)
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+
     def test_uniform_sanity(self):
         got = noisy_consensus_estimate(uniform(4), horizon=50, trials=4000, seed=0)
         assert got == pytest.approx(0.75, rel=0.1)
