@@ -164,23 +164,19 @@ def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
     {u, v} is an edge iff column u and column v of the directed support share
     a positive row w (the pivot).  Ties break to the smallest index.  Every
     edge of G(P) survives because self loops make u itself a pivot for (u, v).
+    The shared-row counts come from a float product, exact below 2^53; the
+    pivots from one argmax over an n x |edges| boolean array.
     """
     s = P.support
-    n = P.n
-    common = s.T.astype(np.int64) @ s.astype(np.int64)
-    edges = set()
-    pivots = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if common[u, v] > 0:
-                edges.add((u, v))
-                pivots[(u, v)] = int(np.argmax(s[:, u] & s[:, v]))
-    und = s | s.T
-    gp_edges = {(u, v) for u in range(n) for v in range(u + 1, n) if und[u, v]}
+    indicator = s.astype(float)
+    u, v = np.nonzero(np.triu(indicator.T @ indicator > 0, 1))
+    pivots = np.argmax(s[:, u] & s[:, v], axis=0)
+    new = ~(s | s.T)[u, v]
+    edges = list(zip(u.tolist(), v.tolist()))
     return FuzzSupport(
         edges=frozenset(edges),
-        pivots=pivots,
-        new_edges=frozenset(edges - gp_edges),
+        pivots=dict(zip(edges, pivots.tolist())),
+        new_edges=frozenset(zip(u[new].tolist(), v[new].tolist())),
     )
 
 
@@ -209,11 +205,9 @@ def resistance_sandwich_check(P: ConsensusMatrix,
     """Evaluate (1/(4 delta - 2)) R_uv(G(P)) <= R_uv(G(P*P)) <= R_uv(G(P))."""
     graphs = support_graphs(P)
     fuzz = reversiblization_support(P)
-    n = P.n
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in fuzz.edges:
-        adj[u, v] = True
-        adj[v, u] = True
+    adj = np.zeros((P.n, P.n), dtype=bool)
+    u, v = np.array(list(fuzz.edges), dtype=int).reshape(-1, 2).T
+    adj[u, v] = adj[v, u] = True
     r_base = P.support_resistance.values
     r_fuzz = effective_resistance(unit_conductance(adj)).values
     if classify(P, tol=tol).commuting:

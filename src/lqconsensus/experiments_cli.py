@@ -13,6 +13,7 @@ error, 2 validation-suite failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -58,15 +59,6 @@ from .stochastic_core import (
     validate_consensus,
 )
 
-CSV_COLUMNS = (
-    "experiment", "n", "d", "case", "instance", "epsilon",
-    "j", "j_weighted", "j_exact_rel_err",
-    "res_rbar", "res_j_upper", "res_j_lower", "res_jw_upper", "res_jw_lower",
-    "topo_rbar", "topo_j_upper", "topo_j_lower", "topo_jw_upper",
-    "topo_jw_lower", "norm_j_upper", "norm_j_lower",
-    "lower_applicable", "j_normalized",
-)
-
 CAYLEY_N_DEFAULT = {1: (8, 16, 24, 32), 2: (8, 12, 16, 20, 24), 3: (4, 6, 8)}
 GEOMETRIC_N_DESK = {
     2: (25, 50, 75, 100, 125, 150, 175, 200, 225, 250, 275, 300),
@@ -100,7 +92,8 @@ def _check_upper(value: float, upper, label: str) -> None:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One experiment data point; the CSV schema is CSV_COLUMNS in order.
+    """One experiment data point; its fields but wall_time_s, in order, are
+    the CSV columns (CSV_COLUMNS).
 
     Construction verifies that the cost values sit below every populated
     upper bound (1e-9 relative slack).  Wall time is kept on the object but
@@ -146,6 +139,10 @@ class ResultRow:
         return [self.experiment] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow)
+                    if f.name != "wall_time_s")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment tag plus its validated flat parameter map."""
@@ -187,44 +184,30 @@ def _to_int_list(key: str, text: str) -> tuple:
         raise ConfigError(f"{key}={text!r} is not a comma-separated integer list") from exc
 
 
-_SCHEMAS = {
+# Every config key of each experiment with its (parser, default).
+_CONFIG_KEYS = {
     "epsilon-sweep": {
-        "eps_min": _to_float, "eps_max": _to_float, "points": _to_int,
-        "seed": _to_int,
+        "eps_min": (_to_float, 1e-3), "eps_max": (_to_float, 0.5),
+        "points": (_to_int, 100), "seed": (_to_int, 0),
     },
     "cayley": {
-        "case": _to_int, "d": _to_int, "n_list": _to_int_list,
-        "instances": _to_int, "seed": _to_int, "p_min": _to_float,
-        "p_max": _to_float,
+        "case": (_to_int, 1), "d": (_to_int, 2), "n_list": (_to_int_list, None),
+        "instances": (_to_int, None), "seed": (_to_int, 0),
+        "p_min": (_to_float, None), "p_max": (_to_float, None),
     },
     "geometric": {
-        "d": _to_int, "n_list": _to_int_list, "instances": _to_int,
-        "seed": _to_int, "s": _to_float, "r": _to_float, "gamma": _to_float,
-        "rho": _to_float, "p_e": _to_float, "p_d": _to_float, "c": _to_float,
-        "b": _to_float, "pi_bar_min": _to_float, "pi_bar_max": _to_float,
-        "max_attempts": _to_int, "node_attempt_cap": _to_int,
-        "divisions": _to_int, "literal_pi_check": _to_bool,
-        "exact_check_max_n": _to_int, "t_max": _to_int, "delta": _to_float,
-        "window": _to_int,
+        "d": (_to_int, 2), "n_list": (_to_int_list, None),
+        "instances": (_to_int, 15), "seed": (_to_int, 0),
+        "s": (_to_float, 0.1), "r": (_to_float, 1.0), "gamma": (_to_float, 1.0),
+        "rho": (_to_float, 0.052), "p_e": (_to_float, 0.8),
+        "p_d": (_to_float, 0.1), "c": (_to_float, 0.5), "b": (_to_float, 0.8),
+        "pi_bar_min": (_to_float, 0.1), "pi_bar_max": (_to_float, 3.0),
+        "max_attempts": (_to_int, 1000), "node_attempt_cap": (_to_int, 10_000),
+        "divisions": (_to_int, 30), "literal_pi_check": (_to_bool, False),
+        "exact_check_max_n": (_to_int, 200), "t_max": (_to_int, 10_000),
+        "delta": (_to_float, 1e-5), "window": (_to_int, 10),
     },
-    "validate": {"seed": _to_int, "inject_fault": _to_bool},
-}
-
-_DEFAULTS = {
-    "epsilon-sweep": {"eps_min": 1e-3, "eps_max": 0.5, "points": 100, "seed": 0},
-    "cayley": {
-        "case": 1, "d": 2, "n_list": None, "instances": None, "seed": 0,
-        "p_min": None, "p_max": None,
-    },
-    "geometric": {
-        "d": 2, "n_list": None, "instances": 15, "seed": 0,
-        "s": 0.1, "r": 1.0, "gamma": 1.0, "rho": 0.052, "p_e": 0.8,
-        "p_d": 0.1, "c": 0.5, "b": 0.8, "pi_bar_min": 0.1, "pi_bar_max": 3.0,
-        "max_attempts": 1000, "node_attempt_cap": 10_000, "divisions": 30,
-        "literal_pi_check": False, "exact_check_max_n": 200,
-        "t_max": 10_000, "delta": 1e-5, "window": 10,
-    },
-    "validate": {"seed": 0, "inject_fault": False},
+    "validate": {"seed": (_to_int, 0), "inject_fault": (_to_bool, False)},
 }
 
 
@@ -249,10 +232,10 @@ def _read_config_file(path) -> dict:
 def build_config(experiment: str, config_file=None, overrides=(),
                  seed=None) -> ExperimentConfig:
     """Merge defaults, a key=value config file, and override strings."""
-    if experiment not in _SCHEMAS:
+    if experiment not in _CONFIG_KEYS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    schema = _SCHEMAS[experiment]
-    parameters = dict(_DEFAULTS[experiment])
+    schema = _CONFIG_KEYS[experiment]
+    parameters = {key: default for key, (_, default) in schema.items()}
     raw = _read_config_file(config_file) if config_file else {}
     for item in overrides:
         if "=" not in item:
@@ -264,7 +247,7 @@ def build_config(experiment: str, config_file=None, overrides=(),
             known = ", ".join(sorted(schema))
             raise ConfigError(
                 f"unknown key {key!r} for {experiment} (known keys: {known})")
-        parameters[key] = schema[key](key, text)
+        parameters[key] = schema[key][0](key, text)
     if seed is not None:
         parameters["seed"] = seed
     if parameters.get("seed") is not None and parameters["seed"] < 0:
@@ -423,6 +406,44 @@ def _result_row(matrix, report, started: float, **labels) -> ResultRow:
                      **bounds, wall_time_s=time.perf_counter() - started)
 
 
+def _write_size_means(out_dir: Path, prefix: str, x, per_size, family: str,
+                      label: str, logy: bool, svg: bool):
+    """Per-size means of one sweep: `<prefix>_j.dat` (x, mean J, mean
+    j_normalized), `_upper.dat` and `_lower.dat` (x, mean `family` J bound)
+    and, with `svg`, a chart of the three curves.  `per_size` holds the rows
+    at each x; nothing is written when it is empty.  Returns the mean J and
+    mean j_normalized columns.
+    """
+    if not per_size:
+        return [], []
+
+    def mean(field):
+        return [float(np.mean([getattr(r, field) for r in rows])) for rows in per_size]
+
+    x = np.array(x, dtype=float)
+    j, j_norm = mean("j"), mean("j_normalized")
+    upper, lower = mean(f"{family}_j_upper"), mean(f"{family}_j_lower")
+    _write_dat(out_dir / f"{prefix}_j.dat", x, j, j_norm)
+    _write_dat(out_dir / f"{prefix}_upper.dat", x, upper)
+    _write_dat(out_dir / f"{prefix}_lower.dat", x, lower)
+    if svg:
+        _emit_svg(out_dir / f"{prefix}.svg", [
+            ("mean J", x, j), (f"{label} upper", x, upper),
+            (f"{label} lower", x, lower),
+        ], xlabel="nodes", ylabel="cost", logy=logy)
+    return j, j_norm
+
+
+# The epsilon sweep's curves: chart label, ResultRow field, .dat file stem.
+EPSILON_CURVES = (
+    ("J", "j", "epsilon_j"),
+    ("resistance upper", "res_j_upper", "epsilon_res_upper"),
+    ("resistance lower", "res_j_lower", "epsilon_res_lower"),
+    ("topology upper", "topo_j_upper", "epsilon_topo_upper"),
+    ("topology lower", "topo_j_lower", "epsilon_topo_lower"),
+)
+
+
 def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
                       svg: bool = False) -> int:
     """Cost and bounds of the 3-node family over a log-spaced epsilon grid."""
@@ -445,16 +466,11 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
             j_exact_rel_err=None, j_normalized=None))
     _write_results_csv(out_dir / "results.csv", rows, p["seed"])
     eps_col = np.array([row.epsilon for row in rows])
-    j_col = np.array([row.j for row in rows])
-    _write_dat(out_dir / "epsilon_j.dat", eps_col, j_col)
-    _write_dat(out_dir / "epsilon_res_upper.dat", eps_col,
-               [row.res_j_upper for row in rows])
-    _write_dat(out_dir / "epsilon_res_lower.dat", eps_col,
-               [row.res_j_lower for row in rows])
-    _write_dat(out_dir / "epsilon_topo_upper.dat", eps_col,
-               [row.topo_j_upper for row in rows])
-    _write_dat(out_dir / "epsilon_topo_lower.dat", eps_col,
-               [row.topo_j_lower for row in rows])
+    curves = []
+    for label, field, stem in EPSILON_CURVES:
+        values = [getattr(row, field) for row in rows]
+        _write_dat(out_dir / f"{stem}.dat", eps_col, values)
+        curves.append((label, eps_col, values))
     hyp = [row for row in rows if not row.lower_applicable and row.res_j_lower > row.j]
     certified = [row for row in rows if row.lower_applicable]
     lines = [
@@ -472,13 +488,8 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
     ]
     _write_audit(out_dir / "audit.txt", lines, time.perf_counter() - start)
     if svg:
-        _emit_svg(out_dir / "epsilon_sweep.svg", [
-            ("J", eps_col, j_col),
-            ("resistance upper", eps_col, [r.res_j_upper for r in rows]),
-            ("resistance lower", eps_col, [r.res_j_lower for r in rows]),
-            ("topology upper", eps_col, [r.topo_j_upper for r in rows]),
-            ("topology lower", eps_col, [r.topo_j_lower for r in rows]),
-        ], xlabel="epsilon", ylabel="cost", logx=True, logy=True)
+        _emit_svg(out_dir / "epsilon_sweep.svg", curves, xlabel="epsilon",
+                  ylabel="cost", logx=True, logy=True)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows)")
     return 0
 
@@ -500,7 +511,7 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
         raise ConfigError(f"instances={instances} must be at least 1")
     start = time.perf_counter()
     rows = []
-    aggregates = []
+    per_size = []
     for n in n_list:
         per_n = []
         for i in range(instances):
@@ -517,21 +528,11 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
                 j_normalized=_j_normalized(d, n ** d, report.j))
             rows.append(row)
             per_n.append(row)
-        aggregates.append((
-            n, n ** d,
-            float(np.mean([r.j for r in per_n])),
-            float(np.mean([r.j_normalized for r in per_n])),
-            float(np.mean([r.norm_j_upper for r in per_n])),
-            float(np.mean([r.norm_j_lower for r in per_n])),
-        ))
+        per_size.append(per_n)
     _write_results_csv(out_dir / "results.csv", rows, seed)
-    prefix = f"cayley_case{case}_d{d}"
-    nodes = np.array([a[1] for a in aggregates], dtype=float)
-    _write_dat(out_dir / f"{prefix}_j.dat", nodes,
-               [a[2] for a in aggregates], [a[3] for a in aggregates])
-    _write_dat(out_dir / f"{prefix}_upper.dat", nodes, [a[4] for a in aggregates])
-    _write_dat(out_dir / f"{prefix}_lower.dat", nodes, [a[5] for a in aggregates])
-    normalized = [a[3] for a in aggregates]
+    mean_j, normalized = _write_size_means(
+        out_dir, f"cayley_case{case}_d{d}", [n ** d for n in n_list], per_size,
+        "norm", "corollary", logy=False, svg=svg)
     lines = [
         "experiment=cayley",
         f"master_seed={seed}",
@@ -544,16 +545,10 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
         f"{_fmt(max(normalized) / min(normalized) if normalized else None)}",
     ]
     lines += [
-        f"n={a[0]} nodes={a[1]} mean_j={_fmt(a[2])} mean_j_normalized={_fmt(a[3])}"
-        for a in aggregates
+        f"n={n} nodes={n ** d} mean_j={_fmt(j)} mean_j_normalized={_fmt(jn)}"
+        for n, j, jn in zip(n_list, mean_j, normalized)
     ]
     _write_audit(out_dir / "audit.txt", lines, time.perf_counter() - start)
-    if svg:
-        _emit_svg(out_dir / f"{prefix}.svg", [
-            ("mean J", nodes, [a[2] for a in aggregates]),
-            ("corollary upper", nodes, [a[4] for a in aggregates]),
-            ("corollary lower", nodes, [a[5] for a in aggregates]),
-        ], xlabel="nodes", ylabel="cost")
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows)")
     return 0
 
@@ -582,7 +577,7 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
         f"instances={instances}",
     ]
     detail_lines = []
-    aggregates = []
+    sizes, per_size = [], []
     skipped = 0
     for n in n_list:
         per_n = []
@@ -624,31 +619,15 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                 f" rho_n={_fmt(inst.measured['rho_n'])}"
                 f" steps_used={report.steps_used}")
         if per_n:
-            aggregates.append((
-                n,
-                float(np.mean([r.j for r in per_n])),
-                float(np.mean([r.j_normalized for r in per_n])),
-                float(np.mean([r.topo_j_upper for r in per_n])),
-                float(np.mean([r.topo_j_lower for r in per_n])),
-            ))
+            sizes.append(n)
+            per_size.append(per_n)
     _write_results_csv(out_dir / "results.csv", rows, seed)
-    prefix = f"geometric_d{d}"
-    if aggregates:
-        n_col = np.array([a[0] for a in aggregates], dtype=float)
-        _write_dat(out_dir / f"{prefix}_j.dat", n_col,
-                   [a[1] for a in aggregates], [a[2] for a in aggregates])
-        _write_dat(out_dir / f"{prefix}_upper.dat", n_col, [a[3] for a in aggregates])
-        _write_dat(out_dir / f"{prefix}_lower.dat", n_col, [a[4] for a in aggregates])
+    _write_size_means(out_dir, f"geometric_d{d}", sizes, per_size, "topo",
+                      "topology", logy=True, svg=svg)
     audit_lines.append(f"rows={len(rows)}")
     audit_lines.append(f"skipped={skipped}")
     audit_lines += detail_lines
     _write_audit(out_dir / "audit.txt", audit_lines, time.perf_counter() - start)
-    if svg and aggregates:
-        _emit_svg(out_dir / f"{prefix}.svg", [
-            ("mean J", n_col, [a[1] for a in aggregates]),
-            ("topology upper", n_col, [a[3] for a in aggregates]),
-            ("topology lower", n_col, [a[4] for a in aggregates]),
-        ], xlabel="nodes", ylabel="cost", logy=True)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {skipped} skipped)")
     return 0
 
@@ -711,95 +690,92 @@ class SuiteResult:
     worst_slack: float
 
 
+def _first_irreducible(draw, failure: str):
+    """Validate up to 200 draws of `draw()`; the first irreducible one wins."""
+    for _ in range(200):
+        try:
+            return validate_consensus(draw())
+        except NotIrreducible:
+            continue
+    raise RejectionExhausted(failure)
+
+
 def _random_consensus(rng, n: int, density: float = 0.6):
     """Random dense-support consensus matrix; retries until irreducible."""
-    for _ in range(200):
+    def draw():
         support = rng.random((n, n)) < density
         np.fill_diagonal(support, True)
         values = np.where(support, 0.05 + rng.random((n, n)), 0.0)
-        try:
-            return validate_consensus(values / values.sum(axis=1, keepdims=True))
-        except NotIrreducible:
-            continue
-    raise RejectionExhausted("could not draw an irreducible support pattern")
+        return values / values.sum(axis=1, keepdims=True)
+    return _first_irreducible(draw, "could not draw an irreducible support pattern")
 
 
 def _random_reversible(rng, n: int):
     """Reversible matrix: row-normalize a random symmetric conductance."""
-    for _ in range(200):
+    def draw():
         sym = rng.random((n, n))
         sym = (sym + sym.T) / 2.0
         mask = np.triu(rng.random((n, n)) < 0.6, 1)
         conductance = np.where(mask | mask.T, sym, 0.0)
         np.fill_diagonal(conductance, 0.1 + rng.random(n))
-        row_sums = conductance.sum(axis=1, keepdims=True)
-        try:
-            return validate_consensus(conductance / row_sums)
-        except NotIrreducible:
-            continue
-    raise RejectionExhausted("could not draw a connected conductance pattern")
+        return conductance / conductance.sum(axis=1, keepdims=True)
+    return _first_irreducible(draw, "could not draw a connected conductance pattern")
 
 
 def _random_circulant(rng, n: int):
     """Random circulant consensus matrix (normal, hence commuting)."""
-    for _ in range(200):
+    def draw():
         coeffs = rng.random(n) * (rng.random(n) < 0.6)
         coeffs[0] += 0.2
         coeffs /= coeffs.sum()
-        matrix = np.empty((n, n))
-        for u in range(n):
-            matrix[u] = np.roll(coeffs, u)
-        try:
-            return validate_consensus(matrix)
-        except NotIrreducible:
-            continue
-    raise RejectionExhausted("could not draw an irreducible circulant")
+        return np.stack([np.roll(coeffs, u) for u in range(n)])
+    return _first_irreducible(draw, "could not draw an irreducible circulant")
 
 
-def _suite_trace_inequality(rng, fault):
+def _suite_trace_inequality(rng):
     slacks = []
     for _ in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         for t in range(9):
             left, right = trace_pair(matrix, t)
-            slacks.append(right - left + 1e-9 - fault)
-    return _summarize("trace_inequality", slacks)
+            slacks.append(right - left + 1e-9)
+    return slacks
 
 
-def _suite_trace_equality_reversible(rng, fault):
+def _suite_trace_equality_reversible(rng):
     slacks = []
     for _ in range(10):
         matrix = _random_reversible(rng, int(rng.integers(3, 9)))
         for t in range(7):
             left, right = trace_pair(matrix, t)
-            slacks.append(1e-9 - abs(right - left) - fault)
-    return _summarize("trace_equality_reversible", slacks)
+            slacks.append(1e-9 - abs(right - left))
+    return slacks
 
 
-def _suite_green_resistance_identity(rng, fault):
+def _suite_green_resistance_identity(rng):
     slacks = []
     for _ in range(15):
         matrix = _random_reversible(rng, int(rng.integers(3, 13)))
         rbar_w = weighted_average_resistance(
             effective_resistance(phi_map(matrix)), matrix.invariant)
         target = green_matrix(matrix).trace / matrix.n
-        slacks.append(1e-8 - abs(rbar_w - target) - fault)
-    return _summarize("green_resistance_identity", slacks)
+        slacks.append(1e-8 - abs(rbar_w - target))
+    return slacks
 
 
-def _suite_upper_bounds(rng, fault):
+def _suite_upper_bounds(rng):
     slacks = []
     for _ in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         report = lq_cost_exact(matrix)
         for bounds in (theorem_resistance_bounds(matrix),
                        theorem_topology_bounds(matrix)):
-            slacks.append(bounds.j_upper - report.j + 1e-9 - fault)
-            slacks.append(bounds.jw_upper - report.j_weighted + 1e-9 - fault)
-    return _summarize("upper_bounds", slacks)
+            slacks.append(bounds.j_upper - report.j + 1e-9)
+            slacks.append(bounds.jw_upper - report.j_weighted + 1e-9)
+    return slacks
 
 
-def _suite_lower_bounds_commuting(rng, fault):
+def _suite_lower_bounds_commuting(rng):
     matrices = [commuting_example(), p_epsilon(0.5), cayley_case2(4, 2),
                 circle_matrix(6, 0.3, 0.3)]
     matrices += [_random_circulant(rng, int(rng.integers(3, 9)))
@@ -812,22 +788,22 @@ def _suite_lower_bounds_commuting(rng, fault):
             if not bounds.lower_applicable:
                 raise LqConsensusError(
                     "a commuting test matrix was not classified as commuting")
-            slacks.append(report.j - bounds.j_lower + 1e-9 - fault)
-            slacks.append(report.j_weighted - bounds.jw_lower + 1e-9 - fault)
-    return _summarize("lower_bounds_commuting", slacks)
+            slacks.append(report.j - bounds.j_lower + 1e-9)
+            slacks.append(report.j_weighted - bounds.jw_lower + 1e-9)
+    return slacks
 
 
-def _suite_sandwich(rng, fault):
+def _suite_sandwich(rng):
     slacks = []
     for _ in range(15):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         margins = resistance_sandwich_check(matrix)
-        slacks.append(margins.min_upper_margin + 1e-9 - fault)
-        slacks.append(margins.min_lower_margin + 1e-9 - fault)
-    return _summarize("sandwich", slacks)
+        slacks.append(margins.min_upper_margin + 1e-9)
+        slacks.append(margins.min_lower_margin + 1e-9)
+    return slacks
 
 
-def _suite_support_oracle(rng, fault):
+def _suite_support_oracle(rng):
     slacks = []
     for _ in range(15):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)), density=0.35)
@@ -842,28 +818,27 @@ def _suite_support_oracle(rng, fault):
         witness_ok = all(support[w, u] and support[w, v]
                          for (u, v), w in fuzz.pivots.items())
         slacks.append(0.0 if witness_ok else -1.0)
-    slacks = [s - fault for s in slacks]
-    return _summarize("support_oracle", slacks)
+    return slacks
 
 
-def _suite_exact_vs_truncated(rng, fault):
+def _suite_exact_vs_truncated(rng):
     slacks = []
     for _ in range(10):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         exact = lq_cost_exact(matrix)
         trunc = lq_cost_truncated(matrix)
-        slacks.append(1e-5 - abs(trunc.j - exact.j) / exact.j - fault)
-    return _summarize("exact_vs_truncated", slacks)
+        slacks.append(1e-5 - abs(trunc.j - exact.j) / exact.j)
+    return slacks
 
 
-def _suite_stationarity(rng, fault):
+def _suite_stationarity(rng):
     slacks = []
     for _ in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 13)))
         pi = matrix.invariant.pi
         residual = float(np.abs(pi @ matrix.entries - pi).max())
-        slacks.append(1e-10 - residual - fault)
-    return _summarize("stationarity", slacks)
+        slacks.append(1e-10 - residual)
+    return slacks
 
 
 def _max_uncovered(coords, box: float, divisions: int) -> float:
@@ -876,22 +851,15 @@ def _max_uncovered(coords, box: float, divisions: int) -> float:
     return float(dist.max())
 
 
-def _suite_gamma_oracle(rng, fault):
+def _suite_gamma_oracle(rng):
     slacks = []
     for _ in range(3):
         coords = rng.random((40, 2)) * 3.0
         if gamma_check(coords, 3.0, 1.0, divisions=30):
-            slacks.append(1.0 - _max_uncovered(coords, 3.0, 300) - fault)
+            slacks.append(1.0 - _max_uncovered(coords, 3.0, 300))
         else:
-            slacks.append(0.0 - fault)
-    return _summarize("gamma_oracle", slacks)
-
-
-def _summarize(name, slacks) -> SuiteResult:
-    worst = float(min(slacks))
-    failures = sum(1 for s in slacks if s < 0)
-    return SuiteResult(name=name, checks=len(slacks), failures=failures,
-                       worst_slack=worst)
+            slacks.append(0.0)
+    return slacks
 
 
 _VALIDATION_SUITES = (
@@ -919,9 +887,11 @@ def run_validation_suite(config: ExperimentConfig, stream=None) -> int:
     seed = config.parameters["seed"]
     fault = 0.05 if config.parameters["inject_fault"] else 0.0
     results = []
-    for suite in _VALIDATION_SUITES:
-        rng = np.random.default_rng([seed, len(results)])
-        results.append(suite(rng, fault))
+    for index, suite in enumerate(_VALIDATION_SUITES):
+        slacks = [s - fault for s in suite(np.random.default_rng([seed, index]))]
+        results.append(SuiteResult(
+            name=suite.__name__.removeprefix("_suite_"), checks=len(slacks),
+            failures=sum(1 for s in slacks if s < 0), worst_slack=float(min(slacks))))
     for result in results:
         status = "pass" if result.worst_slack >= 0 else "fail"
         print(f"suite={result.name} checks={result.checks} "
@@ -951,25 +921,23 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override one config key")
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (overrides config)")
-    common.add_argument("--out", type=Path, default=Path("results"),
-                        help="output directory (default: results)")
-    common.add_argument("--full-scale", action="store_true",
-                        help="run the full-size n grids (slower)")
-    common.add_argument("--svg", action="store_true",
-                        help="also write a built-in SVG chart of the sweep")
-    for name in ("epsilon-sweep", "cayley", "geometric"):
-        sub.add_parser(name, parents=[common])
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--out", type=Path, default=Path("results"),
+                       help="output directory (default: results)")
+    sweep.add_argument("--svg", action="store_true",
+                       help="also write a built-in SVG chart of the sweep")
+    for name in ("epsilon-sweep", "cayley"):
+        sub.add_parser(name, parents=[sweep])
+    geometric = sub.add_parser("geometric", parents=[sweep])
+    geometric.add_argument("--full-scale", action="store_true",
+                           help="run the full-size n grids (slower)")
     analyze = sub.add_parser("analyze")
     analyze.add_argument("path", type=Path, help="matrix CSV file")
     analyze.add_argument("--tol", type=float, default=CLASSIFICATION_TOL,
                          help="classification tolerance")
     analyze.add_argument("--truncated", action="store_true",
                          help="also report the truncated-series estimate")
-    validate = sub.add_parser("validate")
-    validate.add_argument("--config", type=Path, default=None)
-    validate.add_argument("--param", "-p", action="append", default=[],
-                          metavar="KEY=VALUE")
-    validate.add_argument("--seed", type=int, default=None)
+    validate = sub.add_parser("validate", parents=[common])
     validate.add_argument("--inject-fault", action="store_true",
                           help="negative control: make every suite miss")
     return parser

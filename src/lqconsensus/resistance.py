@@ -57,8 +57,8 @@ def conductance_matrix(entries, tol: float = SYMMETRY_TOL) -> ConductanceMatrix:
     (ignoring the diagonal) must be connected.
     """
     a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotSymmetric("matrix has non-finite entries")
     asym = float(np.abs(a - a.T).max())

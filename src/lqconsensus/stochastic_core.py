@@ -123,14 +123,15 @@ def validate_consensus(entries, tol: float = DEFAULT_TOL,
                        support_threshold: float = 0.0) -> ConsensusMatrix:
     """Check the consensus-matrix assumptions and wrap the entries.
 
-    Raises NotStochastic, NegativeEntry, ZeroDiagonal or NotIrreducible,
-    naming the offending row or node.  `support_threshold` is the smallest
-    magnitude treated as a structural nonzero; keep it at 0.0 for matrices
-    built in memory and use FILE_SUPPORT_THRESHOLD for parsed text.
+    Raises DimensionMismatch (empty or not square), NotStochastic,
+    NegativeEntry, ZeroDiagonal or NotIrreducible, naming the offending row
+    or node.  `support_threshold` is the smallest magnitude treated as a
+    structural nonzero; keep it at 0.0 for matrices built in memory and use
+    FILE_SUPPORT_THRESHOLD for parsed text.
     """
     a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     n = a.shape[0]
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]

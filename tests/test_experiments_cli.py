@@ -170,6 +170,19 @@ class TestEpsilonSweep:
         assert "certified_lower_valid=true" in audit
         assert audit.rstrip().splitlines()[-1].startswith("total_wall_time_s=")
 
+    def test_csv_header_is_the_documented_schema(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.run(out) == 0
+        _, header, _ = read_results(out / "results.csv")
+        assert header == [
+            "experiment", "n", "d", "case", "instance", "epsilon",
+            "j", "j_weighted", "j_exact_rel_err",
+            "res_rbar", "res_j_upper", "res_j_lower", "res_jw_upper",
+            "res_jw_lower", "topo_rbar", "topo_j_upper", "topo_j_lower",
+            "topo_jw_upper", "topo_jw_lower", "norm_j_upper", "norm_j_lower",
+            "lower_applicable", "j_normalized",
+        ]
+
     def test_row_values_match_library(self, tmp_path):
         out = tmp_path / "run"
         assert self.run(out) == 0
@@ -498,6 +511,15 @@ class TestAnalyze:
         assert kv["reversible"] == "true"
         assert kv["classification_tol"] == "10"
 
+    def test_one_node_matrix(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("1\n")
+        assert main(["analyze", str(path)]) == 0
+        kv = self.kv(capsys)
+        assert kv["n"] == "1"
+        assert kv["fuzz_edges"] == "0"
+        assert kv["fuzz_new_edges"] == "0"
+
     def test_non_stochastic_file_fails_with_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.5\n0.5,0.6\n")
@@ -545,6 +567,12 @@ class TestArgumentHandling:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["epsilon-sweep", "--frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_full_scale_is_a_geometric_option(self, tmp_path, capsys):
+        for command in ("cayley", "epsilon-sweep"):
+            assert main([command, "--out", str(tmp_path / "x"), "--full-scale"]) == 1
+            assert "--full-scale" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_param_key(self, tmp_path, capsys):
         assert main(["epsilon-sweep", "--out", str(tmp_path / "x"),

@@ -72,6 +72,10 @@ class TestConductanceMatrix:
         with pytest.raises(Disconnected):
             conductance_matrix(c)
 
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            conductance_matrix(np.zeros((0, 0)))
+
     def test_diagonal_values_allowed(self):
         c = conductance_matrix([[0.5, 1.0], [1.0, 0.5]])
         assert c.entries[0, 0] == 0.5

@@ -62,6 +62,12 @@ class TestValidateConsensus:
         with pytest.raises(DimensionMismatch):
             validate_consensus(np.ones((2, 3)) / 3)
 
+    def test_empty_matrix_rejected(self):
+        # a 0-node matrix used to pass and then fail later layers with a
+        # bare ValueError from a reduction over an empty array
+        with pytest.raises(DimensionMismatch):
+            validate_consensus(np.zeros((0, 0)))
+
     def test_non_finite_rejected(self):
         a = np.full((3, 3), 1.0 / 3)
         a[0, 0] = np.nan
@@ -100,6 +106,20 @@ class TestInvariantMeasure:
             assert abs(inv.pi.sum() - 1.0) <= 1e-12
             assert inv.pi.min() > 0
             np.testing.assert_allclose(inv.pi @ P.entries, inv.pi, atol=1e-9)
+
+    def test_power_iteration_fallback_on_tiny_entries(self):
+        # A birth-death chain with pi_k proportional to (up/down)^k: least
+        # squares returns an entry of about -4e-17 here, so only the
+        # power-iteration fallback gives a positive measure.
+        n, up, down = 10, 0.005, 0.5
+        a = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+        a += np.diag(1.0 - a.sum(axis=1))
+        inv = validate_consensus(a).invariant
+        r = up / down
+        assert (inv.pi > 0).all()
+        assert inv.pi_min == pytest.approx(r ** (n - 1) * (1 - r) / (1 - r ** n),
+                                           rel=1e-4)
+        assert inv.residual <= 1e-15
 
     def test_extremes_and_diag(self):
         inv = invariant_measure(p_epsilon(0.25))
