@@ -95,6 +95,10 @@ class ResultRow:
     """One experiment data point; its fields but wall_time_s, in order, are
     the CSV columns (CSV_COLUMNS).
 
+    j_exact_rel_err is |J_trunc - J_exact| / J_exact, the relative error of
+    the truncated series against the exact cost, on geometric rows where that
+    cross-check ran; it is empty elsewhere.
+
     Construction verifies that the cost values sit below every populated
     upper bound (1e-9 relative slack).  Wall time is kept on the object but
     excluded from the CSV so reruns with the same master seed are
@@ -555,7 +559,15 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
 
 def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                         svg: bool = False, full_scale: bool = False) -> int:
-    """Random-geometric-graph scaling with the truncated cost estimator."""
+    """Random-geometric-graph scaling of the exact cost J and J_w.
+
+    Every instance is solved with `lq_cost_exact`.  Instances with
+    n <= exact_check_max_n also run the truncated series (configured by
+    t_max, delta and window) as a cross-check, whose relative error is the
+    row's j_exact_rel_err.  Each audit detail line names the method, the
+    number of doublings (steps_used) and the relative Stein residual, and the
+    number of series terms (truncated_steps) where the cross-check ran.
+    """
     p = config.parameters
     d, seed, instances = p["d"], p["seed"], p["instances"]
     if d not in (2, 3):
@@ -595,12 +607,12 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                     f"n={n} instance={i} skipped={type(exc).__name__}")
                 continue
             t0 = time.perf_counter()
-            report = lq_cost_truncated(inst.matrix, t_max=p["t_max"],
-                                       delta=p["delta"], window=p["window"])
-            rel_err = None
+            report = lq_cost_exact(inst.matrix)
+            rel_err = check = None
             if n <= p["exact_check_max_n"]:
-                exact = lq_cost_exact(inst.matrix)
-                rel_err = abs(report.j - exact.j) / exact.j
+                check = lq_cost_truncated(inst.matrix, t_max=p["t_max"],
+                                          delta=p["delta"], window=p["window"])
+                rel_err = abs(check.j - report.j) / report.j
             row = _result_row(
                 inst.matrix, report, t0, experiment="geometric", n=n, d=d,
                 case=None, instance=i, epsilon=None, j_exact_rel_err=rel_err,
@@ -617,7 +629,10 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                 f" rejected_reducible={audit['rejected_reducible']}"
                 f" rejected_pi_range={audit['rejected_pi_range']}"
                 f" rho_n={_fmt(inst.measured['rho_n'])}"
-                f" steps_used={report.steps_used}")
+                f" method={report.method}"
+                f" steps_used={report.steps_used}"
+                f" stein_residual={_fmt(report.stein_residual)}"
+                + (f" truncated_steps={check.steps_used}" if check is not None else ""))
         if per_n:
             sizes.append(n)
             per_size.append(per_n)

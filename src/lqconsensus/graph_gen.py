@@ -243,22 +243,24 @@ def gamma_check(coordinates, l: float, gamma: float, divisions: int = 30) -> boo
     return bool(dist.max() <= margin)
 
 
-def rho_check(graph, coordinates, rho: float):
+def rho_check(graph, coordinates, rho: float, distances=None):
     """(pass flag, rho_n) where rho_n = min over pairs of d_E(u,v) / d_G(u,v).
 
-    Graph distances count unit-length edges (Floyd-Warshall all pairs).
+    Graph distances count unit-length edges (Dijkstra from every node).
+    `distances`, the Euclidean distance matrix of `coordinates`, is computed
+    when the caller does not pass it.
     """
     adj = np.asarray(graph)
     coords = np.asarray(coordinates, dtype=float)
     n = coords.shape[0]
     if n < 2:
         return True, float("inf")
-    dg = csgraph.floyd_warshall(csr_matrix(adj.astype(float)), directed=False,
-                                unweighted=True)
+    dg = csgraph.shortest_path(csr_matrix(adj), method="D", directed=False,
+                               unweighted=True)
     iu = np.triu_indices(n, 1)
     if np.isinf(dg[iu]).any():
         raise Disconnected("graph distances are infinite for some pair")
-    de = cdist(coords, coords)
+    de = cdist(coords, coords) if distances is None else distances
     rho_n = float((de[iu] / dg[iu]).min())
     return rho_n >= rho, rho_n
 
@@ -331,7 +333,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         if not gamma_check(coords, l, params.gamma, divisions):
             audit["rejected_gamma"] += 1
             continue
-        rho_ok, rho_n = rho_check(adj, coords, params.rho)
+        rho_ok, rho_n = rho_check(adj, coords, params.rho, distances=de)
         if not rho_ok:
             audit["rejected_rho"] += 1
             continue

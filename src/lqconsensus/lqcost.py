@@ -70,7 +70,11 @@ class LqReport:
 
 
 def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
-    """G(P) computed from one dense inverse: (I - P + 1 pi^T)^{-1} - 1 pi^T."""
+    """G(P) computed from one dense inverse: (I - P + 1 pi^T)^{-1} - 1 pi^T.
+
+    The identities G 1 = 0 and pi^T G = 0 are gated relative to max|G|:
+    neither max-norm may exceed GREEN_IDENTITY_TOL * max|G|.
+    """
     pi = P.invariant.pi
     n = P.n
     target = np.outer(np.ones(n), pi)
@@ -80,9 +84,11 @@ def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
         raise SolveFailure(f"Green matrix inverse failed: {exc}") from exc
     right = float(np.abs(g.sum(axis=1)).max())
     left = float(np.abs(pi @ g).max())
-    if right > GREEN_IDENTITY_TOL or left > GREEN_IDENTITY_TOL:
+    limit = GREEN_IDENTITY_TOL * float(np.abs(g).max())
+    if not (right <= limit and left <= limit):
         raise SolveFailure(
-            f"Green matrix identities violated: |G 1| = {right}, |pi^T G| = {left}")
+            f"Green matrix identities violated: |G 1| = {right}, |pi^T G| = {left}"
+            f" exceed {GREEN_IDENTITY_TOL} * max|G| = {limit}")
     g.setflags(write=False)
     return GreenMatrix(values=g)
 

@@ -191,12 +191,14 @@ def _solve_invariant(P: ConsensusMatrix) -> InvariantMeasure:
 
 
 def _power_iteration(a: np.ndarray, max_iter: int = 200_000):
+    # Stop when every entry changes by at most 1e-15 of itself, so entries
+    # far below the largest one converge as well.
     n = a.shape[0]
     pi = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         nxt = pi @ a
         nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < 1e-15:
+        if (np.abs(nxt - pi) <= 1e-15 * nxt).all():
             pi = nxt
             break
         pi = nxt

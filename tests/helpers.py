@@ -5,6 +5,8 @@ generator helpers), independently of any private construction code in the
 package, so they double as a cross-check of the validation path.
 """
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
+from scipy.spatial.distance import cdist
 
 from lqconsensus import (
     Disconnected,
@@ -81,3 +83,24 @@ def random_conductance(rng, n, density=0.7):
             return conductance_matrix(c)
         except Disconnected:
             continue
+
+
+def two_cliques(n, coupling):
+    """Two uniform cliques of n/2 nodes joined by one edge of weight `coupling`."""
+    h = n // 2
+    a = np.zeros((n, n))
+    a[:h, :h] = a[h:, h:] = 1.0 / h
+    a[0, h] = a[h, 0] = coupling
+    a[0, 0] -= coupling
+    a[h, h] -= coupling
+    return validate_consensus(a)
+
+
+def rho_n_floyd_warshall(graph, coordinates):
+    """min over node pairs of d_E(u,v) / d_G(u,v), with the hop distances
+    d_G from Floyd-Warshall: an oracle for rho_check's Dijkstra route."""
+    dg = csgraph.floyd_warshall(csr_matrix(np.asarray(graph, dtype=float)),
+                                directed=False, unweighted=True)
+    de = cdist(coordinates, coordinates)
+    iu = np.triu_indices(len(coordinates), 1)
+    return float((de[iu] / dg[iu]).min())

@@ -13,6 +13,7 @@ from lqconsensus import (
     corollary_normal_bounds,
     effective_resistance,
     lq_cost_exact,
+    lq_cost_truncated,
     p_epsilon,
     reversiblization_support,
     sample_geometric,
@@ -28,6 +29,7 @@ from lqconsensus.experiments_cli import (
     build_config,
     main,
 )
+from helpers import two_cliques
 
 
 def read_results(path):
@@ -370,6 +372,37 @@ class TestGeometricSweep:
         assert len(parse_svg(out / "geometric_d2.svg").findall(
             f".//{SVG_NS}polyline")) == 3
 
+    def test_exact_cost_with_truncated_cross_check(self, tmp_path, monkeypatch):
+        truncated = count_calls(monkeypatch, lq_cost_truncated)
+        out = tmp_path / "run"
+        assert main(["geometric", "--out", str(out), "-p", "d=2",
+                     "-p", "n_list=20,25", "-p", "exact_check_max_n=20",
+                     "-p", "instances=2", "--seed", "3"]) == 0
+        _, _, rows = read_results(out / "results.csv")
+        assert [row["n"] for row in rows] == ["20", "20", "25", "25"]
+        assert len(truncated) == 2
+        audit = (out / "audit.txt").read_text()
+        for row in rows:
+            n, i = int(row["n"]), int(row["instance"])
+            matrix = sample_geometric(GeometricParams(), n, 2, seed=[3, 2, n, i]).matrix
+            exact = lq_cost_exact(matrix)
+            assert float(row["j"]) == pytest.approx(exact.j, rel=1e-12, abs=0)
+            assert float(row["j_weighted"]) == pytest.approx(
+                exact.j_weighted, rel=1e-12, abs=0)
+            line = next(line for line in audit.splitlines()
+                        if line.startswith(f"n={n} instance={i} "))
+            assert " method=exact " in line
+            assert f" steps_used={exact.steps_used} " in line
+            assert float(line.split("stein_residual=")[1].split()[0]) <= 1e-11
+            if n == 20:
+                check = lq_cost_truncated(matrix)
+                assert float(row["j_exact_rel_err"]) == \
+                    abs(check.j - exact.j) / exact.j
+                assert line.endswith(f" truncated_steps={check.steps_used}")
+            else:
+                assert row["j_exact_rel_err"] == ""
+                assert "truncated_steps=" not in line
+
     def test_svg_plots_mean_j_against_its_bounds(self, tmp_path, monkeypatch):
         charts = []
         monkeypatch.setattr(experiments_cli, "_emit_svg",
@@ -502,6 +535,18 @@ class TestAnalyze:
         assert "norm_j_upper" in kv and "fuzz_edges" in kv
         assert len(resistances) == 3
         assert len(supports) == 1
+
+    def test_near_reducible_two_cliques(self, tmp_path, capsys):
+        # validate_consensus accepts this matrix; its Green matrix has
+        # max|G| ~ 2.5e5 and |G 1| ~ 2.6e-9, which an absolute 1e-9 gate refused.
+        P = two_cliques(40, 1e-6)
+        path = tmp_path / "cliques.csv"
+        save_matrix_csv(P, path)
+        assert main(["analyze", str(path)]) == 0
+        kv = self.kv(capsys)
+        target = np.outer(np.ones(P.n), P.invariant.pi)
+        g = np.linalg.inv(np.eye(P.n) - P.entries + target) - target
+        assert float(kv["green_trace"]) == pytest.approx(np.trace(g), rel=1e-12)
 
     def test_tolerance_is_plumbed(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"

@@ -28,6 +28,7 @@ from lqconsensus import (
     support_graphs,
     time_reversal,
 )
+from helpers import rho_n_floyd_warshall
 
 
 class TestCayleyGenerator:
@@ -305,6 +306,24 @@ class TestRhoCheck:
         coords = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(Disconnected):
             rho_check(np.zeros((2, 2), dtype=bool), coords, rho=0.5)
+
+    @pytest.mark.parametrize("n, d", [(30, 2), (80, 2), (60, 3)])
+    def test_rho_n_matches_floyd_warshall(self, n, d):
+        # The sampler's rho_n and a direct call both equal the all-pairs
+        # Floyd-Warshall ratio, on the accepted graph and on a sparser one.
+        inst = sample_geometric(GeometricParams(), n, d, seed=[7, d, n, 0])
+        coords, graph = inst.coordinates, inst.graph
+        expected = rho_n_floyd_warshall(graph, coords)
+        assert inst.measured["rho_n"] == expected
+        assert rho_check(graph, coords, rho=0.0) == (True, expected)
+        rng = np.random.default_rng(n)
+        path = np.zeros_like(graph)
+        order = rng.permutation(n)
+        path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = True
+        sparse = path | (graph & (rng.random(graph.shape) < 0.3))
+        sparse |= sparse.T
+        assert rho_check(sparse, coords, rho=0.0)[1] == \
+            rho_n_floyd_warshall(sparse, coords)
 
 
 class TestSampleGeometric:

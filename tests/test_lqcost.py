@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from lqconsensus import (
+    SolveFailure,
     SteinDivergence,
     circle_matrix,
     green_matrix,
@@ -14,7 +17,7 @@ from lqconsensus import (
     validate_consensus,
 )
 from lqconsensus import lqcost
-from helpers import random_circulant, random_consensus, random_reversible
+from helpers import random_circulant, random_consensus, random_reversible, two_cliques
 
 
 def uniform(n):
@@ -53,17 +56,6 @@ def lyapunov_cost(P):
     return j, jw
 
 
-def two_cliques(n, coupling):
-    """Two uniform cliques of n/2 nodes joined by one edge of weight `coupling`."""
-    h = n // 2
-    a = np.zeros((n, n))
-    a[:h, :h] = a[h:, h:] = 1.0 / h
-    a[0, h] = a[h, 0] = coupling
-    a[0, 0] -= coupling
-    a[h, h] -= coupling
-    return validate_consensus(a)
-
-
 class TestGreenMatrix:
     def test_uniform_closed_form(self):
         g = green_matrix(uniform(3))
@@ -88,6 +80,18 @@ class TestGreenMatrix:
             total += power - target
             power = power @ P.entries
         assert np.abs(green_matrix(P).values - total).max() <= 1e-8
+
+    @pytest.mark.parametrize("make", [lambda: uniform(3),
+                                      lambda: two_cliques(40, 1e-6)])
+    def test_identity_gate_fires_on_a_wrong_inverse(self, make, monkeypatch):
+        # The gate is relative to max|G|, so a shift of 1e-6 max|G| must
+        # still be refused on a matrix whose G is large.
+        P = make()
+        shift = 1e-6 * np.abs(green_matrix(P).values).max()
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) + shift)
+        with pytest.raises(SolveFailure, match="Green matrix identities"):
+            green_matrix(P)
 
 
 class TestExactCost:
@@ -152,6 +156,24 @@ class TestExactCost:
             j, jw = lyapunov_cost(P)
             assert report.j == pytest.approx(j, rel=1e-12)
             assert report.j_weighted == pytest.approx(jw, rel=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(2, 40), density=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sparse_non_normal_matches_lyapunov_oracle(self, n, density, seed):
+        # A directed cycle plus self-loops keeps every draw irreducible and
+        # aperiodic; random extra arcs of density <= 0.3 make it non-normal.
+        rng = np.random.default_rng(seed)
+        support = rng.random((n, n)) < density
+        support[np.arange(n), (np.arange(n) + 1) % n] = True
+        np.fill_diagonal(support, True)
+        a = np.where(support, 0.05 + rng.random((n, n)), 0.0)
+        P = validate_consensus(a / a.sum(axis=1, keepdims=True))
+        report = lq_cost_exact(P)
+        j, jw = lyapunov_cost(P)
+        assert report.j == pytest.approx(j, rel=1e-12)
+        assert report.j_weighted == pytest.approx(jw, rel=1e-12)
+        assert lq_cost_truncated(P).j <= report.j * (1 + 1e-12)
 
     def test_near_reducible_two_cliques(self):
         # A valid matrix with J ~ 1.25e5: its Stein solution is large, so an

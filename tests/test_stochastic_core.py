@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ class TestInvariantMeasure:
         assert inv.pi_min == pytest.approx(r ** (n - 1) * (1 - r) / (1 - r ** n),
                                            rel=1e-4)
         assert inv.residual <= 1e-15
+
+    def test_power_iteration_converges_in_every_entry(self):
+        # Same chain: pi_k is proportional to (up/down)^k, entries spanning
+        # 18 decades, so each one is checked relative to its exact value.
+        n, up, down = 10, 0.005, 0.5
+        a = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+        a += np.diag(1.0 - a.sum(axis=1))
+        pi = validate_consensus(a).invariant.pi
+        r = Fraction(up) / Fraction(down)
+        total = sum(r ** k for k in range(n))
+        for k in range(n):
+            assert pi[k] == pytest.approx(float(r ** k / total), rel=1e-12, abs=0)
 
     def test_extremes_and_diag(self):
         inv = invariant_measure(p_epsilon(0.25))
