@@ -92,17 +92,17 @@ def _check_upper(value: float, upper, label: str) -> None:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One experiment data point; its fields but wall_time_s, in order, are
-    the CSV columns (CSV_COLUMNS).
+    """One experiment data point; its fields, in order, are the CSV columns
+    (CSV_COLUMNS), and nothing run-dependent is among them, so reruns with
+    the same master seed are byte-identical.
 
     j_exact_rel_err is |J_trunc - J_exact| / J_exact, the relative error of
     the truncated series against the exact cost, on geometric rows where that
     cross-check ran; it is empty elsewhere.
 
     Construction verifies that the cost values sit below every populated
-    upper bound (1e-9 relative slack).  Wall time is kept on the object but
-    excluded from the CSV so reruns with the same master seed are
-    byte-identical.
+    upper bound (1e-9 relative slack) and raises LqConsensusError naming the
+    bound otherwise.
     """
 
     experiment: str
@@ -128,7 +128,6 @@ class ResultRow:
     norm_j_lower: float | None
     lower_applicable: bool
     j_normalized: float | None
-    wall_time_s: float
 
     def __post_init__(self):
         _check_upper(self.j, self.res_j_upper, "the resistance-theorem J upper bound")
@@ -143,8 +142,7 @@ class ResultRow:
         return [self.experiment] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow)
-                    if f.name != "wall_time_s")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -183,9 +181,12 @@ def _to_bool(key: str, text: str) -> bool:
 
 def _to_int_list(key: str, text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}={text!r} is not a comma-separated integer list") from exc
+    if not values:
+        raise ConfigError(f"{key}={text!r} is an empty list")
+    return values
 
 
 # Every config key of each experiment with its (parser, default).
@@ -202,16 +203,13 @@ _CONFIG_KEYS = {
     "geometric": {
         "d": (_to_int, 2), "n_list": (_to_int_list, None),
         "instances": (_to_int, 15), "seed": (_to_int, 0),
-        "s": (_to_float, 0.1), "r": (_to_float, 1.0), "gamma": (_to_float, 1.0),
-        "rho": (_to_float, 0.052), "p_e": (_to_float, 0.8),
-        "p_d": (_to_float, 0.1), "c": (_to_float, 0.5), "b": (_to_float, 0.8),
-        "pi_bar_min": (_to_float, 0.1), "pi_bar_max": (_to_float, 3.0),
+        **{f.name: (_to_float, f.default) for f in dataclasses.fields(GeometricParams)},
         "max_attempts": (_to_int, 1000), "node_attempt_cap": (_to_int, 10_000),
         "divisions": (_to_int, 30), "literal_pi_check": (_to_bool, False),
         "exact_check_max_n": (_to_int, 200), "t_max": (_to_int, 10_000),
         "delta": (_to_float, 1e-5), "window": (_to_int, 10),
     },
-    "validate": {"seed": (_to_int, 0), "inject_fault": (_to_bool, False)},
+    "validate": {"seed": (_to_int, 0)},
 }
 
 
@@ -401,13 +399,12 @@ def bound_fields(matrix, tol: float = CLASSIFICATION_TOL) -> dict:
     return fields
 
 
-def _result_row(matrix, report, started: float, **labels) -> ResultRow:
+def _result_row(matrix, report, **labels) -> ResultRow:
     """One result row: `labels` fill the columns before j and the
     j_exact_rel_err and j_normalized columns, `report` gives J and J_w, and
-    `bound_fields(matrix)` the bound block; wall time runs from `started`."""
+    `bound_fields(matrix)` the bound block."""
     bounds = {"norm_j_upper": None, "norm_j_lower": None, **bound_fields(matrix)}
-    return ResultRow(**labels, j=report.j, j_weighted=report.j_weighted,
-                     **bounds, wall_time_s=time.perf_counter() - started)
+    return ResultRow(**labels, j=report.j, j_weighted=report.j_weighted, **bounds)
 
 
 def _write_size_means(out_dir: Path, prefix: str, x, per_size, family: str,
@@ -462,10 +459,9 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
     start = time.perf_counter()
     rows = []
     for i, eps in enumerate(grid):
-        t0 = time.perf_counter()
         matrix = p_epsilon(float(eps))
         rows.append(_result_row(
-            matrix, lq_cost_exact(matrix), t0, experiment="epsilon-sweep",
+            matrix, lq_cost_exact(matrix), experiment="epsilon-sweep",
             n=matrix.n, d=None, case=None, instance=i, epsilon=float(eps),
             j_exact_rel_err=None, j_normalized=None))
     _write_results_csv(out_dir / "results.csv", rows, p["seed"])
@@ -519,7 +515,6 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
     for n in n_list:
         per_n = []
         for i in range(instances):
-            t0 = time.perf_counter()
             if case == 1:
                 _, matrix = cayley_case1(n, d, p["p_min"], p["p_max"],
                                          seed=[seed, case, d, n, i])
@@ -527,7 +522,7 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
                 matrix = cayley_case2(n, d)
             report = lq_cost_exact(matrix)
             row = _result_row(
-                matrix, report, t0, experiment="cayley", n=n, d=d, case=case,
+                matrix, report, experiment="cayley", n=n, d=d, case=case,
                 instance=i, epsilon=None, j_exact_rel_err=None,
                 j_normalized=_j_normalized(d, n ** d, report.j))
             rows.append(row)
@@ -575,10 +570,8 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
     if instances < 1:
         raise ConfigError(f"instances={instances} must be at least 1")
     n_list = p["n_list"] or (GEOMETRIC_N_FULL if full_scale else GEOMETRIC_N_DESK)[d]
-    params = GeometricParams(
-        s=p["s"], r=p["r"], gamma=p["gamma"], rho=p["rho"], p_e=p["p_e"],
-        p_d=p["p_d"], c=p["c"], b=p["b"], pi_bar_min=p["pi_bar_min"],
-        pi_bar_max=p["pi_bar_max"])
+    params = GeometricParams(**{
+        f.name: p[f.name] for f in dataclasses.fields(GeometricParams)})
     start = time.perf_counter()
     rows = []
     audit_lines = [
@@ -606,7 +599,6 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                 detail_lines.append(
                     f"n={n} instance={i} skipped={type(exc).__name__}")
                 continue
-            t0 = time.perf_counter()
             report = lq_cost_exact(inst.matrix)
             rel_err = check = None
             if n <= p["exact_check_max_n"]:
@@ -614,7 +606,7 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                                           delta=p["delta"], window=p["window"])
                 rel_err = abs(check.j - report.j) / report.j
             row = _result_row(
-                inst.matrix, report, t0, experiment="geometric", n=n, d=d,
+                inst.matrix, report, experiment="geometric", n=n, d=d,
                 case=None, instance=i, epsilon=None, j_exact_rel_err=rel_err,
                 j_normalized=_j_normalized(d, n, report.j))
             rows.append(row)
@@ -891,16 +883,17 @@ _VALIDATION_SUITES = (
 )
 
 
-def run_validation_suite(config: ExperimentConfig, stream=None) -> int:
+def run_validation_suite(config: ExperimentConfig, stream=None,
+                         inject_fault: bool = False) -> int:
     """Run every cross-module property suite; nonzero exit on any failure.
 
-    With inject_fault=true, a synthetic 0.05 is subtracted from every check's
-    slack — a negative control proving the reporting pipeline surfaces
-    failures.
+    With `inject_fault` (the --inject-fault flag), a synthetic 0.05 is
+    subtracted from every check's slack — a negative control proving the
+    reporting pipeline surfaces failures.
     """
     stream = stream if stream is not None else sys.stdout
     seed = config.parameters["seed"]
-    fault = 0.05 if config.parameters["inject_fault"] else 0.0
+    fault = 0.05 if inject_fault else 0.0
     results = []
     for index, suite in enumerate(_VALIDATION_SUITES):
         slacks = [s - fault for s in suite(np.random.default_rng([seed, index]))]
@@ -965,13 +958,9 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return analyze_matrix(args.path, tol=args.tol,
                                   truncated=args.truncated)
-        if args.command == "validate":
-            overrides = list(args.param)
-            if args.inject_fault:
-                overrides.append("inject_fault=true")
-            config = build_config("validate", args.config, overrides, args.seed)
-            return run_validation_suite(config)
         config = build_config(args.command, args.config, args.param, args.seed)
+        if args.command == "validate":
+            return run_validation_suite(config, inject_fault=args.inject_fault)
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "epsilon-sweep":
             return run_epsilon_sweep(config, args.out, svg=args.svg)

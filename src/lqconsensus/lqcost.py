@@ -189,6 +189,8 @@ def noisy_consensus_estimate(P: ConsensusMatrix, horizon: int, trials: int,
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
+    if chunk < 1:
+        raise ValueError(f"chunk={chunk} must be at least 1")
     pi = P.invariant.pi
     pt = np.ascontiguousarray(P.entries.T)
     n = P.n

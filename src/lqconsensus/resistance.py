@@ -2,7 +2,8 @@
 
 A conductance matrix is symmetric, nonnegative and irreducible; its Laplacian
 is L(C) = diag(C 1) - C, so diagonal entries of C never matter.  The effective
-resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b).
+resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b), with the
+pseudoinverse L(C)^+ taken from one symmetric eigendecomposition.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class ResistanceMatrix:
     """All-pairs effective resistances; symmetric with zero diagonal."""
 
     values: np.ndarray
-    method: str
-
-    def pair(self, u: int, v: int) -> float:
-        return float(self.values[u, v])
 
 
 def conductance_matrix(entries, tol: float = SYMMETRY_TOL) -> ConductanceMatrix:
@@ -92,47 +89,31 @@ def laplacian(C: ConductanceMatrix) -> np.ndarray:
     return np.diag(C.entries.sum(axis=1)) - C.entries
 
 
-def _null_space_threshold(L: np.ndarray) -> float:
-    return CONNECTIVITY_RTOL * float(np.diagonal(L).max() if L.shape[0] else 1.0)
+def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
+    """All-pairs effective resistance of the network, from the Laplacian
+    pseudoinverse.
 
-
-def _check_connected(eigvals: np.ndarray, L: np.ndarray) -> None:
-    threshold = _null_space_threshold(L)
-    null_dim = int((eigvals < threshold).sum())
+    Laplacian eigenvalues below CONNECTIVITY_RTOL times the largest diagonal
+    entry count as the null space; the pseudoinverse drops them, and a null
+    space of dimension above one raises Disconnected naming the spectral gap.
+    """
+    L = laplacian(C)
+    w, v = np.linalg.eigh(L)
+    threshold = CONNECTIVITY_RTOL * float(np.diagonal(L).max())
+    null_dim = int((w < threshold).sum())
     if null_dim > 1:
         raise Disconnected(
             f"Laplacian null space has dimension {null_dim}: spectral gap "
-            f"{eigvals[1]:.2e} is below the null-space threshold {threshold:.2e}")
-
-
-def effective_resistance(C: ConductanceMatrix, method: str = "pseudoinverse") -> ResistanceMatrix:
-    """All-pairs effective resistance of the network.
-
-    `method` selects the computation route: "pseudoinverse" (symmetric
-    eigendecomposition of the Laplacian) or "grounded" (ground node 0 and
-    solve the reduced system), kept as an independent cross-check.
-    """
-    L = laplacian(C)
-    n = C.n
-    if method == "pseudoinverse":
-        w, v = np.linalg.eigh(L)
-        _check_connected(w, L)
-        inv_w = np.where(w < _null_space_threshold(L), 0.0, 1.0 / np.where(w == 0, 1.0, w))
-        h = (v * inv_w[None, :]) @ v.T
-    elif method == "grounded":
-        w = np.linalg.eigvalsh(L)
-        _check_connected(w, L)
-        h = np.zeros((n, n))
-        h[1:, 1:] = np.linalg.solve(L[1:, 1:], np.eye(n - 1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+            f"{w[1]:.2e} is below the null-space threshold {threshold:.2e}")
+    inv_w = np.where(w < threshold, 0.0, 1.0 / np.where(w == 0, 1.0, w))
+    h = (v * inv_w[None, :]) @ v.T
     d = np.diagonal(h)
     r = d[:, None] + d[None, :] - 2.0 * h
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 0.0)
     r[r < 0.0] = 0.0
     r.setflags(write=False)
-    return ResistanceMatrix(values=r, method=method)
+    return ResistanceMatrix(values=r)
 
 
 def average_resistance(R: ResistanceMatrix) -> float:

@@ -12,6 +12,7 @@ from lqconsensus import (
     Disconnected,
     NotIrreducible,
     conductance_matrix,
+    laplacian,
     validate_consensus,
 )
 
@@ -104,3 +105,15 @@ def rho_n_floyd_warshall(graph, coordinates):
     de = cdist(coordinates, coordinates)
     iu = np.triu_indices(len(coordinates), 1)
     return float((de[iu] / dg[iu]).min())
+
+
+def grounded_resistance(C):
+    """All-pairs effective resistance by grounding node 0 and solving the
+    reduced Laplacian system: an oracle for effective_resistance's
+    pseudoinverse route.  Assumes C is connected."""
+    L = laplacian(C)
+    n = C.n
+    h = np.zeros((n, n))
+    h[1:, 1:] = np.linalg.solve(L[1:, 1:], np.eye(n - 1))
+    d = np.diagonal(h)
+    return d[:, None] + d[None, :] - 2.0 * h

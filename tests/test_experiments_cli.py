@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from xml.etree import ElementTree
 
@@ -7,6 +8,7 @@ import pytest
 from lqconsensus import (
     ConfigError,
     GeometricParams,
+    LqConsensusError,
     cayley_case1,
     classify,
     commuting_example,
@@ -25,7 +27,9 @@ from lqconsensus import (
 from lqconsensus import experiments_cli, stochastic_core
 from lqconsensus.experiments_cli import (
     CSV_COLUMNS,
+    ResultRow,
     _emit_svg,
+    _result_row,
     build_config,
     main,
 )
@@ -91,6 +95,31 @@ def count_calls(monkeypatch, func):
                 if value is func:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+class TestResultRowGate:
+    @pytest.fixture
+    def row(self):
+        matrix = p_epsilon(0.2)
+        return _result_row(matrix, lq_cost_exact(matrix), experiment="epsilon-sweep",
+                           n=3, d=None, case=None, instance=0, epsilon=0.2,
+                           j_exact_rel_err=None, j_normalized=None)
+
+    def test_in_bounds_row_constructs(self, row):
+        assert isinstance(dataclasses.replace(row), ResultRow)
+
+    def test_j_above_resistance_upper_bound_raises(self, row):
+        with pytest.raises(LqConsensusError,
+                           match="resistance-theorem J upper bound"):
+            dataclasses.replace(row, j=row.res_j_upper * 1.01)
+
+    def test_j_weighted_above_topology_upper_bound_raises(self, row):
+        # Lift the resistance-theorem weighted bound clear of the new value,
+        # so only the topology-theorem bound is violated.
+        jw = row.topo_jw_upper * 1.01
+        with pytest.raises(LqConsensusError,
+                           match="topology-theorem weighted upper bound"):
+            dataclasses.replace(row, j_weighted=jw, res_jw_upper=2.0 * jw)
 
 
 class TestBuildConfig:
@@ -617,6 +646,14 @@ class TestArgumentHandling:
         for command in ("cayley", "epsilon-sweep"):
             assert main([command, "--out", str(tmp_path / "x"), "--full-scale"]) == 1
             assert "--full-scale" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["cayley", "geometric"])
+    @pytest.mark.parametrize("text", ["", ",,"])
+    def test_empty_n_list_is_rejected(self, tmp_path, capsys, command, text):
+        assert main([command, "--out", str(tmp_path / "x"),
+                     "-p", f"n_list={text}"]) == 1
+        assert "n_list" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_param_key(self, tmp_path, capsys):

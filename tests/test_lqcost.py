@@ -263,6 +263,12 @@ class TestNoisyConsensus:
         with pytest.raises(ValueError):
             noisy_consensus_estimate(uniform(3), horizon=10, trials=0, seed=0)
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_nonpositive_chunk(self, chunk):
+        with pytest.raises(ValueError, match="chunk"):
+            noisy_consensus_estimate(uniform(3), horizon=10, trials=10, seed=0,
+                                     chunk=chunk)
+
 
 class TestTracePair:
     def test_time_zero_traces(self, rng):

@@ -21,7 +21,7 @@ from lqconsensus import (
     validate_consensus,
     weighted_average_resistance,
 )
-from helpers import random_reversible
+from helpers import grounded_resistance, random_reversible
 
 
 def ring_adjacency(n):
@@ -125,13 +125,9 @@ class TestEffectiveResistance:
     def test_methods_agree(self, rng):
         for _ in range(20):
             c = random_conductance(rng, int(rng.integers(3, 12)))
-            r1 = effective_resistance(c, method="pseudoinverse").values
-            r2 = effective_resistance(c, method="grounded").values
+            r1 = effective_resistance(c).values
+            r2 = grounded_resistance(c)
             assert np.abs(r1 - r2).max() <= 1e-9
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            effective_resistance(complete_conductance(3), method="magic")
 
     def test_metric_properties(self, rng):
         c = random_conductance(rng, 8)
