@@ -54,6 +54,7 @@ from .resistance import (
 )
 from .stochastic_core import (
     CLASSIFICATION_TOL,
+    SUPPORT_THRESHOLD,
     classify,
     load_matrix_csv,
     validate_consensus,
@@ -258,6 +259,8 @@ def build_config(experiment: str, config_file=None, overrides=(),
 
 
 def _write_results_csv(path, rows, master_seed) -> None:
+    # A sweep's first write, after all its rows: a failed run makes no directory.
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# master_seed={master_seed}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -399,12 +402,13 @@ def bound_fields(matrix, tol: float = CLASSIFICATION_TOL) -> dict:
     return fields
 
 
-def _result_row(matrix, report, **labels) -> ResultRow:
-    """One result row: `labels` fill the columns before j and the
-    j_exact_rel_err and j_normalized columns, `report` gives J and J_w, and
-    `bound_fields(matrix)` the bound block."""
-    bounds = {"norm_j_upper": None, "norm_j_lower": None, **bound_fields(matrix)}
-    return ResultRow(**labels, j=report.j, j_weighted=report.j_weighted, **bounds)
+def _result_row(matrix, report, bounds=None, **labels) -> ResultRow:
+    """One result row: `report` gives J and J_w, `bounds` the bound block (by
+    default `bound_fields(matrix)`) and `labels` the other columns.  A column
+    that none of them gives is empty."""
+    bounds = bound_fields(matrix) if bounds is None else bounds
+    return ResultRow(**{**dict.fromkeys(CSV_COLUMNS), **labels, **bounds,
+                        "j": report.j, "j_weighted": report.j_weighted})
 
 
 def _write_size_means(out_dir: Path, prefix: str, x, per_size, family: str,
@@ -462,8 +466,7 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
         matrix = p_epsilon(float(eps))
         rows.append(_result_row(
             matrix, lq_cost_exact(matrix), experiment="epsilon-sweep",
-            n=matrix.n, d=None, case=None, instance=i, epsilon=float(eps),
-            j_exact_rel_err=None, j_normalized=None))
+            n=matrix.n, instance=i, epsilon=float(eps)))
     _write_results_csv(out_dir / "results.csv", rows, p["seed"])
     eps_col = np.array([row.epsilon for row in rows])
     curves = []
@@ -523,8 +526,7 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
             report = lq_cost_exact(matrix)
             row = _result_row(
                 matrix, report, experiment="cayley", n=n, d=d, case=case,
-                instance=i, epsilon=None, j_exact_rel_err=None,
-                j_normalized=_j_normalized(d, n ** d, report.j))
+                instance=i, j_normalized=_j_normalized(d, n ** d, report.j))
             rows.append(row)
             per_n.append(row)
         per_size.append(per_n)
@@ -607,7 +609,7 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                 rel_err = abs(check.j - report.j) / report.j
             row = _result_row(
                 inst.matrix, report, experiment="geometric", n=n, d=d,
-                case=None, instance=i, epsilon=None, j_exact_rel_err=rel_err,
+                instance=i, j_exact_rel_err=rel_err,
                 j_normalized=_j_normalized(d, n, report.j))
             rows.append(row)
             per_n.append(row)
@@ -654,6 +656,8 @@ def analyze_matrix(path, tol: float = CLASSIFICATION_TOL,
     report = lq_cost_exact(matrix)
     green = green_matrix(matrix)
     bounds = bound_fields(matrix, tol=tol)
+    # The sweep rows' gate: J and J_w above a printed upper bound raise.
+    _result_row(matrix, report, bounds, experiment="analyze", n=matrix.n, instance=0)
     sandwich = resistance_sandwich_check(matrix, tol=tol)
     lines = [
         f"n={matrix.n}",
@@ -815,14 +819,11 @@ def _suite_support_oracle(rng):
     for _ in range(15):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)), density=0.35)
         fuzz = reversiblization_support(matrix)
-        star = (matrix.entries.T * matrix.invariant.pi[None, :]) \
-            / matrix.invariant.pi[:, None]
-        numeric = (star @ matrix.entries) > 1e-14
+        numeric = (matrix.reversal @ matrix.entries) > SUPPORT_THRESHOLD
         expected = {(u, v) for u in range(matrix.n) for v in range(u + 1, matrix.n)
                     if numeric[u, v]}
         slacks.append(0.0 if fuzz.edges == frozenset(expected) else -1.0)
-        support = matrix.entries > 0
-        witness_ok = all(support[w, u] and support[w, v]
+        witness_ok = all(matrix.support[w, u] and matrix.support[w, v]
                          for (u, v), w in fuzz.pivots.items())
         slacks.append(0.0 if witness_ok else -1.0)
     return slacks
@@ -961,7 +962,6 @@ def main(argv=None) -> int:
         config = build_config(args.command, args.config, args.param, args.seed)
         if args.command == "validate":
             return run_validation_suite(config, inject_fault=args.inject_fault)
-        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "epsilon-sweep":
             return run_epsilon_sweep(config, args.out, svg=args.svg)
         if args.command == "cayley":

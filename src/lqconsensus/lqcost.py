@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolveFailure, SteinDivergence
-from .stochastic_core import ConsensusMatrix, time_reversal
+from .stochastic_core import ConsensusMatrix
 
 STEIN_RESIDUAL_TOL = 1e-11
 GREEN_IDENTITY_TOL = 1e-9
@@ -214,7 +214,7 @@ def trace_pair(P: ConsensusMatrix, t: int) -> tuple[float, float]:
     """(tr((P*)^t P^t), tr((P*P)^t)); the first never exceeds the second."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    star = time_reversal(P).entries
+    star = P.reversal
     a = P.entries
     left = float(np.trace(
         np.linalg.matrix_power(star, t) @ np.linalg.matrix_power(a, t)))

@@ -23,10 +23,10 @@ from .errors import (
     ZeroDiagonal,
 )
 
-DEFAULT_TOL = 1e-9
+VALIDATION_TOL = 1e-9
 CLASSIFICATION_TOL = 1e-9
 INVARIANT_RESIDUAL_TOL = 1e-10
-FILE_SUPPORT_THRESHOLD = 1e-14
+SUPPORT_THRESHOLD = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +52,9 @@ class InvariantMeasure:
 
 @dataclass(frozen=True, eq=False)
 class SupportGraphs:
-    """Directed and undirected support adjacency plus degree and entry extremes.
-
-    Degrees exclude self loops.  p_min and p_max range over all nonzero
-    entries of P, diagonal included.
+    """The directed support (ConsensusMatrix.support), its symmetrization, and
+    degree and entry extremes.  Degrees exclude self loops; p_min and p_max
+    range over the entries on the support, diagonal included.
     """
 
     directed: np.ndarray
@@ -85,23 +84,29 @@ class MatrixClass:
 
 @dataclass(frozen=True, eq=False)
 class ConsensusMatrix:
-    """Validated dense consensus matrix with cached derived structure."""
+    """Validated dense consensus matrix, without settings; derived structure is cached."""
 
     n: int
     entries: np.ndarray
-    tol: float = DEFAULT_TOL
-    support_threshold: float = 0.0
 
     @cached_property
     def support(self) -> np.ndarray:
-        """Boolean adjacency of the directed support, self loops included."""
-        s = self.entries > self.support_threshold
+        """Directed support G(P), self loops included: entries > SUPPORT_THRESHOLD."""
+        s = self.entries > SUPPORT_THRESHOLD
         s.setflags(write=False)
         return s
 
     @cached_property
     def invariant(self) -> InvariantMeasure:
         return _solve_invariant(self)
+
+    @cached_property
+    def reversal(self) -> np.ndarray:
+        """Entries of the time reversal P* = Pi^{-1} P^T Pi."""
+        pi = self.invariant.pi
+        star = (self.entries.T * pi[None, :]) / pi[:, None]
+        star.setflags(write=False)
+        return star
 
     @cached_property
     def graphs(self) -> SupportGraphs:
@@ -119,15 +124,15 @@ class ConsensusMatrix:
         return effective_resistance(unit_conductance(self.graphs.undirected))
 
 
-def validate_consensus(entries, tol: float = DEFAULT_TOL,
-                       support_threshold: float = 0.0) -> ConsensusMatrix:
+def validate_consensus(entries) -> ConsensusMatrix:
     """Check the consensus-matrix assumptions and wrap the entries.
 
     Raises DimensionMismatch (empty or not square), NotStochastic,
     NegativeEntry, ZeroDiagonal or NotIrreducible, naming the offending row
-    or node.  `support_threshold` is the smallest magnitude treated as a
-    structural nonzero; keep it at 0.0 for matrices built in memory and use
-    FILE_SUPPORT_THRESHOLD for parsed text.
+    or node.  Sign, diagonal and row sums are checked to VALIDATION_TOL.
+    Irreducibility is checked on the support: an entry is a structural zero
+    iff it is at most SUPPORT_THRESHOLD, the same rule for matrices built in
+    memory and for matrices parsed from text.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -136,27 +141,28 @@ def validate_consensus(entries, tol: float = DEFAULT_TOL,
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise NotStochastic(f"entry ({i}, {j}) is not finite")
-    if (a < -tol).any():
-        i, j = np.argwhere(a < -tol)[0]
+    if (a < -VALIDATION_TOL).any():
+        i, j = np.argwhere(a < -VALIDATION_TOL)[0]
         raise NegativeEntry(f"entry ({i}, {j}) = {a[i, j]} is negative")
     diag = np.diagonal(a)
-    if (diag <= tol).any():
-        i = int(np.argmax(diag <= tol))
-        raise ZeroDiagonal(f"diagonal entry at node {i} is {diag[i]}, must exceed {tol}")
+    if (diag <= VALIDATION_TOL).any():
+        i = int(np.argmax(diag <= VALIDATION_TOL))
+        raise ZeroDiagonal(
+            f"diagonal entry at node {i} is {diag[i]}, must exceed {VALIDATION_TOL}")
     row_err = np.abs(a.sum(axis=1) - 1.0)
-    if (row_err > tol).any():
+    if (row_err > VALIDATION_TOL).any():
         i = int(np.argmax(row_err))
         raise NotStochastic(f"row {i} sums to {a[i].sum()}, off by {row_err[i]}")
-    support = a > support_threshold
+    a.setflags(write=False)
+    matrix = ConsensusMatrix(n=n, entries=a)
     ncomp, labels = csgraph.connected_components(
-        csr_matrix(support), directed=True, connection="strong")
+        csr_matrix(matrix.support), directed=True, connection="strong")
     if ncomp > 1:
         outsider = int(np.argmax(labels != labels[0]))
         raise NotIrreducible(
             f"support graph has {ncomp} strongly connected components; "
             f"node {outsider} is not reachable from/to node 0")
-    a.setflags(write=False)
-    return ConsensusMatrix(n=n, entries=a, tol=tol, support_threshold=support_threshold)
+    return matrix
 
 
 def invariant_measure(P: ConsensusMatrix) -> InvariantMeasure:
@@ -206,17 +212,14 @@ def _power_iteration(a: np.ndarray, max_iter: int = 200_000):
 
 
 def time_reversal(P: ConsensusMatrix) -> ConsensusMatrix:
-    """The time reversal P* = Pi^{-1} P^T Pi; same invariant measure as P."""
-    pi = P.invariant.pi
-    star = (P.entries.T * pi[None, :]) / pi[:, None]
-    return validate_consensus(star, tol=P.tol, support_threshold=P.support_threshold)
+    """The time reversal P* (entries P.reversal) as a validated consensus
+    matrix; same invariant measure as P."""
+    return validate_consensus(P.reversal)
 
 
 def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:
     """P* P: reversible, same invariant measure, strictly positive diagonal."""
-    star = time_reversal(P)
-    return validate_consensus(star.entries @ P.entries, tol=P.tol,
-                              support_threshold=P.support_threshold)
+    return validate_consensus(P.reversal @ P.entries)
 
 
 def classify(P: ConsensusMatrix, tol: float = CLASSIFICATION_TOL) -> MatrixClass:
@@ -240,11 +243,10 @@ def _classification_residuals(P: ConsensusMatrix) -> dict:
     a = P.entries
     pi = P.invariant.pi
     pip = pi[:, None] * a
-    star = (a.T * pi[None, :]) / pi[:, None]
     return {
         "reversible": float(np.abs(pip - pip.T).max()),
         "normal": float(np.abs(a.T @ a - a @ a.T).max()),
-        "commuting": float(np.abs(star @ a - a @ star).max()),
+        "commuting": float(np.abs(P.reversal @ a - a @ P.reversal).max()),
         "doubly_stochastic": float(np.abs(a.sum(axis=0) - 1.0).max()),
     }
 
@@ -255,15 +257,12 @@ def support_graphs(P: ConsensusMatrix) -> SupportGraphs:
 
 
 def _build_support_graphs(P: ConsensusMatrix) -> SupportGraphs:
-    directed = np.array(P.support)
+    directed = P.support
     undirected = directed | directed.T
-    off = directed.copy()
-    np.fill_diagonal(off, False)
-    und_off = undirected.copy()
-    np.fill_diagonal(und_off, False)
-    nonzero = P.entries[directed]
-    directed.setflags(write=False)
     undirected.setflags(write=False)
+    loops = np.eye(P.n, dtype=bool)
+    off, und_off = directed & ~loops, undirected & ~loops
+    nonzero = P.entries[directed]
     return SupportGraphs(
         directed=directed,
         undirected=undirected,
@@ -281,12 +280,11 @@ def save_matrix_csv(matrix, path) -> None:
     np.savetxt(path, a, delimiter=",", fmt="%.17g")
 
 
-def load_matrix_csv(path, tol: float = DEFAULT_TOL,
-                    support_threshold: float = FILE_SUPPORT_THRESHOLD) -> ConsensusMatrix:
+def load_matrix_csv(path) -> ConsensusMatrix:
     """Parse a CSV matrix and validate it as a consensus matrix.
 
-    The file threshold absorbs decimal round-trip noise when deciding which
-    entries are structural zeros.
+    The rules are those of `validate_consensus`, so a matrix gets the same
+    verdict whether it is built in memory or read back from its file.
     """
     a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return validate_consensus(a, tol=tol, support_threshold=support_threshold)
+    return validate_consensus(a)

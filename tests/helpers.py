@@ -86,15 +86,21 @@ def random_conductance(rng, n, density=0.7):
             continue
 
 
-def two_cliques(n, coupling):
-    """Two uniform cliques of n/2 nodes joined by one edge of weight `coupling`."""
+def two_clique_entries(n, coupling):
+    """Entries of two uniform cliques of n/2 nodes joined by one edge of
+    weight `coupling`, not validated."""
     h = n // 2
     a = np.zeros((n, n))
     a[:h, :h] = a[h:, h:] = 1.0 / h
     a[0, h] = a[h, 0] = coupling
     a[0, 0] -= coupling
     a[h, h] -= coupling
-    return validate_consensus(a)
+    return a
+
+
+def two_cliques(n, coupling):
+    """The validated two-clique matrix of `two_clique_entries`."""
+    return validate_consensus(two_clique_entries(n, coupling))
 
 
 def rho_n_floyd_warshall(graph, coordinates):

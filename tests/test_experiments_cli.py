@@ -585,6 +585,23 @@ class TestAnalyze:
         assert kv["reversible"] == "true"
         assert kv["classification_tol"] == "10"
 
+    def test_cost_above_a_printed_upper_bound_fails(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # Negative control of the row gate: on the uniform 3x3 matrix
+        # res_j_upper equals J, so a 1 % larger J breaks that bound.
+        path = tmp_path / "uniform.csv"
+        save_matrix_csv(validate_consensus(np.full((3, 3), 1.0 / 3)), path)
+
+        def inflated(matrix):
+            report = lq_cost_exact(matrix)
+            return dataclasses.replace(report, j=1.01 * report.j)
+
+        monkeypatch.setattr(experiments_cli, "lq_cost_exact", inflated)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "resistance-theorem J upper bound" in captured.err
+        assert captured.out == ""
+
     def test_one_node_matrix(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("1\n")
@@ -655,6 +672,16 @@ class TestArgumentHandling:
                      "-p", f"n_list={text}"]) == 1
         assert "n_list" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cayley", "-p", "case=2", "-p", "d=1", "-p", "n_list=0"],
+        ["geometric", "-p", "n_list=1", "-p", "instances=1"],
+    ])
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_param_key(self, tmp_path, capsys):
         assert main(["epsilon-sweep", "--out", str(tmp_path / "x"),

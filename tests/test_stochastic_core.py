@@ -24,7 +24,8 @@ from lqconsensus import (
     time_reversal,
     validate_consensus,
 )
-from helpers import random_consensus, random_reversible
+from lqconsensus.stochastic_core import SUPPORT_THRESHOLD
+from helpers import random_consensus, random_reversible, two_clique_entries
 
 
 def uniform(n):
@@ -162,6 +163,12 @@ class TestTimeReversal:
         P = random_reversible(rng, 6)
         assert np.abs(time_reversal(P).entries - P.entries).max() <= 1e-9
 
+    def test_entries_are_the_cached_reversal(self, rng):
+        P = random_consensus(rng, 6)
+        assert P.reversal is P.reversal
+        assert not P.reversal.flags.writeable
+        np.testing.assert_array_equal(time_reversal(P).entries, P.reversal)
+
 
 class TestMultiplicativeReversiblization:
     def test_reversible_gives_square(self, rng):
@@ -282,3 +289,20 @@ class TestMatrixFiles:
         path.write_text("1,0\n0,1\n")
         with pytest.raises(NotIrreducible):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-9, 1e-12, 1e-14, 1e-15, 1e-16])
+    def test_same_verdict_in_memory_and_from_file(self, tmp_path, coupling):
+        # One structural-zero rule: a coupling at or below SUPPORT_THRESHOLD
+        # is no edge, whether the matrix is built in memory or read back.
+        a = two_clique_entries(40, coupling)
+        path = tmp_path / "cliques.csv"
+        save_matrix_csv(a, path)
+        verdicts = []
+        for build in (lambda: validate_consensus(a), lambda: load_matrix_csv(path)):
+            try:
+                build()
+                verdicts.append("accepted")
+            except NotIrreducible:
+                verdicts.append("NotIrreducible")
+        expected = "accepted" if coupling > SUPPORT_THRESHOLD else "NotIrreducible"
+        assert verdicts == [expected, expected]
