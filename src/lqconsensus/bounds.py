@@ -23,12 +23,7 @@ from .resistance import (
     effective_resistance,
     unit_conductance,
 )
-from .stochastic_core import (
-    CLASSIFICATION_TOL,
-    ConsensusMatrix,
-    classify,
-    support_graphs,
-)
+from .stochastic_core import ConsensusMatrix, classify, support_graphs
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,8 @@ class BoundsReport:
     """Bound values, the constants they were built from, and applicability.
 
     Lower values are always populated; `lower_applicable` states whether they
-    are certified (P*P = PP* within classification tolerance) or hypothetical.
+    are certified (`classify(P).commuting`: P*P = PP* within the fixed
+    CLASSIFICATION_TOL) or hypothetical.
     The normal-matrix corollary bounds J only, so its weighted fields are None.
     """
 
@@ -77,12 +73,12 @@ def reversiblization_conductance(P: ConsensusMatrix):
     return conductance_matrix(c)
 
 
-def theorem_resistance_bounds(P: ConsensusMatrix,
-                              tol: float = CLASSIFICATION_TOL) -> BoundsReport:
+def theorem_resistance_bounds(P: ConsensusMatrix) -> BoundsReport:
     """Bounds from the average resistance of C_{P*P}.
 
     J <= (pi_max^3 n^2 / pi_min) R_bar and J_w <= pi_max^3 n^3 R_bar; the
-    lower bounds swap min and max and hold when P*P = PP* (within `tol`).
+    lower bounds swap min and max and hold when P*P = PP*, as `classify`
+    decides it.
     """
     inv = P.invariant
     n = P.n
@@ -97,17 +93,17 @@ def theorem_resistance_bounds(P: ConsensusMatrix,
         j_lower=lo ** 3 * n * n / hi * rbar,
         jw_upper=hi ** 3 * n ** 3 * rbar,
         jw_lower=lo ** 3 * n ** 3 * rbar,
-        lower_applicable=classify(P, tol=tol).commuting,
+        lower_applicable=classify(P).commuting,
         constants=constants,
     )
 
 
-def theorem_topology_bounds(P: ConsensusMatrix,
-                            tol: float = CLASSIFICATION_TOL) -> BoundsReport:
+def theorem_topology_bounds(P: ConsensusMatrix) -> BoundsReport:
     """Bounds from the unit-conductance resistance of the undirected support.
 
     Needs only R_bar(G(P)), the entry extremes p_min/p_max, the invariant
-    measure extremes, and the maximum in-degree (excluding self loops).
+    measure extremes, and the maximum in-degree (excluding self loops).  The
+    lower bounds are certified when `classify(P).commuting`.
     """
     inv = P.invariant
     graphs = support_graphs(P)
@@ -127,18 +123,18 @@ def theorem_topology_bounds(P: ConsensusMatrix,
         j_lower=lo ** 3 * n / (p_hi ** 2 * f_in * hi ** 2) * rbar,
         jw_upper=hi ** 3 * n * n / (p_lo ** 2 * lo) * rbar,
         jw_lower=lo ** 3 * n * n / (p_hi ** 2 * f_in * hi) * rbar,
-        lower_applicable=classify(P, tol=tol).commuting,
+        lower_applicable=classify(P).commuting,
         constants=constants,
     )
 
 
-def corollary_normal_bounds(P: ConsensusMatrix,
-                            tol: float = CLASSIFICATION_TOL) -> BoundsReport:
+def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
     """Two-sided bound on J for normal P:
     R_bar(G(P)) / (p_max^2 f(delta_in)) <= J <= R_bar(G(P)) / p_min^2.
+
+    Raises NotNormal unless `classify(P).normal`.
     """
-    cls = classify(P, tol=tol)
-    if not cls.normal:
+    if not classify(P).normal:
         raise NotNormal("the corollary applies to normal consensus matrices only")
     graphs = support_graphs(P)
     rbar = average_resistance(P.support_resistance)
@@ -200,9 +196,11 @@ class SandwichMargins:
     support: FuzzSupport
 
 
-def resistance_sandwich_check(P: ConsensusMatrix,
-                              tol: float = CLASSIFICATION_TOL) -> SandwichMargins:
-    """Evaluate (1/(4 delta - 2)) R_uv(G(P)) <= R_uv(G(P*P)) <= R_uv(G(P))."""
+def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
+    """Evaluate (1/(4 delta - 2)) R_uv(G(P)) <= R_uv(G(P*P)) <= R_uv(G(P)).
+
+    delta is delta_in when `classify(P).commuting`, delta_out otherwise.
+    """
     graphs = support_graphs(P)
     fuzz = reversiblization_support(P)
     adj = np.zeros((P.n, P.n), dtype=bool)
@@ -210,7 +208,7 @@ def resistance_sandwich_check(P: ConsensusMatrix,
     adj[u, v] = adj[v, u] = True
     r_base = P.support_resistance.values
     r_fuzz = effective_resistance(unit_conductance(adj)).values
-    if classify(P, tol=tol).commuting:
+    if classify(P).commuting:
         delta, variant = graphs.delta_in, "in"
     else:
         delta, variant = graphs.delta_out, "out"

@@ -70,7 +70,7 @@ GEOMETRIC_N_FULL = {
     3: (50, 150, 250, 350, 450, 550, 600, 650, 700, 750, 800),
 }
 
-UPPER_SLACK_REL = 1e-9
+BOUND_SLACK_REL = 1e-9
 
 
 def _fmt(value) -> str:
@@ -83,12 +83,13 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _check_upper(value: float, upper, label: str) -> None:
-    if upper is None:
+def _check_below(value, limit, label: str) -> None:
+    """Raise LqConsensusError naming `label` unless value <= limit (None skips)."""
+    if value is None or limit is None:
         return
-    if value > upper * (1.0 + UPPER_SLACK_REL) + 1e-12:
+    if value > limit * (1.0 + BOUND_SLACK_REL) + 1e-12:
         raise LqConsensusError(
-            f"result row violates {label}: {value} > {upper}")
+            f"result row violates {label}: {value} > {limit}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,10 @@ class ResultRow:
     cross-check ran; it is empty elsewhere.
 
     Construction verifies that the cost values sit below every populated
-    upper bound (1e-9 relative slack) and raises LqConsensusError naming the
-    bound otherwise.
+    upper bound and above every certified lower bound (norm_j_lower whenever
+    populated, the res_* and topo_* lower bounds when lower_applicable), with
+    1e-9 relative slack, and raises LqConsensusError naming the bound
+    otherwise.
     """
 
     experiment: str
@@ -131,13 +134,21 @@ class ResultRow:
     j_normalized: float | None
 
     def __post_init__(self):
-        _check_upper(self.j, self.res_j_upper, "the resistance-theorem J upper bound")
-        _check_upper(self.j, self.topo_j_upper, "the topology-theorem J upper bound")
-        _check_upper(self.j, self.norm_j_upper, "the normal-corollary J upper bound")
-        _check_upper(self.j_weighted, self.res_jw_upper,
+        _check_below(self.j, self.res_j_upper, "the resistance-theorem J upper bound")
+        _check_below(self.j, self.topo_j_upper, "the topology-theorem J upper bound")
+        _check_below(self.j, self.norm_j_upper, "the normal-corollary J upper bound")
+        _check_below(self.j_weighted, self.res_jw_upper,
                      "the resistance-theorem weighted upper bound")
-        _check_upper(self.j_weighted, self.topo_jw_upper,
+        _check_below(self.j_weighted, self.topo_jw_upper,
                      "the topology-theorem weighted upper bound")
+        _check_below(self.norm_j_lower, self.j, "the normal-corollary J lower bound")
+        if self.lower_applicable:
+            _check_below(self.res_j_lower, self.j, "the resistance-theorem J lower bound")
+            _check_below(self.topo_j_lower, self.j, "the topology-theorem J lower bound")
+            _check_below(self.res_jw_lower, self.j_weighted,
+                         "the resistance-theorem weighted lower bound")
+            _check_below(self.topo_jw_lower, self.j_weighted,
+                         "the topology-theorem weighted lower bound")
 
     def to_cells(self) -> list:
         return [self.experiment] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
@@ -171,15 +182,6 @@ def _to_float(key: str, text: str) -> float:
     return value
 
 
-def _to_bool(key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}={text!r} is not a boolean")
-
-
 def _to_int_list(key: str, text: str) -> tuple:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -206,9 +208,9 @@ _CONFIG_KEYS = {
         "instances": (_to_int, 15), "seed": (_to_int, 0),
         **{f.name: (_to_float, f.default) for f in dataclasses.fields(GeometricParams)},
         "max_attempts": (_to_int, 1000), "node_attempt_cap": (_to_int, 10_000),
-        "divisions": (_to_int, 30), "literal_pi_check": (_to_bool, False),
-        "exact_check_max_n": (_to_int, 200), "t_max": (_to_int, 10_000),
-        "delta": (_to_float, 1e-5), "window": (_to_int, 10),
+        "divisions": (_to_int, 30), "exact_check_max_n": (_to_int, 200),
+        "t_max": (_to_int, 10_000), "delta": (_to_float, 1e-5),
+        "window": (_to_int, 10),
     },
     "validate": {"seed": (_to_int, 0)},
 }
@@ -382,11 +384,11 @@ def _j_normalized(d: int, n_nodes: int, j: float) -> float:
     return j
 
 
-def bound_fields(matrix, tol: float = CLASSIFICATION_TOL) -> dict:
+def bound_fields(matrix) -> dict:
     """The res_*, topo_* and lower_applicable columns of a result, then the
-    norm_* columns if `matrix` is normal within `tol`, in `analyze` order."""
-    res = theorem_resistance_bounds(matrix, tol=tol)
-    topo = theorem_topology_bounds(matrix, tol=tol)
+    norm_* columns if `classify(matrix).normal`, in `analyze` order."""
+    res = theorem_resistance_bounds(matrix)
+    topo = theorem_topology_bounds(matrix)
     fields = {}
     for name, bounds in (("res", res), ("topo", topo)):
         fields[f"{name}_rbar"] = bounds.constants["r_bar"]
@@ -395,8 +397,8 @@ def bound_fields(matrix, tol: float = CLASSIFICATION_TOL) -> dict:
         fields[f"{name}_jw_upper"] = bounds.jw_upper
         fields[f"{name}_jw_lower"] = bounds.jw_lower
     fields["lower_applicable"] = res.lower_applicable
-    if classify(matrix, tol=tol).normal:
-        norm = corollary_normal_bounds(matrix, tol=tol)
+    if classify(matrix).normal:
+        norm = corollary_normal_bounds(matrix)
         fields["norm_j_upper"] = norm.j_upper
         fields["norm_j_lower"] = norm.j_lower
     return fields
@@ -594,8 +596,7 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                     params, n, d, seed=[seed, d, n, i],
                     max_attempts=p["max_attempts"],
                     node_attempt_cap=p["node_attempt_cap"],
-                    divisions=p["divisions"],
-                    literal_pi_check=p["literal_pi_check"])
+                    divisions=p["divisions"])
             except (RejectionExhausted, InfeasibleDensity) as exc:
                 skipped += 1
                 detail_lines.append(
@@ -641,9 +642,9 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
     return 0
 
 
-def analyze_matrix(path, tol: float = CLASSIFICATION_TOL,
-                   truncated: bool = False, stream=None) -> int:
-    """Validate and fully characterize one consensus matrix file."""
+def analyze_matrix(path, truncated: bool = False, stream=None) -> int:
+    """Validate and fully characterize one consensus matrix file; the report
+    prints the fixed CLASSIFICATION_TOL as classification_tol."""
     stream = stream if stream is not None else sys.stdout
     try:
         matrix = load_matrix_csv(path)
@@ -651,21 +652,21 @@ def analyze_matrix(path, tol: float = CLASSIFICATION_TOL,
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    cls = classify(matrix, tol=tol)
+    cls = classify(matrix)
     inv = matrix.invariant
     report = lq_cost_exact(matrix)
     green = green_matrix(matrix)
-    bounds = bound_fields(matrix, tol=tol)
-    # The sweep rows' gate: J and J_w above a printed upper bound raise.
+    bounds = bound_fields(matrix)
+    # The sweep rows' gate: J and J_w outside a printed certified bound raise.
     _result_row(matrix, report, bounds, experiment="analyze", n=matrix.n, instance=0)
-    sandwich = resistance_sandwich_check(matrix, tol=tol)
+    sandwich = resistance_sandwich_check(matrix)
     lines = [
         f"n={matrix.n}",
         f"reversible={_fmt(cls.reversible)}",
         f"normal={_fmt(cls.normal)}",
         f"commuting={_fmt(cls.commuting)}",
         f"doubly_stochastic={_fmt(cls.doubly_stochastic)}",
-        f"classification_tol={_fmt(tol)}",
+        f"classification_tol={_fmt(CLASSIFICATION_TOL)}",
         f"pi_min={_fmt(inv.pi_min)}",
         f"pi_max={_fmt(inv.pi_max)}",
         f"invariant_residual={_fmt(inv.residual)}",
@@ -942,8 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the full-size n grids (slower)")
     analyze = sub.add_parser("analyze")
     analyze.add_argument("path", type=Path, help="matrix CSV file")
-    analyze.add_argument("--tol", type=float, default=CLASSIFICATION_TOL,
-                         help="classification tolerance")
     analyze.add_argument("--truncated", action="store_true",
                          help="also report the truncated-series estimate")
     validate = sub.add_parser("validate", parents=[common])
@@ -957,8 +956,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "analyze":
-            return analyze_matrix(args.path, tol=args.tol,
-                                  truncated=args.truncated)
+            return analyze_matrix(args.path, truncated=args.truncated)
         config = build_config(args.command, args.config, args.param, args.seed)
         if args.command == "validate":
             return run_validation_suite(config, inject_fault=args.inject_fault)

@@ -288,17 +288,14 @@ def _place_nodes(rng, n, d, l, s, node_attempt_cap, audit):
 
 def sample_geometric(params: GeometricParams, n: int, d: int, seed,
                      max_attempts: int = 1000, node_attempt_cap: int = 10_000,
-                     divisions: int = 30,
-                     literal_pi_check: bool = False) -> GeometricInstance:
+                     divisions: int = 30) -> GeometricInstance:
     """Run the full sampling pipeline; pure function of (params, n, d, seed).
 
     Any screening failure (disconnected, coverage, distance ratio, reducible
     matrix, invariant-measure range) restarts the construction from node
     placement; `max_attempts` bounds the restarts.  The invariant-measure
-    screen rejects when n pi_min < pi_bar_min or n pi_max > pi_bar_max;
-    `literal_pi_check` instead measures both ends of the band against
-    pi_bar_min, a one-sided variant kept selectable for audit purposes (it
-    rejects every draw under the default parameters).
+    screen is the one symmetric band: it rejects when n pi_min < pi_bar_min
+    or n pi_max > pi_bar_max, and the audit's `pi_check=symmetric` names it.
     """
     if n < 2:
         raise OutOfRange(f"need at least 2 nodes, got {n}")
@@ -315,7 +312,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         "rejected_reducible": 0,
         "rejected_pi_range": 0,
         "seed": str(seed),
-        "pi_check": "literal" if literal_pi_check else "symmetric",
+        "pi_check": "symmetric",
     }
     iu = np.triu_indices(n, 1)
     for _ in range(max_attempts):
@@ -355,8 +352,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         m /= m.sum(axis=1, keepdims=True)
         matrix = validate_consensus(m)
         npi = n * matrix.invariant.pi
-        pi_cap = params.pi_bar_min if literal_pi_check else params.pi_bar_max
-        if npi.min() < params.pi_bar_min or npi.max() > pi_cap:
+        if npi.min() < params.pi_bar_min or npi.max() > params.pi_bar_max:
             audit["rejected_pi_range"] += 1
             continue
         coords.setflags(write=False)

@@ -25,6 +25,7 @@ from .stochastic_core import (
     CLASSIFICATION_TOL,
     ConsensusMatrix,
     InvariantMeasure,
+    classify,
     validate_consensus,
 )
 
@@ -47,11 +48,12 @@ class ResistanceMatrix:
     values: np.ndarray
 
 
-def conductance_matrix(entries, tol: float = SYMMETRY_TOL) -> ConductanceMatrix:
+def conductance_matrix(entries) -> ConductanceMatrix:
     """Validate and wrap a conductance matrix.
 
-    Symmetry is required within `tol` and then enforced exactly; the support
-    (ignoring the diagonal) must be connected.
+    Symmetry and sign are required within the fixed SYMMETRY_TOL, and
+    symmetry is then enforced exactly; the support (ignoring the diagonal)
+    must be connected.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -59,10 +61,10 @@ def conductance_matrix(entries, tol: float = SYMMETRY_TOL) -> ConductanceMatrix:
     if not np.isfinite(a).all():
         raise NotSymmetric("matrix has non-finite entries")
     asym = float(np.abs(a - a.T).max())
-    if asym > tol:
-        raise NotSymmetric(f"asymmetry {asym} exceeds tolerance {tol}")
-    if (a < -tol).any():
-        i, j = np.argwhere(a < -tol)[0]
+    if asym > SYMMETRY_TOL:
+        raise NotSymmetric(f"asymmetry {asym} exceeds tolerance {SYMMETRY_TOL}")
+    if (a < -SYMMETRY_TOL).any():
+        i, j = np.argwhere(a < -SYMMETRY_TOL)[0]
         raise NegativeEntry(f"conductance ({i}, {j}) = {a[i, j]} is negative")
     a = (a + a.T) / 2.0
     a[a < 0.0] = 0.0
@@ -131,22 +133,22 @@ def weighted_average_resistance(R: ResistanceMatrix, pi) -> float:
     return float(0.5 * p @ R.values @ p)
 
 
-def phi_map(P: ConsensusMatrix, alpha: float | None = None,
-            tol: float = CLASSIFICATION_TOL) -> ConductanceMatrix:
+def phi_map(P: ConsensusMatrix, alpha: float | None = None) -> ConductanceMatrix:
     """Phi_alpha(P) = alpha * Pi P, defined for reversible P only.
 
-    With alpha = n (the default) this is the canonical network whose
-    random walk is P.  The sum of all entries of the result equals alpha.
+    Reversibility is `classify(P).reversible`; otherwise NotReversible names
+    the asymmetry |Pi P - P^T Pi|.  With alpha = n (the default) this is the
+    canonical network whose random walk is P.  The sum of all entries of the
+    result equals alpha.
     """
-    pi = P.invariant.pi
-    pip = pi[:, None] * P.entries
-    asym = float(np.abs(pip - pip.T).max())
-    if asym > tol:
-        raise NotReversible(f"Pi P has asymmetry {asym}, exceeds tolerance {tol}")
+    if not classify(P).reversible:
+        raise NotReversible(f"Pi P has asymmetry {P.classification_residuals['reversible']}, "
+                            f"exceeds tolerance {CLASSIFICATION_TOL}")
     if alpha is None:
         alpha = float(P.n)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    pip = P.invariant.pi[:, None] * P.entries
     c = alpha * (pip + pip.T) / 2.0
     return conductance_matrix(c)
 
@@ -170,11 +172,11 @@ def save_conductance_csv(C: ConductanceMatrix, path) -> None:
     np.savetxt(path, C.entries, delimiter=",", fmt="%.17g")
 
 
-def load_conductance_csv(path, tol: float = 1e-9) -> ConductanceMatrix:
-    """Parse a CSV conductance matrix; the looser default tolerance absorbs
-    decimal round-trip asymmetry in hand-written files."""
+def load_conductance_csv(path) -> ConductanceMatrix:
+    """Parse a CSV conductance matrix; `conductance_matrix` validates it, so
+    a network gets the same verdict in memory and from its file."""
     a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return conductance_matrix(a, tol=tol)
+    return conductance_matrix(a)
 
 
 def save_resistance_csv(R: ResistanceMatrix, path) -> None:

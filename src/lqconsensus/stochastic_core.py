@@ -222,18 +222,19 @@ def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:
     return validate_consensus(P.reversal @ P.entries)
 
 
-def classify(P: ConsensusMatrix, tol: float = CLASSIFICATION_TOL) -> MatrixClass:
+def classify(P: ConsensusMatrix) -> MatrixClass:
     """Flags for reversible, normal, commuting (P*P = PP*) and doubly stochastic.
 
     Each flag tests the max norm of its defining residual, cached on P,
-    against `tol`.  The inclusion structure (normal implies doubly stochastic
-    and commuting, reversible implies commuting) is enforced on the result.
+    against the fixed CLASSIFICATION_TOL.  The inclusion structure (normal
+    implies doubly stochastic and commuting, reversible implies commuting) is
+    enforced on the result.
     """
     r = P.classification_residuals
-    reversible = r["reversible"] <= tol
-    normal = r["normal"] <= tol
-    commuting = r["commuting"] <= tol or reversible or normal
-    doubly = r["doubly_stochastic"] <= tol or normal
+    reversible = r["reversible"] <= CLASSIFICATION_TOL
+    normal = r["normal"] <= CLASSIFICATION_TOL
+    commuting = r["commuting"] <= CLASSIFICATION_TOL or reversible or normal
+    doubly = r["doubly_stochastic"] <= CLASSIFICATION_TOL or normal
     return MatrixClass(reversible=reversible, normal=normal,
                        commuting=commuting, doubly_stochastic=doubly)
 

@@ -121,6 +121,20 @@ class TestResultRowGate:
                            match="topology-theorem weighted upper bound"):
             dataclasses.replace(row, j_weighted=jw, res_jw_upper=2.0 * jw)
 
+    def test_certified_lower_bound_above_j_raises(self, row):
+        # p_epsilon(0.2) is not commuting: its theorem lower values are
+        # hypothetical and may exceed J until they are marked certified.
+        lifted = dataclasses.replace(row, res_j_lower=row.j * 1.01)
+        assert not lifted.lower_applicable
+        with pytest.raises(LqConsensusError,
+                           match="resistance-theorem J lower bound"):
+            dataclasses.replace(lifted, lower_applicable=True)
+
+    def test_normal_lower_bound_is_always_gated(self, row):
+        with pytest.raises(LqConsensusError,
+                           match="normal-corollary J lower bound"):
+            dataclasses.replace(row, norm_j_lower=row.j * 1.01)
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -132,12 +146,15 @@ class TestBuildConfig:
 
     def test_overrides_and_types(self):
         config = build_config("geometric", overrides=[
-            "n_list=25,50", "p_d=0.2", "literal_pi_check=true",
-            "instances=3"])
+            "n_list=25,50", "p_d=0.2", "instances=3"])
         assert config.parameters["n_list"] == (25, 50)
         assert config.parameters["p_d"] == pytest.approx(0.2)
-        assert config.parameters["literal_pi_check"] is True
         assert config.parameters["instances"] == 3
+
+    def test_pi_screen_is_not_a_key(self):
+        # The invariant-measure screen is the one symmetric band.
+        with pytest.raises(ConfigError, match="unknown key 'literal_pi_check'"):
+            build_config("geometric", overrides=["literal_pi_check=true"])
 
     def test_unknown_key_lists_known_ones(self):
         with pytest.raises(ConfigError, match="known keys"):
@@ -577,13 +594,19 @@ class TestAnalyze:
         g = np.linalg.inv(np.eye(P.n) - P.entries + target) - target
         assert float(kv["green_trace"]) == pytest.approx(np.trace(g), rel=1e-12)
 
-    def test_tolerance_is_plumbed(self, tmp_path, capsys):
+    def test_classification_tolerance_is_fixed(self, tmp_path, capsys):
+        # Under a tolerance of 10, p_epsilon(0.01) would pass as reversible
+        # and certify a lower bound above J.
         path = tmp_path / "matrix.csv"
-        save_matrix_csv(p_epsilon(0.25), path)
-        assert main(["analyze", str(path), "--tol", "10"]) == 0
+        save_matrix_csv(p_epsilon(0.01), path)
+        assert main(["analyze", str(path), "--tol", "10"]) == 1
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err
+        assert captured.out == ""
+        assert main(["analyze", str(path)]) == 0
         kv = self.kv(capsys)
-        assert kv["reversible"] == "true"
-        assert kv["classification_tol"] == "10"
+        assert kv["classification_tol"] == "1.0000000000000001e-09"
+        assert kv["reversible"] == kv["lower_applicable"] == "false"
 
     def test_cost_above_a_printed_upper_bound_fails(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -600,6 +623,23 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         captured = capsys.readouterr()
         assert "resistance-theorem J upper bound" in captured.err
+        assert captured.out == ""
+
+    def test_cost_below_a_certified_lower_bound_fails(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # Negative control of the lower gate: on the uniform 3x3 matrix the
+        # certified res_j_lower equals J, so a 1 % smaller J breaks it.
+        path = tmp_path / "uniform.csv"
+        save_matrix_csv(validate_consensus(np.full((3, 3), 1.0 / 3)), path)
+
+        def deflated(matrix):
+            report = lq_cost_exact(matrix)
+            return dataclasses.replace(report, j=0.99 * report.j)
+
+        monkeypatch.setattr(experiments_cli, "lq_cost_exact", deflated)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "resistance-theorem J lower bound" in captured.err
         assert captured.out == ""
 
     def test_one_node_matrix(self, tmp_path, capsys):

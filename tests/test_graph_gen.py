@@ -375,11 +375,6 @@ class TestSampleGeometric:
                 return
         pytest.fail("no asymmetric edge produced at p_d = 0.45 across 6 seeds")
 
-    def test_literal_pi_reading_rejects_everything(self):
-        with pytest.raises(RejectionExhausted):
-            sample_geometric(GeometricParams(), n=15, d=2, seed=0,
-                             max_attempts=5, literal_pi_check=True)
-
     def test_infeasible_density(self):
         params = GeometricParams(s=0.99, r=1.0)
         with pytest.raises(InfeasibleDensity):

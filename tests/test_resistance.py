@@ -248,3 +248,20 @@ class TestConductanceFiles:
         path.write_text("0,1\n2,0\n")
         with pytest.raises(NotSymmetric):
             load_conductance_csv(path)
+
+    @pytest.mark.parametrize("asymmetry, accepted", [
+        (1e-13, True), (1e-11, False), (1e-10, False)])
+    def test_same_verdict_in_memory_and_from_file(self, tmp_path, asymmetry,
+                                                  accepted):
+        a = np.ones((4, 4)) - np.eye(4)
+        a[0, 1] += asymmetry
+        path = tmp_path / "network.csv"
+        np.savetxt(path, a, delimiter=",", fmt="%.17g")
+        if accepted:
+            np.testing.assert_array_equal(load_conductance_csv(path).entries,
+                                          conductance_matrix(a).entries)
+            return
+        with pytest.raises(NotSymmetric):
+            conductance_matrix(a)
+        with pytest.raises(NotSymmetric):
+            load_conductance_csv(path)
