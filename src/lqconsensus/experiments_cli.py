@@ -71,6 +71,7 @@ GEOMETRIC_N_FULL = {
 }
 
 BOUND_SLACK_REL = 1e-9
+BOUND_SLACK_ABS = 1e-12
 
 
 def _fmt(value) -> str:
@@ -83,11 +84,17 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _exceeds(value, limit) -> bool:
+    """Whether value lies above limit by more than the bound slack:
+    BOUND_SLACK_REL relative plus BOUND_SLACK_ABS absolute."""
+    return value > limit * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
+
+
 def _check_below(value, limit, label: str) -> None:
-    """Raise LqConsensusError naming `label` unless value <= limit (None skips)."""
+    """Raise LqConsensusError naming `label` if value exceeds limit (None skips)."""
     if value is None or limit is None:
         return
-    if value > limit * (1.0 + BOUND_SLACK_REL) + 1e-12:
+    if _exceeds(value, limit):
         raise LqConsensusError(
             f"result row violates {label}: {value} > {limit}")
 
@@ -489,7 +496,10 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
         f"hypothetical_lower_above_j_max_eps="
         f"{_fmt(max((row.epsilon for row in hyp), default=None))}",
         f"certified_lower_points={len(certified)}",
-        f"certified_lower_valid={_fmt(all(r.res_j_lower <= r.j + 1e-12 for r in certified))}",
+        f"certified_lower_valid="
+        f"{_fmt(not any(_exceeds(r.res_j_lower, r.j) for r in certified))}",
+        f"certified_lower_min_rel_margin="
+        f"{_fmt(min(((r.j - r.res_j_lower) / r.j for r in certified), default=None))}",
     ]
     _write_audit(out_dir / "audit.txt", lines, time.perf_counter() - start)
     if svg:
@@ -670,6 +680,7 @@ def analyze_matrix(path, truncated: bool = False, stream=None) -> int:
         f"pi_min={_fmt(inv.pi_min)}",
         f"pi_max={_fmt(inv.pi_max)}",
         f"invariant_residual={_fmt(inv.residual)}",
+        f"invariant_route={inv.route}",
         report.to_kv(),
         f"green_trace={_fmt(green.trace)}",
     ]

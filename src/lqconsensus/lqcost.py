@@ -21,6 +21,8 @@ from .stochastic_core import ConsensusMatrix
 
 STEIN_RESIDUAL_TOL = 1e-11
 GREEN_IDENTITY_TOL = 1e-9
+# Trials per Monte Carlo block: each block draws from its own generator.
+MC_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +184,15 @@ def noisy_consensus_estimate(P: ConsensusMatrix, horizon: int, trials: int,
 
     The noisy consensus runs x(t+1) = P x(t) + n(t) with x(0) and all n(t)
     independent standard normal vectors; the stationary value of the estimate
-    is J(P).  Each trial draws from its own generator seeded with
-    (seed, trial index), so the draws do not depend on `chunk` or execution
-    order.  The estimate is summed per chunk, so it agrees across chunk
-    sizes up to summation rounding, not bit for bit.
+    is J(P).  The trials fall into fixed blocks of MC_BLOCK (the last one may
+    be shorter).  Block b draws all of its noise from one generator,
+    `default_rng([seed, b])`: first x(0) as one (m_b, n) array, then one
+    (m_b, n) array per step.  The time steps are streamed, so only the
+    current state and one noise buffer are held.  `chunk` is the number of
+    trials advanced together, rounded down to whole blocks and at least one
+    block.  Each block's squared deviations are summed on their own and the
+    sums added in block order, so the estimate is the same to the bit for
+    every `chunk`.
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
@@ -194,19 +201,30 @@ def noisy_consensus_estimate(P: ConsensusMatrix, horizon: int, trials: int,
     pi = P.invariant.pi
     pt = np.ascontiguousarray(P.entries.T)
     n = P.n
+    step = max(chunk // MC_BLOCK, 1) * MC_BLOCK
     total = 0.0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        noise = np.stack([
-            np.random.default_rng([seed, done + k]).standard_normal((horizon + 1, n))
-            for k in range(m)])
-        x = noise[:, 0, :]
-        for t in range(1, horizon + 1):
-            x = x @ pt + noise[:, t, :]
-        e = x - np.outer(x @ pi, np.ones(n))
-        total += float((e * e).sum())
-        done += m
+    for lo in range(0, trials, step):
+        m = min(step, trials - lo)
+        rows = [slice(k, min(k + MC_BLOCK, m)) for k in range(0, m, MC_BLOCK)]
+        rngs = [np.random.default_rng([seed, (lo + r.start) // MC_BLOCK])
+                for r in rows]
+        x = np.empty((m, n))
+        nxt = np.empty_like(x)
+        noise = np.empty_like(x)
+        for rng, r in zip(rngs, rows):
+            rng.standard_normal(out=x[r])
+        for _ in range(horizon):
+            for rng, r in zip(rngs, rows):
+                rng.standard_normal(out=noise[r])
+            # Each row of the product is formed from its own row of x alone,
+            # so advancing blocks together leaves every block's bits as they
+            # are when it advances alone (the chunk tests check this).
+            np.matmul(x, pt, out=nxt)
+            nxt += noise
+            x, nxt = nxt, x
+        for r in rows:
+            e = x[r] - (x[r] @ pi)[:, None]
+            total += float((e * e).sum())
     return total / (trials * n)
 
 

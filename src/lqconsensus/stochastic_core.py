@@ -31,10 +31,15 @@ SUPPORT_THRESHOLD = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class InvariantMeasure:
-    """Positive left eigenvector pi of P with pi^T P = pi^T and sum(pi) = 1."""
+    """Positive left eigenvector pi of P with pi^T P = pi^T and sum(pi) = 1.
+
+    `route` names the solver that produced pi: "lstsq", or "power_iteration"
+    when least squares misses the residual gate or gives a nonpositive entry.
+    """
 
     pi: np.ndarray
     residual: float
+    route: str
 
     @property
     def pi_min(self) -> float:
@@ -184,8 +189,10 @@ def _solve_invariant(P: ConsensusMatrix) -> InvariantMeasure:
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     residual = _invariant_residual(a, pi)
+    route = "lstsq"
     if residual > INVARIANT_RESIDUAL_TOL or (pi <= 0).any():
         pi, residual = _power_iteration(a)
+        route = "power_iteration"
     if residual > INVARIANT_RESIDUAL_TOL:
         raise SolveFailure(
             f"invariant measure residual {residual} exceeds {INVARIANT_RESIDUAL_TOL}")
@@ -193,7 +200,7 @@ def _solve_invariant(P: ConsensusMatrix) -> InvariantMeasure:
         raise SolveFailure("invariant measure has a nonpositive entry")
     pi = pi / pi.sum()
     pi.setflags(write=False)
-    return InvariantMeasure(pi=pi, residual=residual)
+    return InvariantMeasure(pi=pi, residual=residual, route=route)
 
 
 def _power_iteration(a: np.ndarray, max_iter: int = 200_000):

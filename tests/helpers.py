@@ -17,6 +17,11 @@ from lqconsensus import (
 )
 
 
+def uniform(n):
+    """The validated n x n matrix with every entry 1/n."""
+    return validate_consensus(np.full((n, n), 1.0 / n))
+
+
 def random_consensus(rng, n, density=0.6):
     """Random irreducible row-stochastic matrix with positive diagonal."""
     while True:
@@ -55,6 +60,27 @@ def random_circulant(rng, n):
     for u in range(n):
         a[u] = np.roll(row, u)
     return validate_consensus(a)
+
+
+def sparse_consensus(rng, n, density):
+    """Random sparse, usually non-normal consensus matrix: a directed cycle
+    plus self-loops keeps it irreducible and aperiodic, and extra arcs drawn
+    with probability `density` break its symmetry."""
+    support = rng.random((n, n)) < density
+    support[np.arange(n), (np.arange(n) + 1) % n] = True
+    np.fill_diagonal(support, True)
+    a = np.where(support, 0.05 + rng.random((n, n)), 0.0)
+    return validate_consensus(a / a.sum(axis=1, keepdims=True))
+
+
+def sparse_circulant(rng, n, density):
+    """Random circulant consensus matrix whose generator always holds offsets
+    0 and 1 (irreducible, aperiodic) and each other offset with probability
+    `density`."""
+    row = np.where(rng.random(n) < density, 0.05 + rng.random(n), 0.0)
+    row[:2] = 0.05 + rng.random(2)
+    row /= row.sum()
+    return validate_consensus(np.array([np.roll(row, u) for u in range(n)]))
 
 
 def random_symmetric_support(rng, n, density=0.5):

@@ -16,6 +16,7 @@ from helpers import (
     random_conductance,
     random_consensus,
     random_reversible,
+    uniform,
 )
 from scipy.spatial import cKDTree
 
@@ -44,15 +45,10 @@ from lqconsensus import (
     theorem_resistance_bounds,
     theorem_topology_bounds,
     trace_pair,
-    validate_consensus,
     weighted_average_resistance,
 )
 
 EPSILON_GRID = np.geomspace(1e-3, 0.5, 100)
-
-
-def uniform(n):
-    return validate_consensus(np.full((n, n), 1.0 / n))
 
 
 def commuting_collection():

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqconsensus import (
     Disconnected,
@@ -34,11 +36,10 @@ from helpers import (
     random_consensus,
     random_reversible,
     random_symmetric_support,
+    sparse_circulant,
+    sparse_consensus,
+    uniform,
 )
-
-
-def uniform(n):
-    return validate_consensus(np.full((n, n), 1.0 / n))
 
 
 def fuzz_adjacency(P):
@@ -127,6 +128,29 @@ class TestResistanceTheorem:
         report = theorem_resistance_bounds(p_epsilon(0.1))
         assert report.j_lower is not None
         assert report.jw_lower is not None
+
+
+class TestTheoremProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(2, 30), density=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_upper_bounds_hold_on_sparse_matrices(self, n, density, seed):
+        P = sparse_consensus(np.random.default_rng(seed), n, density)
+        cost = lq_cost_exact(P)
+        for report in (theorem_resistance_bounds(P), theorem_topology_bounds(P)):
+            assert cost.j <= report.j_upper * (1 + 1e-9)
+            assert cost.j_weighted <= report.jw_upper * (1 + 1e-9)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(2, 30), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lower_bounds_hold_on_circulants(self, n, density, seed):
+        P = sparse_circulant(np.random.default_rng(seed), n, density)
+        cost = lq_cost_exact(P)
+        for report in (theorem_resistance_bounds(P), theorem_topology_bounds(P)):
+            assert report.lower_applicable
+            assert report.j_lower <= cost.j * (1 + 1e-9)
+            assert report.jw_lower <= cost.j_weighted * (1 + 1e-9)
 
 
 class TestTopologyTheorem:

@@ -247,6 +247,18 @@ class TestEpsilonSweep:
         assert last["j_normalized"] == ""
         assert last["case"] == ""
 
+    def test_audit_reports_smallest_certified_margin(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.run(out) == 0
+        _, _, rows = read_results(out / "results.csv")
+        margins = [(float(r["j"]) - float(r["res_j_lower"])) / float(r["j"])
+                   for r in rows if r["lower_applicable"] == "true"]
+        assert margins
+        audit = dict(line.partition("=")[::2]
+                     for line in (out / "audit.txt").read_text().splitlines())
+        assert float(audit["certified_lower_min_rel_margin"]) == min(margins)
+        assert audit["certified_lower_valid"] == "true"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert self.run(out_a) == 0
@@ -526,6 +538,7 @@ class TestAnalyze:
         assert kv["reversible"] == "true"
         assert kv["normal"] == "true"
         assert kv["lower_applicable"] == "true"
+        assert kv["invariant_route"] == "lstsq"
         assert kv["method"] == "exact"
         assert float(kv["j"]) == pytest.approx(2.0 / 3, abs=1e-12)
         assert float(kv["green_trace"]) == pytest.approx(2.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,16 @@ from lqconsensus import (
     noisy_consensus_estimate,
     p_epsilon,
     trace_pair,
-    validate_consensus,
 )
 from lqconsensus import lqcost
-from helpers import random_circulant, random_consensus, random_reversible, two_cliques
-
-
-def uniform(n):
-    return validate_consensus(np.full((n, n), 1.0 / n))
+from helpers import (
+    random_circulant,
+    random_consensus,
+    random_reversible,
+    sparse_consensus,
+    two_cliques,
+    uniform,
+)
 
 
 def series_cost(P, terms=60_000, tol=1e-14):
@@ -161,14 +165,7 @@ class TestExactCost:
     @given(n=st.integers(2, 40), density=st.floats(0.0, 0.3),
            seed=st.integers(0, 2**32 - 1))
     def test_sparse_non_normal_matches_lyapunov_oracle(self, n, density, seed):
-        # A directed cycle plus self-loops keeps every draw irreducible and
-        # aperiodic; random extra arcs of density <= 0.3 make it non-normal.
-        rng = np.random.default_rng(seed)
-        support = rng.random((n, n)) < density
-        support[np.arange(n), (np.arange(n) + 1) % n] = True
-        np.fill_diagonal(support, True)
-        a = np.where(support, 0.05 + rng.random((n, n)), 0.0)
-        P = validate_consensus(a / a.sum(axis=1, keepdims=True))
+        P = sparse_consensus(np.random.default_rng(seed), n, density)
         report = lq_cost_exact(P)
         j, jw = lyapunov_cost(P)
         assert report.j == pytest.approx(j, rel=1e-12)
@@ -244,14 +241,41 @@ class TestNoisyConsensus:
         b = noisy_consensus_estimate(P, horizon=15, trials=50, seed=3, chunk=64)
         assert a == b
 
-    def test_chunk_sizes_agree_to_summation_rounding(self):
-        # The draws do not depend on the chunk size, but the estimate is summed
-        # per chunk, so one chunk and three chunks can differ in the last bit;
-        # they must agree to rounding.
-        P = p_epsilon(0.2)
-        a = noisy_consensus_estimate(P, horizon=40, trials=3000, seed=3, chunk=4096)
-        b = noisy_consensus_estimate(P, horizon=40, trials=3000, seed=3, chunk=1000)
-        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+    def test_chunk_sizes_agree_bit_for_bit(self):
+        # Each block's sum is formed on its own and the sums are added in
+        # block order, so the chunk size cannot move even the last bit.
+        trials = 3000
+        assert trials % lqcost.MC_BLOCK
+        for P in (p_epsilon(0.2), circle_matrix(8, 0.3, 0.2)):
+            values = {noisy_consensus_estimate(P, horizon=40, trials=trials,
+                                               seed=3, chunk=chunk)
+                      for chunk in (1, 7, 1000, 4096, trials)}
+            assert len(values) == 1
+
+    def test_block_is_keyed_by_seed_and_block_index(self):
+        # One full block: x(0) and then one noise array per step, all from
+        # default_rng([seed, 0]).
+        P = circle_matrix(5, 0.3, 0.2)
+        m, seed, horizon = lqcost.MC_BLOCK, 11, 25
+        rng = np.random.default_rng([seed, 0])
+        x = rng.standard_normal((m, P.n))
+        for _ in range(horizon):
+            x = x @ P.entries.T + rng.standard_normal((m, P.n))
+        e = x - (x @ P.invariant.pi)[:, None]
+        expected = float((e * e).sum()) / (m * P.n)
+        assert noisy_consensus_estimate(P, horizon=horizon, trials=m,
+                                        seed=seed) == expected
+
+    def test_time_steps_are_streamed(self):
+        # Holding every step's noise would take 4096 * 501 * 4 * 8 B = 65 MB.
+        P = uniform(4)
+        tracemalloc.start()
+        try:
+            noisy_consensus_estimate(P, horizon=500, trials=4096, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_uniform_sanity(self):
         got = noisy_consensus_estimate(uniform(4), horizon=50, trials=4000, seed=0)

@@ -25,11 +25,12 @@ from lqconsensus import (
     validate_consensus,
 )
 from lqconsensus.stochastic_core import SUPPORT_THRESHOLD
-from helpers import random_consensus, random_reversible, two_clique_entries
-
-
-def uniform(n):
-    return validate_consensus(np.full((n, n), 1.0 / n))
+from helpers import (
+    random_consensus,
+    random_reversible,
+    two_clique_entries,
+    uniform,
+)
 
 
 class TestValidateConsensus:
@@ -89,6 +90,7 @@ class TestInvariantMeasure:
         inv = invariant_measure(uniform(4))
         np.testing.assert_allclose(inv.pi, 0.25, atol=1e-12)
         assert inv.residual <= 1e-10
+        assert inv.route == "lstsq"
 
     def test_circulant_measure_is_uniform(self):
         inv = invariant_measure(circle_matrix(6, 0.3, 0.2))
@@ -123,6 +125,7 @@ class TestInvariantMeasure:
         assert inv.pi_min == pytest.approx(r ** (n - 1) * (1 - r) / (1 - r ** n),
                                            rel=1e-4)
         assert inv.residual <= 1e-15
+        assert inv.route == "power_iteration"
 
     def test_power_iteration_converges_in_every_entry(self):
         # Same chain: pi_k is proportional to (up/down)^k, entries spanning
