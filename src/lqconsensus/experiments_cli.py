@@ -61,13 +61,9 @@ from .stochastic_core import (
 )
 
 CAYLEY_N_DEFAULT = {1: (8, 16, 24, 32), 2: (8, 12, 16, 20, 24), 3: (4, 6, 8)}
-GEOMETRIC_N_DESK = {
+GEOMETRIC_N_DEFAULT = {
     2: (25, 50, 75, 100, 125, 150, 175, 200, 225, 250, 275, 300),
     3: (50, 150, 250, 343),
-}
-GEOMETRIC_N_FULL = {
-    2: GEOMETRIC_N_DESK[2],
-    3: (50, 150, 250, 350, 450, 550, 600, 650, 700, 750, 800),
 }
 
 BOUND_SLACK_REL = 1e-9
@@ -216,8 +212,6 @@ _CONFIG_KEYS = {
         **{f.name: (_to_float, f.default) for f in dataclasses.fields(GeometricParams)},
         "max_attempts": (_to_int, 1000), "node_attempt_cap": (_to_int, 10_000),
         "divisions": (_to_int, 30), "exact_check_max_n": (_to_int, 200),
-        "t_max": (_to_int, 10_000), "delta": (_to_float, 1e-5),
-        "window": (_to_int, 10),
     },
     "validate": {"seed": (_to_int, 0)},
 }
@@ -265,27 +259,6 @@ def build_config(experiment: str, config_file=None, overrides=(),
     if parameters.get("seed") is not None and parameters["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
     return ExperimentConfig(experiment=experiment, parameters=parameters)
-
-
-def _write_results_csv(path, rows, master_seed) -> None:
-    # A sweep's first write, after all its rows: a failed run makes no directory.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f"# master_seed={master_seed}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row.to_cells()) + "\n")
-
-
-def _write_dat(path, *columns) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g")
-
-
-def _write_audit(path, lines, total_wall_time_s: float) -> None:
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-        fh.write(f"total_wall_time_s={total_wall_time_s:.3f}\n")
 
 
 SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -411,41 +384,91 @@ def bound_fields(matrix) -> dict:
     return fields
 
 
-def _result_row(matrix, report, bounds=None, **labels) -> ResultRow:
-    """One result row: `report` gives J and J_w, `bounds` the bound block (by
-    default `bound_fields(matrix)`) and `labels` the other columns.  A column
-    that none of them gives is empty."""
+def _evaluate(matrix, bounds=None, cross_check: bool = False, nodes=None,
+              **labels):
+    """One matrix through the pipeline every sweep and `analyze` share.
+
+    Computes J and J_w with `lq_cost_exact` and the bound block (by default
+    `bound_fields(matrix)`), and with `cross_check` the truncated series,
+    whose relative error against J becomes j_exact_rel_err.  `nodes` is the
+    node count j_normalized divides by (in dimension `labels["d"]`); without
+    it that column is empty, as is every column that neither the cost, the
+    bounds nor `labels` give.  Returns the gated ResultRow, the LqReport and
+    the row's audit detail: method, doublings (steps_used) and relative Stein
+    residual, plus the number of series terms (truncated_steps) where the
+    cross-check ran.
+    """
+    report = lq_cost_exact(matrix)
     bounds = bound_fields(matrix) if bounds is None else bounds
-    return ResultRow(**{**dict.fromkeys(CSV_COLUMNS), **labels, **bounds,
-                        "j": report.j, "j_weighted": report.j_weighted})
+    detail = (f"method={report.method} steps_used={report.steps_used}"
+              f" stein_residual={_fmt(report.stein_residual)}")
+    if cross_check:
+        check = lq_cost_truncated(matrix)
+        labels["j_exact_rel_err"] = abs(check.j - report.j) / report.j
+        detail += f" truncated_steps={check.steps_used}"
+    if nodes is not None:
+        labels["j_normalized"] = _j_normalized(labels["d"], nodes, report.j)
+    row = ResultRow(**{**dict.fromkeys(CSV_COLUMNS), **labels, **bounds,
+                       "j": report.j, "j_weighted": report.j_weighted})
+    return row, report, detail
 
 
-def _write_size_means(out_dir: Path, prefix: str, x, per_size, family: str,
-                      label: str, logy: bool, svg: bool):
-    """Per-size means of one sweep: `<prefix>_j.dat` (x, mean J, mean
-    j_normalized), `_upper.dat` and `_lower.dat` (x, mean `family` J bound)
-    and, with `svg`, a chart of the three curves.  `per_size` holds the rows
-    at each x; nothing is written when it is empty.  Returns the mean J and
-    mean j_normalized columns.
+def _size_means(prefix: str, x, per_size, family: str, label: str, logy: bool):
+    """Per-size means of one sweep as `_write_sweep` tables and chart:
+    `<prefix>_j` (x, mean J, mean j_normalized), `_upper` and `_lower` (x,
+    mean `family` J bound), and a chart of the three curves.  `per_size`
+    holds the rows at each x; with none there are no tables and no chart.
     """
     if not per_size:
-        return [], []
+        return {}, None
 
     def mean(field):
         return [float(np.mean([getattr(r, field) for r in rows])) for rows in per_size]
 
     x = np.array(x, dtype=float)
-    j, j_norm = mean("j"), mean("j_normalized")
-    upper, lower = mean(f"{family}_j_upper"), mean(f"{family}_j_lower")
-    _write_dat(out_dir / f"{prefix}_j.dat", x, j, j_norm)
-    _write_dat(out_dir / f"{prefix}_upper.dat", x, upper)
-    _write_dat(out_dir / f"{prefix}_lower.dat", x, lower)
-    if svg:
-        _emit_svg(out_dir / f"{prefix}.svg", [
-            ("mean J", x, j), (f"{label} upper", x, upper),
-            (f"{label} lower", x, lower),
-        ], xlabel="nodes", ylabel="cost", logy=logy)
-    return j, j_norm
+    j, upper, lower = mean("j"), mean(f"{family}_j_upper"), mean(f"{family}_j_lower")
+    tables = {f"{prefix}_j": (x, j, mean("j_normalized")),
+              f"{prefix}_upper": (x, upper), f"{prefix}_lower": (x, lower)}
+    chart = (prefix, [("mean J", x, j), (f"{label} upper", x, upper),
+                      (f"{label} lower", x, lower)],
+             {"xlabel": "nodes", "ylabel": "cost", "logy": logy})
+    return tables, chart
+
+
+def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
+                 rows, details, start: float, *, tables: dict, chart,
+                 svg: bool, summary=(), skipped=None) -> int:
+    """Write one sweep's bundle, after all its rows, and print `wrote ...`.
+
+    The bundle is results.csv, one `.dat` file per entry of `tables` (stem
+    -> columns), with `svg` the `chart` (stem, curves, axis options) as
+    `<stem>.svg`, and audit.txt: experiment, master_seed and `settings`,
+    rows=, skipped= for sweeps that can skip (`skipped` not None), the
+    `summary` lines, one detail line per instance, and the wall time since
+    `start`.  This is a sweep's first write: a failed run makes no directory.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "results.csv", "w") as fh:
+        fh.write(f"# master_seed={seed}\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(row.to_cells()) + "\n")
+    for stem, columns in tables.items():
+        np.savetxt(out_dir / f"{stem}.dat", np.column_stack(columns), fmt="%.17g")
+    if svg and chart is not None:
+        stem, curves, axes = chart
+        _emit_svg(out_dir / f"{stem}.svg", curves, **axes)
+    lines = [f"experiment={experiment}", f"master_seed={seed}"]
+    lines += [f"{key}={value}" for key, value in settings.items()]
+    lines.append(f"rows={len(rows)}")
+    if skipped is not None:
+        lines.append(f"skipped={skipped}")
+    lines += [*summary, *details,
+              f"total_wall_time_s={time.perf_counter() - start:.3f}"]
+    (out_dir / "audit.txt").write_text("\n".join(lines) + "\n")
+    counts = f"{len(rows)} rows" + (f", {skipped} skipped" if skipped is not None else "")
+    print(f"wrote {out_dir / 'results.csv'} ({counts})")
+    return 0
 
 
 # The epsilon sweep's curves: chart label, ResultRow field, .dat file stem.
@@ -470,28 +493,19 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
         raise ConfigError(f"points={points} must be at least 1")
     grid = np.geomspace(eps_min, eps_max, points)
     start = time.perf_counter()
-    rows = []
+    rows, details = [], []
     for i, eps in enumerate(grid):
         matrix = p_epsilon(float(eps))
-        rows.append(_result_row(
-            matrix, lq_cost_exact(matrix), experiment="epsilon-sweep",
-            n=matrix.n, instance=i, epsilon=float(eps)))
-    _write_results_csv(out_dir / "results.csv", rows, p["seed"])
-    eps_col = np.array([row.epsilon for row in rows])
-    curves = []
-    for label, field, stem in EPSILON_CURVES:
-        values = [getattr(row, field) for row in rows]
-        _write_dat(out_dir / f"{stem}.dat", eps_col, values)
-        curves.append((label, eps_col, values))
+        row, _, detail = _evaluate(matrix, experiment="epsilon-sweep",
+                                   n=matrix.n, instance=i, epsilon=float(eps))
+        rows.append(row)
+        details.append(f"instance={i} epsilon={_fmt(eps)} {detail}")
+    curves = [(label, grid, [getattr(row, field) for row in rows])
+              for label, field, _ in EPSILON_CURVES]
+    tables = {stem: (grid, y) for (_, _, stem), (_, _, y) in zip(EPSILON_CURVES, curves)}
     hyp = [row for row in rows if not row.lower_applicable and row.res_j_lower > row.j]
     certified = [row for row in rows if row.lower_applicable]
-    lines = [
-        "experiment=epsilon-sweep",
-        f"master_seed={p['seed']}",
-        f"points={points}",
-        f"eps_min={_fmt(eps_min)}",
-        f"eps_max={_fmt(eps_max)}",
-        f"rows={len(rows)}",
+    summary = [
         f"hypothetical_lower_above_j_count={len(hyp)}",
         f"hypothetical_lower_above_j_max_eps="
         f"{_fmt(max((row.epsilon for row in hyp), default=None))}",
@@ -501,12 +515,12 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
         f"certified_lower_min_rel_margin="
         f"{_fmt(min(((r.j - r.res_j_lower) / r.j for r in certified), default=None))}",
     ]
-    _write_audit(out_dir / "audit.txt", lines, time.perf_counter() - start)
-    if svg:
-        _emit_svg(out_dir / "epsilon_sweep.svg", curves, xlabel="epsilon",
-                  ylabel="cost", logx=True, logy=True)
-    print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows)")
-    return 0
+    chart = ("epsilon_sweep", curves,
+             {"xlabel": "epsilon", "ylabel": "cost", "logx": True, "logy": True})
+    return _write_sweep(
+        out_dir, "epsilon-sweep", p["seed"],
+        {"points": points, "eps_min": _fmt(eps_min), "eps_max": _fmt(eps_max)},
+        rows, details, start, tables=tables, chart=chart, svg=svg, summary=summary)
 
 
 def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
@@ -525,8 +539,7 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
     if instances < 1:
         raise ConfigError(f"instances={instances} must be at least 1")
     start = time.perf_counter()
-    rows = []
-    per_size = []
+    rows, details, per_size = [], [], []
     for n in n_list:
         per_n = []
         for i in range(instances):
@@ -535,47 +548,37 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
                                          seed=[seed, case, d, n, i])
             else:
                 matrix = cayley_case2(n, d)
-            report = lq_cost_exact(matrix)
-            row = _result_row(
-                matrix, report, experiment="cayley", n=n, d=d, case=case,
-                instance=i, j_normalized=_j_normalized(d, n ** d, report.j))
+            row, _, detail = _evaluate(matrix, nodes=n ** d, experiment="cayley",
+                                       n=n, d=d, case=case, instance=i)
             rows.append(row)
             per_n.append(row)
+            details.append(f"n={n} instance={i} {detail}")
         per_size.append(per_n)
-    _write_results_csv(out_dir / "results.csv", rows, seed)
-    mean_j, normalized = _write_size_means(
-        out_dir, f"cayley_case{case}_d{d}", [n ** d for n in n_list], per_size,
-        "norm", "corollary", logy=False, svg=svg)
-    lines = [
-        "experiment=cayley",
-        f"master_seed={seed}",
-        f"case={case}",
-        f"d={d}",
-        f"n_list={','.join(str(n) for n in n_list)}",
-        f"instances={instances}",
-        f"rows={len(rows)}",
-        f"normalized_j_max_over_min="
-        f"{_fmt(max(normalized) / min(normalized) if normalized else None)}",
-    ]
-    lines += [
+    prefix = f"cayley_case{case}_d{d}"
+    tables, chart = _size_means(prefix, [n ** d for n in n_list], per_size,
+                                "norm", "corollary", logy=False)
+    _, mean_j, normalized = tables[f"{prefix}_j"]
+    summary = [f"normalized_j_max_over_min={_fmt(max(normalized) / min(normalized))}"]
+    summary += [
         f"n={n} nodes={n ** d} mean_j={_fmt(j)} mean_j_normalized={_fmt(jn)}"
         for n, j, jn in zip(n_list, mean_j, normalized)
     ]
-    _write_audit(out_dir / "audit.txt", lines, time.perf_counter() - start)
-    print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows)")
-    return 0
+    settings = {"case": case, "d": d, "n_list": ",".join(map(str, n_list)),
+                "instances": instances}
+    return _write_sweep(out_dir, "cayley", seed, settings, rows, details, start,
+                        tables=tables, chart=chart, svg=svg, summary=summary)
 
 
 def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
-                        svg: bool = False, full_scale: bool = False) -> int:
+                        svg: bool = False) -> int:
     """Random-geometric-graph scaling of the exact cost J and J_w.
 
-    Every instance is solved with `lq_cost_exact`.  Instances with
-    n <= exact_check_max_n also run the truncated series (configured by
-    t_max, delta and window) as a cross-check, whose relative error is the
-    row's j_exact_rel_err.  Each audit detail line names the method, the
-    number of doublings (steps_used) and the relative Stein residual, and the
-    number of series terms (truncated_steps) where the cross-check ran.
+    Instances that the sampler cannot draw within max_attempts are skipped
+    and audited.  Every other instance goes through `_evaluate`; those with
+    n <= exact_check_max_n also run the truncated series at its defaults as
+    a cross-check, whose relative error is the row's j_exact_rel_err.  Each
+    audit detail line gives the sampler's attempts and rejections, rho_n,
+    and the `_evaluate` detail.
     """
     p = config.parameters
     d, seed, instances = p["d"], p["seed"], p["instances"]
@@ -583,20 +586,11 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
         raise ConfigError(f"d={d} must be 2 or 3 for the geometric sweep")
     if instances < 1:
         raise ConfigError(f"instances={instances} must be at least 1")
-    n_list = p["n_list"] or (GEOMETRIC_N_FULL if full_scale else GEOMETRIC_N_DESK)[d]
+    n_list = p["n_list"] or GEOMETRIC_N_DEFAULT[d]
     params = GeometricParams(**{
         f.name: p[f.name] for f in dataclasses.fields(GeometricParams)})
     start = time.perf_counter()
-    rows = []
-    audit_lines = [
-        "experiment=geometric",
-        f"master_seed={seed}",
-        f"d={d}",
-        f"n_list={','.join(str(n) for n in n_list)}",
-        f"instances={instances}",
-    ]
-    detail_lines = []
-    sizes, per_size = [], []
+    rows, details, sizes, per_size = [], [], [], []
     skipped = 0
     for n in n_list:
         per_n = []
@@ -609,23 +603,15 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                     divisions=p["divisions"])
             except (RejectionExhausted, InfeasibleDensity) as exc:
                 skipped += 1
-                detail_lines.append(
-                    f"n={n} instance={i} skipped={type(exc).__name__}")
+                details.append(f"n={n} instance={i} skipped={type(exc).__name__}")
                 continue
-            report = lq_cost_exact(inst.matrix)
-            rel_err = check = None
-            if n <= p["exact_check_max_n"]:
-                check = lq_cost_truncated(inst.matrix, t_max=p["t_max"],
-                                          delta=p["delta"], window=p["window"])
-                rel_err = abs(check.j - report.j) / report.j
-            row = _result_row(
-                inst.matrix, report, experiment="geometric", n=n, d=d,
-                instance=i, j_exact_rel_err=rel_err,
-                j_normalized=_j_normalized(d, n, report.j))
+            row, _, detail = _evaluate(
+                inst.matrix, cross_check=n <= p["exact_check_max_n"], nodes=n,
+                experiment="geometric", n=n, d=d, instance=i)
             rows.append(row)
             per_n.append(row)
             audit = inst.audit
-            detail_lines.append(
+            details.append(
                 f"n={n} instance={i} attempts={audit['attempts']}"
                 f" nodes_rejected={audit['nodes_rejected']}"
                 f" rejected_disconnected={audit['rejected_disconnected']}"
@@ -633,29 +619,20 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
                 f" rejected_rho={audit['rejected_rho']}"
                 f" rejected_reducible={audit['rejected_reducible']}"
                 f" rejected_pi_range={audit['rejected_pi_range']}"
-                f" rho_n={_fmt(inst.measured['rho_n'])}"
-                f" method={report.method}"
-                f" steps_used={report.steps_used}"
-                f" stein_residual={_fmt(report.stein_residual)}"
-                + (f" truncated_steps={check.steps_used}" if check is not None else ""))
+                f" rho_n={_fmt(inst.measured['rho_n'])} {detail}")
         if per_n:
             sizes.append(n)
             per_size.append(per_n)
-    _write_results_csv(out_dir / "results.csv", rows, seed)
-    _write_size_means(out_dir, f"geometric_d{d}", sizes, per_size, "topo",
-                      "topology", logy=True, svg=svg)
-    audit_lines.append(f"rows={len(rows)}")
-    audit_lines.append(f"skipped={skipped}")
-    audit_lines += detail_lines
-    _write_audit(out_dir / "audit.txt", audit_lines, time.perf_counter() - start)
-    print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {skipped} skipped)")
-    return 0
+    tables, chart = _size_means(f"geometric_d{d}", sizes, per_size, "topo",
+                                "topology", logy=True)
+    settings = {"d": d, "n_list": ",".join(map(str, n_list)), "instances": instances}
+    return _write_sweep(out_dir, "geometric", seed, settings, rows, details, start,
+                        tables=tables, chart=chart, svg=svg, skipped=skipped)
 
 
-def analyze_matrix(path, truncated: bool = False, stream=None) -> int:
+def analyze_matrix(path, truncated: bool = False) -> int:
     """Validate and fully characterize one consensus matrix file; the report
     prints the fixed CLASSIFICATION_TOL as classification_tol."""
-    stream = stream if stream is not None else sys.stdout
     try:
         matrix = load_matrix_csv(path)
     except OSError as exc:
@@ -664,11 +641,11 @@ def analyze_matrix(path, truncated: bool = False, stream=None) -> int:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     cls = classify(matrix)
     inv = matrix.invariant
-    report = lq_cost_exact(matrix)
-    green = green_matrix(matrix)
     bounds = bound_fields(matrix)
     # The sweep rows' gate: J and J_w outside a printed certified bound raise.
-    _result_row(matrix, report, bounds, experiment="analyze", n=matrix.n, instance=0)
+    _, report, _ = _evaluate(matrix, bounds, experiment="analyze", n=matrix.n,
+                             instance=0)
+    green = green_matrix(matrix)
     sandwich = resistance_sandwich_check(matrix)
     lines = [
         f"n={matrix.n}",
@@ -699,7 +676,7 @@ def analyze_matrix(path, truncated: bool = False, stream=None) -> int:
             f"truncated_steps={trunc.steps_used}",
             f"truncated_rel_err={_fmt(abs(trunc.j - report.j) / report.j)}",
         ]
-    print("\n".join(lines), file=stream)
+    print("\n".join(lines))
     return 0
 
 
@@ -896,7 +873,7 @@ _VALIDATION_SUITES = (
 )
 
 
-def run_validation_suite(config: ExperimentConfig, stream=None,
+def run_validation_suite(config: ExperimentConfig,
                          inject_fault: bool = False) -> int:
     """Run every cross-module property suite; nonzero exit on any failure.
 
@@ -904,7 +881,6 @@ def run_validation_suite(config: ExperimentConfig, stream=None,
     subtracted from every check's slack — a negative control proving the
     reporting pipeline surfaces failures.
     """
-    stream = stream if stream is not None else sys.stdout
     seed = config.parameters["seed"]
     fault = 0.05 if inject_fault else 0.0
     results = []
@@ -917,10 +893,10 @@ def run_validation_suite(config: ExperimentConfig, stream=None,
         status = "pass" if result.worst_slack >= 0 else "fail"
         print(f"suite={result.name} checks={result.checks} "
               f"failures={result.failures} worst_slack={result.worst_slack:.6g} "
-              f"status={status}", file=stream)
+              f"status={status}")
     passed = sum(1 for r in results if r.worst_slack >= 0)
-    print(f"suites_passed={passed}/{len(results)}", file=stream)
-    print(f"result={'pass' if passed == len(results) else 'fail'}", file=stream)
+    print(f"suites_passed={passed}/{len(results)}")
+    print(f"result={'pass' if passed == len(results) else 'fail'}")
     return 0 if passed == len(results) else 2
 
 
@@ -947,11 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: results)")
     sweep.add_argument("--svg", action="store_true",
                        help="also write a built-in SVG chart of the sweep")
-    for name in ("epsilon-sweep", "cayley"):
+    for name in ("epsilon-sweep", "cayley", "geometric"):
         sub.add_parser(name, parents=[sweep])
-    geometric = sub.add_parser("geometric", parents=[sweep])
-    geometric.add_argument("--full-scale", action="store_true",
-                           help="run the full-size n grids (slower)")
     analyze = sub.add_parser("analyze")
     analyze.add_argument("path", type=Path, help="matrix CSV file")
     analyze.add_argument("--truncated", action="store_true",
@@ -975,8 +948,7 @@ def main(argv=None) -> int:
             return run_epsilon_sweep(config, args.out, svg=args.svg)
         if args.command == "cayley":
             return run_cayley_sweep(config, args.out, svg=args.svg)
-        return run_geometric_sweep(config, args.out, svg=args.svg,
-                                   full_scale=args.full_scale)
+        return run_geometric_sweep(config, args.out, svg=args.svg)
     except (ConfigError, LqConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

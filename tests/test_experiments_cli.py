@@ -29,7 +29,7 @@ from lqconsensus.experiments_cli import (
     CSV_COLUMNS,
     ResultRow,
     _emit_svg,
-    _result_row,
+    _evaluate,
     build_config,
     main,
 )
@@ -80,6 +80,24 @@ def assert_bound_columns_match_library(row, matrix):
         assert row["norm_j_upper"] == row["norm_j_lower"] == ""
 
 
+def assert_audit_details_match_exact(out, matrix_of):
+    """A sweep's audit has one detail line per results.csv row, in row order,
+    whose method, steps_used and stein_residual are those of lq_cost_exact
+    on `matrix_of(row)`."""
+    _, _, rows = read_results(out / "results.csv")
+    details = [dict(part.split("=", 1) for part in line.split())
+               for line in (out / "audit.txt").read_text().splitlines()
+               if " method=" in line]
+    assert len(details) == len(rows) > 0
+    for row, fields in zip(rows, details):
+        assert all(fields[key] == row[key] for key in ("n", "instance", "epsilon")
+                   if key in fields)
+        exact = lq_cost_exact(matrix_of(row))
+        assert fields["method"] == exact.method
+        assert int(fields["steps_used"]) == exact.steps_used
+        assert float(fields["stein_residual"]) == exact.stein_residual
+
+
 def count_calls(monkeypatch, func):
     """Replace `func` in every lqconsensus module that holds it by a counting
     wrapper; returns the list that grows by one entry per call."""
@@ -100,10 +118,9 @@ def count_calls(monkeypatch, func):
 class TestResultRowGate:
     @pytest.fixture
     def row(self):
-        matrix = p_epsilon(0.2)
-        return _result_row(matrix, lq_cost_exact(matrix), experiment="epsilon-sweep",
-                           n=3, d=None, case=None, instance=0, epsilon=0.2,
-                           j_exact_rel_err=None, j_normalized=None)
+        row, _, _ = _evaluate(p_epsilon(0.2), experiment="epsilon-sweep", n=3,
+                              instance=0, epsilon=0.2)
+        return row
 
     def test_in_bounds_row_constructs(self, row):
         assert isinstance(dataclasses.replace(row), ResultRow)
@@ -155,6 +172,14 @@ class TestBuildConfig:
         # The invariant-measure screen is the one symmetric band.
         with pytest.raises(ConfigError, match="unknown key 'literal_pi_check'"):
             build_config("geometric", overrides=["literal_pi_check=true"])
+
+    @pytest.mark.parametrize("key", ["t_max", "delta", "window"])
+    def test_truncated_series_is_not_configurable(self, tmp_path, capsys, key):
+        # The geometric cross-check runs the series at its defaults.
+        assert main(["geometric", "--out", str(tmp_path / "x"),
+                     "-p", f"{key}=5"]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_key_lists_known_ones(self):
         with pytest.raises(ConfigError, match="known keys"):
@@ -258,6 +283,12 @@ class TestEpsilonSweep:
                      for line in (out / "audit.txt").read_text().splitlines())
         assert float(audit["certified_lower_min_rel_margin"]) == min(margins)
         assert audit["certified_lower_valid"] == "true"
+
+    def test_audit_states_how_each_cost_was_computed(self, tmp_path):
+        out = tmp_path / "run"
+        assert self.run(out) == 0
+        assert_audit_details_match_exact(
+            out, lambda row: p_epsilon(float(row["epsilon"])))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -382,6 +413,17 @@ class TestCayleySweep:
             assert float(row["j"]) == lq_cost_exact(matrix).j
             assert row["norm_j_upper"] != ""
             assert_bound_columns_match_library(row, matrix)
+
+    def test_audit_states_how_each_cost_was_computed(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["cayley", "--out", str(out), "-p", "case=1", "-p", "d=2",
+                     "-p", "n_list=3,4", "-p", "instances=2", "--seed", "5"]) == 0
+
+        def matrix_of(row):
+            n, i = int(row["n"]), int(row["instance"])
+            return cayley_case1(n, 2, seed=[5, 1, 2, n, i])[1]
+
+        assert_audit_details_match_exact(out, matrix_of)
 
     def test_row_computes_each_derived_quantity_once(self, tmp_path, monkeypatch):
         # One resistance for C_{P*P} and one for G(P), which the topology
@@ -712,8 +754,9 @@ class TestArgumentHandling:
         assert main(["epsilon-sweep", "--frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_full_scale_is_a_geometric_option(self, tmp_path, capsys):
-        for command in ("cayley", "epsilon-sweep"):
+    def test_full_scale_is_not_an_option(self, tmp_path, capsys):
+        # Larger node grids are set with n_list.
+        for command in ("cayley", "epsilon-sweep", "geometric"):
             assert main([command, "--out", str(tmp_path / "x"), "--full-scale"]) == 1
             assert "--full-scale" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
