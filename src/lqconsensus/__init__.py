@@ -18,11 +18,14 @@ from .bounds import (
     corollary_normal_bounds,
     f_delta,
     hypothetical_lower_violation,
+    normal_corollary,
     resistance_sandwich_check,
+    resistance_theorem,
     reversiblization_conductance,
     reversiblization_support,
     theorem_resistance_bounds,
     theorem_topology_bounds,
+    topology_theorem,
 )
 from .errors import (
     ConfigError,
@@ -49,8 +52,11 @@ from .graph_gen import (
     GeometricInstance,
     GeometricParams,
     audit_block,
+    case1_range,
     cayley_case1,
+    cayley_case1_generator,
     cayley_case2,
+    cayley_case2_generator,
     cayley_matrix,
     circle_matrix,
     commuting_example,
@@ -113,19 +119,21 @@ __all__ = [
     "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
     "ResistanceMatrix", "SandwichMargins", "SolveFailure", "SteinDivergence",
     "SupportGraphs", "ZeroDiagonal", "audit_block", "average_resistance",
-    "cayley_case1", "cayley_case2", "cayley_matrix", "circle_matrix",
+    "case1_range", "cayley_case1", "cayley_case1_generator", "cayley_case2",
+    "cayley_case2_generator", "cayley_matrix", "circle_matrix",
     "classify", "commuting_example", "conductance_matrix",
     "corollary_normal_bounds", "effective_resistance", "f_delta",
     "gamma_check", "green_matrix", "hypothetical_lower_violation",
     "invariant_measure", "laplacian", "load_conductance_csv",
     "load_edge_list", "load_matrix_csv", "lq_cost_exact",
     "lq_cost_truncated", "multiplicative_reversiblization",
-    "noisy_consensus_estimate", "p_epsilon", "phi_map", "psi_map",
-    "resistance_sandwich_check", "reversiblization_conductance",
+    "noisy_consensus_estimate", "normal_corollary", "p_epsilon", "phi_map",
+    "psi_map", "resistance_sandwich_check", "resistance_theorem",
+    "reversiblization_conductance",
     "reversiblization_support", "rho_check", "sample_geometric",
     "save_conductance_csv", "save_coordinates_csv", "save_edge_list",
     "save_matrix_csv", "save_resistance_csv", "support_graphs",
     "theorem_resistance_bounds", "theorem_topology_bounds", "time_reversal",
-    "trace_pair", "unit_conductance", "validate_consensus",
+    "topology_theorem", "trace_pair", "unit_conductance", "validate_consensus",
     "weighted_average_resistance",
 ]

@@ -6,7 +6,10 @@ reversiblization); the topology theorem needs only the unit-conductance
 resistance of the undirected support graph together with the entry extremes
 and the maximum in-degree.  Lower bounds are certified exactly when P*P = PP*;
 the hypothetical values are always reported so the failure region of the
-lower bound can be mapped.
+lower bound can be mapped.  Each theorem's arithmetic is written once, in a
+function of its constants (`resistance_theorem`, `topology_theorem`,
+`normal_corollary`); the `*_bounds` functions take those constants from a
+dense matrix, and the cayley sweep from the FFT of a torus generator.
 """
 
 from __future__ import annotations
@@ -73,63 +76,94 @@ def reversiblization_conductance(P: ConsensusMatrix):
     return conductance_matrix(c)
 
 
-def theorem_resistance_bounds(P: ConsensusMatrix) -> BoundsReport:
-    """Bounds from the average resistance of C_{P*P}.
-
+def resistance_theorem(n: int, pi_min: float, pi_max: float, r_bar: float,
+                       lower_applicable: bool) -> BoundsReport:
+    """The resistance theorem from its constants, R_bar = R_bar(C_{P*P}):
     J <= (pi_max^3 n^2 / pi_min) R_bar and J_w <= pi_max^3 n^3 R_bar; the
-    lower bounds swap min and max and hold when P*P = PP*, as `classify`
+    lower bounds swap min and max."""
+    lo, hi = pi_min, pi_max
+    return BoundsReport(
+        theorem="resistance",
+        j_upper=hi ** 3 * n * n / lo * r_bar,
+        j_lower=lo ** 3 * n * n / hi * r_bar,
+        jw_upper=hi ** 3 * n ** 3 * r_bar,
+        jw_lower=lo ** 3 * n ** 3 * r_bar,
+        lower_applicable=lower_applicable,
+        constants={"n": n, "pi_min": lo, "pi_max": hi, "r_bar": r_bar},
+    )
+
+
+def topology_theorem(n: int, pi_min: float, pi_max: float, p_min: float,
+                     p_max: float, delta_in: int, delta_out: int, r_bar: float,
+                     lower_applicable: bool) -> BoundsReport:
+    """The topology theorem from its constants, R_bar = R_bar(G(P)) with
+    unit conductances and f = f_delta(delta_in):
+    J <= pi_max^3 n R_bar / (p_min^2 pi_min^2) and
+    J_w <= pi_max^3 n^2 R_bar / (p_min^2 pi_min); the lower bounds swap the
+    extremes and divide by f."""
+    lo, hi = pi_min, pi_max
+    f_in = f_delta(delta_in)
+    return BoundsReport(
+        theorem="topology",
+        j_upper=hi ** 3 * n / (p_min ** 2 * lo ** 2) * r_bar,
+        j_lower=lo ** 3 * n / (p_max ** 2 * f_in * hi ** 2) * r_bar,
+        jw_upper=hi ** 3 * n * n / (p_min ** 2 * lo) * r_bar,
+        jw_lower=lo ** 3 * n * n / (p_max ** 2 * f_in * hi) * r_bar,
+        lower_applicable=lower_applicable,
+        constants={
+            "n": n, "pi_min": lo, "pi_max": hi, "p_min": p_min, "p_max": p_max,
+            "delta_in": delta_in, "delta_out": delta_out, "f_delta_in": f_in,
+            "r_bar": r_bar,
+        },
+    )
+
+
+def normal_corollary(n: int, p_min: float, p_max: float, delta_in: int,
+                     r_bar: float) -> BoundsReport:
+    """The normal-matrix corollary from its constants, R_bar = R_bar(G(P)):
+    R_bar / (p_max^2 f(delta_in)) <= J <= R_bar / p_min^2."""
+    f_in = f_delta(delta_in)
+    return BoundsReport(
+        theorem="normal",
+        j_upper=r_bar / p_min ** 2,
+        j_lower=r_bar / (p_max ** 2 * f_in),
+        jw_upper=None,
+        jw_lower=None,
+        lower_applicable=True,
+        constants={
+            "n": n, "p_min": p_min, "p_max": p_max, "delta_in": delta_in,
+            "f_delta_in": f_in, "r_bar": r_bar,
+        },
+    )
+
+
+def theorem_resistance_bounds(P: ConsensusMatrix) -> BoundsReport:
+    """`resistance_theorem` on P: R_bar from the effective resistance of
+    C_{P*P}, and lower bounds certified when P*P = PP*, as `classify`
     decides it.
     """
     inv = P.invariant
-    n = P.n
     rbar = average_resistance(effective_resistance(reversiblization_conductance(P)))
-    lo, hi = inv.pi_min, inv.pi_max
-    constants = {
-        "n": n, "pi_min": lo, "pi_max": hi, "r_bar": rbar,
-    }
-    return BoundsReport(
-        theorem="resistance",
-        j_upper=hi ** 3 * n * n / lo * rbar,
-        j_lower=lo ** 3 * n * n / hi * rbar,
-        jw_upper=hi ** 3 * n ** 3 * rbar,
-        jw_lower=lo ** 3 * n ** 3 * rbar,
-        lower_applicable=classify(P).commuting,
-        constants=constants,
-    )
+    return resistance_theorem(P.n, inv.pi_min, inv.pi_max, rbar,
+                              classify(P).commuting)
 
 
 def theorem_topology_bounds(P: ConsensusMatrix) -> BoundsReport:
-    """Bounds from the unit-conductance resistance of the undirected support.
-
-    Needs only R_bar(G(P)), the entry extremes p_min/p_max, the invariant
-    measure extremes, and the maximum in-degree (excluding self loops).  The
-    lower bounds are certified when `classify(P).commuting`.
+    """`topology_theorem` on P: needs only R_bar(G(P)), the entry extremes
+    p_min/p_max, the invariant measure extremes, and the maximum in-degree
+    (excluding self loops).  The lower bounds are certified when
+    `classify(P).commuting`.
     """
     inv = P.invariant
     graphs = support_graphs(P)
-    n = P.n
     rbar = average_resistance(P.support_resistance)
-    lo, hi = inv.pi_min, inv.pi_max
-    p_lo, p_hi = graphs.p_min, graphs.p_max
-    f_in = f_delta(graphs.delta_in)
-    constants = {
-        "n": n, "pi_min": lo, "pi_max": hi, "p_min": p_lo, "p_max": p_hi,
-        "delta_in": graphs.delta_in, "delta_out": graphs.delta_out,
-        "f_delta_in": f_in, "r_bar": rbar,
-    }
-    return BoundsReport(
-        theorem="topology",
-        j_upper=hi ** 3 * n / (p_lo ** 2 * lo ** 2) * rbar,
-        j_lower=lo ** 3 * n / (p_hi ** 2 * f_in * hi ** 2) * rbar,
-        jw_upper=hi ** 3 * n * n / (p_lo ** 2 * lo) * rbar,
-        jw_lower=lo ** 3 * n * n / (p_hi ** 2 * f_in * hi) * rbar,
-        lower_applicable=classify(P).commuting,
-        constants=constants,
-    )
+    return topology_theorem(P.n, inv.pi_min, inv.pi_max, graphs.p_min,
+                            graphs.p_max, graphs.delta_in, graphs.delta_out,
+                            rbar, classify(P).commuting)
 
 
 def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
-    """Two-sided bound on J for normal P:
+    """`normal_corollary` on P, a two-sided bound on J for normal P:
     R_bar(G(P)) / (p_max^2 f(delta_in)) <= J <= R_bar(G(P)) / p_min^2.
 
     Raises NotNormal unless `classify(P).normal`.
@@ -137,21 +171,8 @@ def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
     if not classify(P).normal:
         raise NotNormal("the corollary applies to normal consensus matrices only")
     graphs = support_graphs(P)
-    rbar = average_resistance(P.support_resistance)
-    f_in = f_delta(graphs.delta_in)
-    constants = {
-        "n": P.n, "p_min": graphs.p_min, "p_max": graphs.p_max,
-        "delta_in": graphs.delta_in, "f_delta_in": f_in, "r_bar": rbar,
-    }
-    return BoundsReport(
-        theorem="normal",
-        j_upper=rbar / graphs.p_min ** 2,
-        j_lower=rbar / (graphs.p_max ** 2 * f_in),
-        jw_upper=None,
-        jw_lower=None,
-        lower_applicable=True,
-        constants=constants,
-    )
+    return normal_corollary(P.n, graphs.p_min, graphs.p_max, graphs.delta_in,
+                            average_resistance(P.support_resistance))
 
 
 def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:

@@ -1,13 +1,14 @@
 """Experiment drivers and the command-line interface.
 
 Subcommands: `epsilon-sweep` (the 3-node one-directional family against both
-bound theorems), `cayley` (torus scaling), `geometric` (random geometric
-graphs), `analyze` (one matrix file), `validate` (cross-module property
-suites).  File outputs are deterministic given the master seed: results.csv
-carries the seed in a `#` comment header, plot data goes to plain two- or
-three-column .dat tables, and audit.txt is reproducible except for its final
-total_wall_time_s line.  Exit codes: 0 success, 1 configuration or input
-error, 2 validation-suite failure.
+bound theorems), `cayley` (torus scaling, in closed form from the FFT of
+each generator), `geometric` (random geometric graphs), `analyze` (one
+matrix file), `validate` (cross-module property suites).  File outputs are
+deterministic given the master seed: results.csv carries the seed in a `#`
+comment header, plot data goes to plain two- or three-column .dat tables,
+and audit.txt is reproducible except for its final total_wall_time_s line.
+Exit codes: 0 success, 1 configuration or input error, 2 validation-suite
+failure.
 """
 
 from __future__ import annotations
@@ -24,30 +25,38 @@ import numpy as np
 
 from .bounds import (
     corollary_normal_bounds,
+    normal_corollary,
     resistance_sandwich_check,
+    resistance_theorem,
     reversiblization_support,
     theorem_resistance_bounds,
     theorem_topology_bounds,
+    topology_theorem,
 )
 from .errors import (
     ConfigError,
     InfeasibleDensity,
+    InvalidGenerator,
     LqConsensusError,
     NotIrreducible,
     RejectionExhausted,
 )
 from .graph_gen import (
+    CayleyGenerator,
     GeometricParams,
-    cayley_case1,
+    case1_range,
+    cayley_case1_generator,
     cayley_case2,
+    cayley_case2_generator,
     circle_matrix,
     commuting_example,
     gamma_check,
     p_epsilon,
     sample_geometric,
 )
-from .lqcost import green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
+from .lqcost import LqReport, green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
 from .resistance import (
+    CONNECTIVITY_RTOL,
     effective_resistance,
     phi_map,
     weighted_average_resistance,
@@ -355,20 +364,23 @@ def _emit_svg(path, curves, xlabel: str, ylabel: str, logx=False, logy=False):
         fh.write("\n".join(out) + "\n")
 
 
-def _j_normalized(d: int, n_nodes: int, j: float) -> float:
-    """The growth-rate normalization: j/n in d=1, j/log n in d=2, j in d=3."""
+# The growth law g(N) of J on N nodes in dimension d, by name: the paper's
+# rates on Z_n^d, which j_normalized = J / g(N) and the cayley audit's fit use.
+GROWTH_LAWS = {1: "N", 2: "log(N)", 3: "1"}
+
+
+def _growth(d: int, nodes):
+    """g(N): N in d=1, log N in d=2, 1 in d=3 (see GROWTH_LAWS)."""
     if d == 1:
-        return j / n_nodes
+        return nodes
     if d == 2:
-        return j / np.log(n_nodes)
-    return j
+        return np.log(nodes)
+    return 1.0
 
 
-def bound_fields(matrix) -> dict:
-    """The res_*, topo_* and lower_applicable columns of a result, then the
-    norm_* columns if `classify(matrix).normal`, in `analyze` order."""
-    res = theorem_resistance_bounds(matrix)
-    topo = theorem_topology_bounds(matrix)
+def _bound_columns(res, topo, norm) -> dict:
+    """The res_*, topo_* and lower_applicable columns from the two theorems'
+    reports, then the norm_* columns from the corollary's unless it is None."""
     fields = {}
     for name, bounds in (("res", res), ("topo", topo)):
         fields[f"{name}_rbar"] = bounds.constants["r_bar"]
@@ -377,37 +389,109 @@ def bound_fields(matrix) -> dict:
         fields[f"{name}_jw_upper"] = bounds.jw_upper
         fields[f"{name}_jw_lower"] = bounds.jw_lower
     fields["lower_applicable"] = res.lower_applicable
-    if classify(matrix).normal:
-        norm = corollary_normal_bounds(matrix)
+    if norm is not None:
         fields["norm_j_upper"] = norm.j_upper
         fields["norm_j_lower"] = norm.j_lower
     return fields
 
 
+def bound_fields(matrix) -> dict:
+    """The res_*, topo_* and lower_applicable columns of a result, then the
+    norm_* columns if `classify(matrix).normal`, in `analyze` order."""
+    res = theorem_resistance_bounds(matrix)
+    topo = theorem_topology_bounds(matrix)
+    norm = corollary_normal_bounds(matrix) if classify(matrix).normal else None
+    return _bound_columns(res, topo, norm)
+
+
+def torus_fields(gen: CayleyGenerator, side: int):
+    """J, J_w and the bound columns of the Cayley matrix P_uv = g(u - v mod
+    side) on Z_side^d in closed form, without building P.
+
+    P is circulant: its eigenvalues are lambda = fftn(g), it is normal (so
+    commuting and doubly stochastic) and pi = 1/N exactly, N = side^d.  Over
+    the frequencies k != 0:
+    - J = J_w = (1/N) sum 1 / (1 - |lambda_k|^2).  The resistance theorem's
+      R_bar is the same sum: C_{P*P} = P^T P has Laplacian I - P^T P.
+    - The topology theorem's and the corollary's R_bar is (1/N) sum 1 / mu_k,
+      with mu the symbol of the unit Laplacian of G(P), whose edges are the
+      nonzero offsets and their negatives.
+    - p_min and p_max are the weights of g, and delta_in = delta_out is its
+      number of nonzero offsets.
+    An offset of weight at most SUPPORT_THRESHOLD is no edge, as in G(P).
+    The bounds come from the theorem functions the dense route uses.
+
+    Returns the LqReport (method "fft", spectral_gap the smallest
+    1 - |lambda_k|^2) and the bound columns as `bound_fields` gives them.
+    Raises InvalidGenerator for side < 3, and NotIrreducible when the gap is
+    not positive or some mu_k falls below CONNECTIVITY_RTOL times the degree
+    (the null-space rule of `effective_resistance`).
+    """
+    if side < 3:
+        raise InvalidGenerator(f"torus side {side} must be at least 3")
+    d = gen.d
+    g = np.zeros((side,) * d)
+    for h in gen.offsets:
+        g[tuple(x % side for x in h)] += gen.weights[h]
+    n = g.size
+    support = g > SUPPORT_THRESHOLD
+    weights = g[support]
+    support.flat[0] = False
+    # Index -h mod side of every axis: reverse, then shift by one.
+    edges = support | np.roll(np.flip(support), 1, axis=tuple(range(d)))
+    degree = int(edges.sum())
+    lam = np.fft.fftn(g).ravel()[1:]
+    gaps = 1.0 - (lam.real ** 2 + lam.imag ** 2)
+    mu = degree - np.fft.fftn(edges.astype(float)).real.ravel()[1:]
+    gap, threshold = float(gaps.min()), CONNECTIVITY_RTOL * degree
+    if not (gap > 0 and mu.min() > threshold):
+        raise NotIrreducible(
+            f"the torus Z_{side}^{d} is reducible or numerically so: spectral"
+            f" gap {gap:.2e}, smallest support Laplacian symbol {mu.min():.2e}"
+            f" against the null-space threshold {threshold:.2e}")
+    j = float(np.sum(1.0 / gaps) / n)
+    support_rbar = float(np.sum(1.0 / mu) / n)
+    pi = 1.0 / n
+    p_min, p_max = float(weights.min()), float(weights.max())
+    delta = int(support.sum())
+    bounds = _bound_columns(
+        resistance_theorem(n, pi, pi, j, True),
+        topology_theorem(n, pi, pi, p_min, p_max, delta, delta, support_rbar, True),
+        normal_corollary(n, p_min, p_max, delta, support_rbar))
+    report = LqReport(j=j, j_weighted=j, t0_term=(n - 1) / n, method="fft",
+                      spectral_gap=gap)
+    return report, bounds
+
+
 def _evaluate(matrix, bounds=None, cross_check: bool = False, nodes=None,
-              **labels):
+              report=None, **labels):
     """One matrix through the pipeline every sweep and `analyze` share.
 
     Computes J and J_w with `lq_cost_exact` and the bound block (by default
     `bound_fields(matrix)`), and with `cross_check` the truncated series,
-    whose relative error against J becomes j_exact_rel_err.  `nodes` is the
-    node count j_normalized divides by (in dimension `labels["d"]`); without
-    it that column is empty, as is every column that neither the cost, the
-    bounds nor `labels` give.  Returns the gated ResultRow, the LqReport and
-    the row's audit detail: method, doublings (steps_used) and relative Stein
-    residual, plus the number of series terms (truncated_steps) where the
-    cross-check ran.
+    whose relative error against J becomes j_exact_rel_err.  A caller that
+    holds J, J_w and the bounds in closed form (the cayley sweep, from
+    `torus_fields`) passes them as `report` and `bounds`, with no matrix.
+    `nodes` is the node count N that j_normalized = J / g(N) uses (in
+    dimension `labels["d"]`); without it that column is empty, as is every
+    column that neither the cost, the bounds nor `labels` give.  Returns the
+    gated ResultRow, the LqReport and the row's audit detail: the method and
+    whichever of the report's doublings (steps_used), relative Stein
+    residual and spectral gap it has, plus the number of series terms
+    (truncated_steps) where the cross-check ran.
     """
-    report = lq_cost_exact(matrix)
+    report = lq_cost_exact(matrix) if report is None else report
     bounds = bound_fields(matrix) if bounds is None else bounds
-    detail = (f"method={report.method} steps_used={report.steps_used}"
-              f" stein_residual={_fmt(report.stein_residual)}")
+    detail = f"method={report.method}" + "".join(
+        f" {key}={_fmt(getattr(report, key))}"
+        for key in ("steps_used", "stein_residual", "spectral_gap")
+        if getattr(report, key) is not None)
     if cross_check:
         check = lq_cost_truncated(matrix)
         labels["j_exact_rel_err"] = abs(check.j - report.j) / report.j
         detail += f" truncated_steps={check.steps_used}"
     if nodes is not None:
-        labels["j_normalized"] = _j_normalized(labels["d"], nodes, report.j)
+        labels["j_normalized"] = report.j / _growth(labels["d"], nodes)
     row = ResultRow(**{**dict.fromkeys(CSV_COLUMNS), **labels, **bounds,
                        "j": report.j, "j_weighted": report.j_weighted})
     return row, report, detail
@@ -523,9 +607,35 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
         rows, details, start, tables=tables, chart=chart, svg=svg, summary=summary)
 
 
+def _growth_fit(d: int, nodes, mean_j) -> list:
+    """Audit lines of the least-squares fit mean J ~ a g(N) + b over the
+    sizes, with g = GROWTH_LAWS[d]; in d = 3, where g is constant, b alone
+    is fitted and growth_a is empty.  growth_rel_residual is
+    ||mean J - fit|| / ||mean J|| (2-norms)."""
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(mean_j, dtype=float)
+    columns = [np.ones_like(x)] if d == 3 else [_growth(d, x), np.ones_like(x)]
+    design = np.column_stack(columns)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    a, b = (None, coef[0]) if d == 3 else coef
+    residual = np.linalg.norm(y - design @ coef) / np.linalg.norm(y)
+    return [f"growth_g={GROWTH_LAWS[d]}", f"growth_a={_fmt(a)}",
+            f"growth_b={_fmt(b)}", f"growth_rel_residual={_fmt(residual)}"]
+
+
 def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
                      svg: bool = False) -> int:
-    """Torus-graph scaling: J and the normal-matrix bounds over an n grid."""
+    """Torus-graph scaling: J and the normal-matrix bounds over an n grid.
+
+    Each instance samples only its generator (case 1: banded weights drawn
+    per (seed, case, d, n, instance); case 2: the fixed one-sided
+    generator), and `torus_fields` gives its J, J_w and bounds from one FFT,
+    so no n^d x n^d matrix is built.  The rows pass the `_evaluate` gate;
+    each audit detail line gives method=fft and the spectral gap.  p_min and
+    p_max set the case-1 band (the audit records the band used) and are
+    refused in case 2.  With at least 3 sizes the audit also fits the
+    per-size mean J to a g(N) + b (`_growth_fit`).
+    """
     p = config.parameters
     case, d, seed = p["case"], p["d"], p["seed"]
     if case not in (1, 2):
@@ -534,37 +644,48 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
         raise ConfigError("case 1 sampling is defined for d in {2, 3}")
     if d not in CAYLEY_N_DEFAULT:
         raise ConfigError(f"d={d} must be 1, 2 or 3")
+    if case == 2 and (p["p_min"] is not None or p["p_max"] is not None):
+        raise ConfigError("p_min and p_max set the case-1 weight band;"
+                          " case 2 has fixed weights")
     n_list = p["n_list"] or CAYLEY_N_DEFAULT[d]
     instances = p["instances"] if p["instances"] is not None else (20 if case == 1 else 1)
     if instances < 1:
         raise ConfigError(f"instances={instances} must be at least 1")
+    settings = {"case": case, "d": d, "n_list": ",".join(map(str, n_list)),
+                "instances": instances}
+    if case == 1:
+        p_min, p_max = case1_range(d, p["p_min"], p["p_max"])
+        settings.update(p_min=_fmt(p_min), p_max=_fmt(p_max))
     start = time.perf_counter()
     rows, details, per_size = [], [], []
     for n in n_list:
         per_n = []
         for i in range(instances):
             if case == 1:
-                _, matrix = cayley_case1(n, d, p["p_min"], p["p_max"],
-                                         seed=[seed, case, d, n, i])
+                gen = cayley_case1_generator(d, p_min, p_max,
+                                             seed=[seed, case, d, n, i])
             else:
-                matrix = cayley_case2(n, d)
-            row, _, detail = _evaluate(matrix, nodes=n ** d, experiment="cayley",
-                                       n=n, d=d, case=case, instance=i)
+                gen = cayley_case2_generator(d)
+            report, bounds = torus_fields(gen, n)
+            row, _, detail = _evaluate(None, bounds, nodes=n ** d, report=report,
+                                       experiment="cayley", n=n, d=d, case=case,
+                                       instance=i)
             rows.append(row)
             per_n.append(row)
             details.append(f"n={n} instance={i} {detail}")
         per_size.append(per_n)
     prefix = f"cayley_case{case}_d{d}"
-    tables, chart = _size_means(prefix, [n ** d for n in n_list], per_size,
-                                "norm", "corollary", logy=False)
+    nodes = [n ** d for n in n_list]
+    tables, chart = _size_means(prefix, nodes, per_size, "norm", "corollary",
+                                logy=False)
     _, mean_j, normalized = tables[f"{prefix}_j"]
     summary = [f"normalized_j_max_over_min={_fmt(max(normalized) / min(normalized))}"]
+    if len(n_list) >= 3:
+        summary += _growth_fit(d, nodes, mean_j)
     summary += [
         f"n={n} nodes={n ** d} mean_j={_fmt(j)} mean_j_normalized={_fmt(jn)}"
         for n, j, jn in zip(n_list, mean_j, normalized)
     ]
-    settings = {"case": case, "d": d, "n_list": ",".join(map(str, n_list)),
-                "instances": instances}
     return _write_sweep(out_dir, "cayley", seed, settings, rows, details, start,
                         tables=tables, chart=chart, svg=svg, summary=summary)
 

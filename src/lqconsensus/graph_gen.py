@@ -3,6 +3,9 @@ the commuting 4x4 example, and the random-geometric-graph pipeline.
 
 Cayley matrices live on Z_n^d with P_uv = g(u - v mod n) for a generator g
 supported on {-1, 0, 1}^d; they are circulant, doubly stochastic and normal.
+Both Cayley families come as generators (`cayley_case1_generator`,
+`cayley_case2_generator`), which the cayley sweep evaluates in closed form,
+and as matrices (`cayley_case1`, `cayley_case2`).
 The geometric pipeline samples node positions with minimum spacing, draws
 edges within range r with probability p_e, screens the graph with the
 coverage (gamma) and distance-ratio (rho) checks, randomly deletes edge
@@ -90,40 +93,63 @@ def cayley_matrix(n: int, gen: CayleyGenerator) -> ConsensusMatrix:
 CASE1_DEFAULT_RANGES = {2: (0.05, 0.2), 3: (0.01, 0.1)}
 
 
-def cayley_case1(n: int, d: int, p_min: float | None = None,
-                 p_max: float | None = None, seed: int = 0,
-                 max_attempts: int = 100_000):
-    """Rejection-sample a full-neighborhood generator with banded weights.
+def case1_range(d: int, p_min: float | None = None,
+                p_max: float | None = None) -> tuple[float, float]:
+    """The weight band [p_min, p_max] of the case-1 family in dimension d.
 
-    Weights are drawn uniformly on all of {-1, 0, 1}^d, normalized to sum 1,
-    and accepted iff every weight lies in [p_min, p_max] (defaults: 0.05/0.2
-    in d = 2, 0.01/0.1 in d = 3).  Returns (generator, matrix); deterministic
-    per seed.
+    A bound that is None takes its default (0.05/0.2 in d = 2, 0.01/0.1 in
+    d = 3).  Raises OutOfRange unless d is 2 or 3, 0 < p_min < p_max, and the
+    3^d weights, which sum to 1, can all lie in the band:
+    3^d p_min <= 1 <= 3^d p_max.
     """
     if d not in (2, 3):
         raise OutOfRange(f"case-1 sampling is defined for d in {{2, 3}}, got {d}")
-    if p_min is None or p_max is None:
-        lo, hi = CASE1_DEFAULT_RANGES[d]
-        p_min = lo if p_min is None else p_min
-        p_max = hi if p_max is None else p_max
+    lo, hi = CASE1_DEFAULT_RANGES[d]
+    p_min = lo if p_min is None else p_min
+    p_max = hi if p_max is None else p_max
     if not (0 < p_min < p_max):
         raise OutOfRange(f"need 0 < p_min < p_max, got {p_min}, {p_max}")
+    count = 3 ** d
+    if count * p_min > 1 or count * p_max < 1:
+        raise OutOfRange(
+            f"{count} weights summing to 1 cannot all lie in [{p_min}, {p_max}]")
+    return p_min, p_max
+
+
+def cayley_case1_generator(d: int, p_min: float | None = None,
+                           p_max: float | None = None, seed: int = 0,
+                           max_attempts: int = 100_000) -> CayleyGenerator:
+    """Rejection-sample a full-neighborhood generator with banded weights.
+
+    Weights are drawn uniformly on all of {-1, 0, 1}^d, normalized to sum 1,
+    and accepted iff every weight lies in the band `case1_range(d, p_min,
+    p_max)`, which is checked before the first draw.  Deterministic per seed.
+    """
+    p_min, p_max = case1_range(d, p_min, p_max)
     offsets = list(itertools.product((-1, 0, 1), repeat=d))
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         raw = rng.random(len(offsets))
         w = raw / raw.sum()
         if ((w >= p_min) & (w <= p_max)).all():
-            gen = CayleyGenerator(d=d, weights=dict(zip(offsets, w.tolist())))
-            return gen, cayley_matrix(n, gen)
+            return CayleyGenerator(d=d, weights=dict(zip(offsets, w.tolist())))
     raise RejectionExhausted(
         f"no generator in [{p_min}, {p_max}] after {max_attempts} draws")
 
 
-def cayley_case2(n: int, d: int) -> ConsensusMatrix:
+def cayley_case1(n: int, d: int, p_min: float | None = None,
+                 p_max: float | None = None, seed: int = 0,
+                 max_attempts: int = 100_000):
+    """(generator, matrix): `cayley_case1_generator` and its Cayley matrix
+    on Z_n^d."""
+    gen = cayley_case1_generator(d, p_min, p_max, seed, max_attempts)
+    return gen, cayley_matrix(n, gen)
+
+
+def cayley_case2_generator(d: int) -> CayleyGenerator:
     """The deterministic one-sided generator: weight 1/(d+1) on 0 and each e_i.
 
-    The resulting graph has maximum in-degree d.
+    Its Cayley graph has maximum in-degree d.
     """
     if d < 1:
         raise OutOfRange(f"dimension {d} must be at least 1")
@@ -132,7 +158,12 @@ def cayley_case2(n: int, d: int) -> ConsensusMatrix:
         e = [0] * d
         e[i] = 1
         weights[tuple(e)] = 1.0 / (d + 1)
-    return cayley_matrix(n, CayleyGenerator(d=d, weights=weights))
+    return CayleyGenerator(d=d, weights=weights)
+
+
+def cayley_case2(n: int, d: int) -> ConsensusMatrix:
+    """The Cayley matrix on Z_n^d of `cayley_case2_generator(d)`."""
+    return cayley_matrix(n, cayley_case2_generator(d))
 
 
 def p_epsilon(epsilon: float) -> ConsensusMatrix:

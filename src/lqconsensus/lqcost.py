@@ -38,12 +38,14 @@ class GreenMatrix:
 
 @dataclass(frozen=True)
 class LqReport:
-    """J and J_w with how they were computed.
+    """J and J_w with how they were computed, named by `method`.
 
-    An exact report gives the number of Stein doublings in `steps_used` and
-    the relative Stein residual in `stein_residual`; a truncated report gives
-    the number of series terms in `steps_used` and its stopping rule in
-    `change_rule`.
+    An "exact" report gives the number of Stein doublings in `steps_used` and
+    the relative Stein residual in `stein_residual`; a "truncated" report
+    gives the number of series terms in `steps_used` and its stopping rule in
+    `change_rule`; an "fft" report (a Cayley torus in closed form, from
+    `experiments_cli.torus_fields`) gives the smallest 1 - |lambda_k|^2 over
+    the nonzero frequencies in `spectral_gap`.
     """
 
     j: float
@@ -53,6 +55,7 @@ class LqReport:
     steps_used: int | None = None
     stein_residual: float | None = None
     change_rule: str | None = None
+    spectral_gap: float | None = None
 
     def to_kv(self) -> str:
         """Flat key=value block, one line per field."""
@@ -68,6 +71,8 @@ class LqReport:
             lines.append(f"stein_residual={self.stein_residual!r}")
         if self.change_rule is not None:
             lines.append(f"change_rule={self.change_rule}")
+        if self.spectral_gap is not None:
+            lines.append(f"spectral_gap={self.spectral_gap!r}")
         return "\n".join(lines)
 
 

@@ -1,27 +1,39 @@
 import dataclasses
+import itertools
 import sys
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lqconsensus import (
+    CayleyGenerator,
     ConfigError,
     GeometricParams,
     LqConsensusError,
+    NotIrreducible,
     cayley_case1,
+    cayley_case1_generator,
+    cayley_case2_generator,
+    cayley_matrix,
     classify,
     commuting_example,
     corollary_normal_bounds,
     effective_resistance,
     lq_cost_exact,
     lq_cost_truncated,
+    normal_corollary,
     p_epsilon,
+    resistance_theorem,
     reversiblization_support,
     sample_geometric,
     save_matrix_csv,
     theorem_resistance_bounds,
     theorem_topology_bounds,
+    topology_theorem,
     validate_consensus,
 )
 from lqconsensus import experiments_cli, stochastic_core
@@ -30,8 +42,10 @@ from lqconsensus.experiments_cli import (
     ResultRow,
     _emit_svg,
     _evaluate,
+    bound_fields,
     build_config,
     main,
+    torus_fields,
 )
 from helpers import two_cliques
 
@@ -96,6 +110,40 @@ def assert_audit_details_match_exact(out, matrix_of):
         assert fields["method"] == exact.method
         assert int(fields["steps_used"]) == exact.steps_used
         assert float(fields["stein_residual"]) == exact.stein_residual
+
+
+# The closed form against the dense route: J, J_w and both R_bar columns
+# agree to 1e-12 relative.  The bound columns agree to 1e-10: the dense route
+# takes pi from least squares, off by up to 1e-12 at 576 nodes, and
+# pi_max^3 / pi_min amplifies that, while the closed form has pi = 1/N.
+TORUS_COST_RTOL = 1e-12
+TORUS_BOUND_RTOL = 1e-10
+
+
+def assert_torus_matches_dense(report, bounds, matrix):
+    """`torus_fields` output (report, bounds) against lq_cost_exact and
+    bound_fields on the Cayley matrix.
+
+    The Stein doubling's J has a forward error of up to a few N max|Y| eps,
+    with max|Y| = J + 1/N the diagonal of its solution Y.  On 1,500 random
+    generators drawn as in the property below it was at most 3.7 times that:
+    up to 4.3e-12 on sparse 1-D tori of about 100 nodes, where the closed
+    form stayed within 6e-13 of `cancellation_free_sums`.  So the cost
+    tolerance is 1e-12 or ten times that estimate, whichever is larger.
+    """
+    exact = lq_cost_exact(matrix)
+    n = matrix.n
+    rtol = max(TORUS_COST_RTOL, 10 * n * (report.j + 1 / n) * np.finfo(float).eps)
+    assert report.j == pytest.approx(exact.j, rel=rtol)
+    assert report.j_weighted == pytest.approx(exact.j_weighted, rel=rtol)
+    dense = bound_fields(matrix)
+    assert list(bounds) == list(dense)
+    assert bounds["lower_applicable"] is dense["lower_applicable"] is True
+    for key in ("res_rbar", "topo_rbar"):
+        assert bounds[key] == pytest.approx(dense[key], rel=TORUS_COST_RTOL)
+    for key, value in dense.items():
+        if key != "lower_applicable" and not key.endswith("_rbar"):
+            assert bounds[key] == pytest.approx(value, rel=TORUS_BOUND_RTOL), key
 
 
 def count_calls(monkeypatch, func):
@@ -403,37 +451,132 @@ class TestCayleySweep:
             (out_b / "results.csv").read_bytes()
 
     def test_row_values_match_library(self, tmp_path):
+        # Each row is torus_fields of its generator to the bit, and the dense
+        # route on the Cayley matrix within the closed form's tolerances.
         out = tmp_path / "run"
         assert main(["cayley", "--out", str(out), "-p", "case=1", "-p", "d=2",
                      "-p", "n_list=4", "-p", "instances=2", "--seed", "5"]) == 0
         _, _, rows = read_results(out / "results.csv")
         assert len(rows) == 2
         for i, row in enumerate(rows):
-            _, matrix = cayley_case1(4, 2, seed=[5, 1, 2, 4, i])
-            assert float(row["j"]) == lq_cost_exact(matrix).j
+            gen = cayley_case1_generator(2, seed=[5, 1, 2, 4, i])
+            report, bounds = torus_fields(gen, 4)
+            assert float(row["j"]) == report.j
+            assert float(row["j_weighted"]) == report.j_weighted
+            assert float(row["j_normalized"]) == report.j / np.log(16)
+            for key, value in bounds.items():
+                assert row[key] == experiments_cli._fmt(value)
             assert row["norm_j_upper"] != ""
-            assert_bound_columns_match_library(row, matrix)
+            assert_torus_matches_dense(report, bounds, cayley_matrix(4, gen))
 
     def test_audit_states_how_each_cost_was_computed(self, tmp_path):
         out = tmp_path / "run"
         assert main(["cayley", "--out", str(out), "-p", "case=1", "-p", "d=2",
                      "-p", "n_list=3,4", "-p", "instances=2", "--seed", "5"]) == 0
-
-        def matrix_of(row):
+        _, _, rows = read_results(out / "results.csv")
+        details = [dict(part.split("=", 1) for part in line.split())
+                   for line in (out / "audit.txt").read_text().splitlines()
+                   if " method=" in line]
+        assert len(details) == len(rows) == 4
+        for row, fields in zip(rows, details):
             n, i = int(row["n"]), int(row["instance"])
-            return cayley_case1(n, 2, seed=[5, 1, 2, n, i])[1]
-
-        assert_audit_details_match_exact(out, matrix_of)
+            assert (fields["n"], fields["instance"]) == (row["n"], row["instance"])
+            assert set(fields) == {"n", "instance", "method", "spectral_gap"}
+            assert fields["method"] == "fft"
+            gen = cayley_case1_generator(2, seed=[5, 1, 2, n, i])
+            gap = float(fields["spectral_gap"])
+            assert gap == torus_fields(gen, n)[0].spectral_gap
+            # The dense route: 1 - |lambda|^2 over all eigenvalues but the
+            # unit one, of the Cayley matrix.
+            moduli = np.sort(np.abs(np.linalg.eigvals(cayley_matrix(n, gen).entries)))
+            assert gap == pytest.approx(1.0 - moduli[-2] ** 2, rel=1e-12)
 
     def test_row_computes_each_derived_quantity_once(self, tmp_path, monkeypatch):
-        # One resistance for C_{P*P} and one for G(P), which the topology
-        # theorem and the normal corollary share; one classification.
-        resistances = count_calls(monkeypatch, effective_resistance)
-        residuals = count_calls(monkeypatch, stochastic_core._classification_residuals)
+        # One closed form per row, and each theorem evaluated once from it.
+        fields = count_calls(monkeypatch, torus_fields)
+        theorems = [count_calls(monkeypatch, f) for f in (
+            resistance_theorem, topology_theorem, normal_corollary)]
         assert main(["cayley", "--out", str(tmp_path / "run"), "-p", "case=1",
-                     "-p", "d=2", "-p", "n_list=4", "-p", "instances=1"]) == 0
-        assert len(resistances) == 2
-        assert len(residuals) == 1
+                     "-p", "d=2", "-p", "n_list=4,5", "-p", "instances=2"]) == 0
+        assert len(fields) == 4
+        assert [len(calls) for calls in theorems] == [4, 4, 4]
+
+    def test_run_builds_no_dense_matrix(self, tmp_path, monkeypatch):
+        # A 10^6-node torus: no Cayley matrix, validation, Stein solve,
+        # resistance or classification, and J equals the FFT formula.
+        dense = [count_calls(monkeypatch, f) for f in (
+            cayley_matrix, validate_consensus, lq_cost_exact, effective_resistance,
+            stochastic_core._classification_residuals)]
+        out = tmp_path / "run"
+        assert main(["cayley", "--out", str(out), "-p", "case=1", "-p", "d=2",
+                     "-p", "n_list=1000", "-p", "instances=1", "--seed", "3"]) == 0
+        assert [len(calls) for calls in dense] == [0] * 5
+        _, _, (row,) = read_results(out / "results.csv")
+        g = np.zeros((1000, 1000))
+        for (h1, h2), weight in cayley_case1_generator(
+                2, seed=[3, 1, 2, 1000, 0]).weights.items():
+            g[h1 % 1000, h2 % 1000] = weight
+        moduli = np.abs(np.fft.fft2(g)).ravel()
+        expected = np.sum(1.0 / (1.0 - moduli[1:] ** 2)) / g.size
+        assert float(row["j"]) == pytest.approx(expected, rel=1e-12)
+        assert float(row["j_weighted"]) == float(row["j"])
+
+    def test_case2_refuses_the_case1_band(self, tmp_path, capsys):
+        for key in ("p_min=0.9", "p_max=0.1"):
+            assert main(["cayley", "--out", str(tmp_path / "x"), "-p", "case=2",
+                         "-p", key]) == 1
+            assert "case 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("params,band", [
+        ([], ("0.050000000000000003", "0.20000000000000001")),
+        (["-p", "p_max=0.15"], ("0.050000000000000003", "0.14999999999999999")),
+        (["-p", "d=3", "-p", "p_min=0.005"], ("0.0050000000000000001",
+                                              "0.10000000000000001")),
+    ])
+    def test_case1_audit_records_the_band_used(self, tmp_path, params, band):
+        out = tmp_path / "run"
+        assert main(["cayley", "--out", str(out), "-p", "n_list=3",
+                     "-p", "instances=1", *params]) == 0
+        audit = (out / "audit.txt").read_text().splitlines()
+        assert (f"p_min={band[0]}", f"p_max={band[1]}") == tuple(
+            line for line in audit if line.startswith(("p_min=", "p_max=")))
+
+    def test_infeasible_band_fails_without_output(self, tmp_path, capsys):
+        assert main(["cayley", "--out", str(tmp_path / "x"), "-p", "p_min=0.2",
+                     "-p", "p_max=0.3"]) == 1
+        assert "cannot all lie" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("d,case,n_list,degree", [
+        (1, 2, "10,30,100,300", 1), (2, 1, "10,100,1000", 1), (3, 1, "3,4,5", 0)])
+    def test_growth_fit_matches_polyfit(self, tmp_path, d, case, n_list, degree):
+        out = tmp_path / "run"
+        assert main(["cayley", "--out", str(out), "-p", f"d={d}", "-p", f"case={case}",
+                     "-p", f"n_list={n_list}", "-p", "instances=1"]) == 0
+        audit = dict(line.partition("=")[::2]
+                     for line in (out / "audit.txt").read_text().splitlines())
+        nodes, mean_j, _ = np.loadtxt(out / f"cayley_case{case}_d{d}_j.dat").T
+        g = {1: nodes, 2: np.log(nodes), 3: np.ones_like(nodes)}[d]
+        coef = np.polyfit(g, mean_j, degree)
+        fit = np.polyval(coef, g)
+        assert audit["growth_g"] == {1: "N", 2: "log(N)", 3: "1"}[d]
+        if degree:
+            assert float(audit["growth_a"]) == pytest.approx(coef[0], rel=1e-12)
+        else:
+            assert audit["growth_a"] == ""
+        assert float(audit["growth_b"]) == pytest.approx(coef[-1], rel=1e-12)
+        assert float(audit["growth_rel_residual"]) == pytest.approx(
+            np.linalg.norm(mean_j - fit) / np.linalg.norm(mean_j), rel=1e-9, abs=1e-15)
+        assert "normalized_j_max_over_min" in audit
+
+    def test_no_growth_fit_below_three_sizes(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["cayley", "--out", str(out), "-p", "n_list=3,4",
+                     "-p", "instances=1"]) == 0
+        audit = (out / "audit.txt").read_text()
+        assert "normalized_j_max_over_min=" in audit
+        assert "growth_" not in audit
 
     def test_bad_case_fails(self, tmp_path, capsys):
         assert main(["cayley", "--out", str(tmp_path / "x"),
@@ -444,6 +587,86 @@ class TestCayleySweep:
         assert main(["cayley", "--out", str(tmp_path / "x"), "-p", "case=1",
                      "-p", "d=1"]) == 1
         capsys.readouterr()
+
+
+def cancellation_free_sums(gen, side):
+    """(J, R_bar of G(P)) of the Cayley torus from the symbols written as sums
+    of nonnegative terms: 1 - |lambda_k|^2 = sum over offset pairs of
+    g_h g_h' 2 sin^2(pi k.(h' - h) / side), and mu_k = sum over the offsets
+    e != 0 and their negatives of 2 sin^2(pi k.e / side), with the phases
+    m = k.e reduced mod side as integers and folded to min(m, side - m).
+    Needs no FFT and loses no digits to cancellation near k = 0."""
+    d = gen.d
+    k = np.indices((side,) * d).reshape(d, -1)[:, 1:]
+    m = np.arange(side)
+    s2 = 2.0 * np.sin(np.pi * np.minimum(m, side - m) / side) ** 2
+
+    def symbol(terms):
+        return sum(w * s2[(np.asarray(e) @ k) % side] for e, w in terms)
+
+    items = list(gen.weights.items())
+    gaps = symbol((np.subtract(h2, h1), w1 * w2)
+                  for h1, w1 in items for h2, w2 in items)
+    edges = {tuple(sign * x for x in h) for h in gen.offsets if any(h)
+             for sign in (1, -1)}
+    mu = symbol((e, 1.0) for e in edges)
+    return np.sum(1.0 / gaps) / side ** d, np.sum(1.0 / mu) / side ** d
+
+
+class TestTorusFields:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(d=st.integers(1, 3), size=st.floats(0.0, 1.0),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_route_on_random_generators(self, d, size, density, seed):
+        # Random offset subsets that contain 0, random weights, N <= 125.
+        rng = np.random.default_rng(seed)
+        side = 3 + int(size * (round(125 ** (1 / d)) - 3))
+        offsets = [h for h in itertools.product((-1, 0, 1), repeat=d)
+                   if not any(h) or rng.random() < density]
+        w = 0.1 + rng.random(len(offsets))
+        gen = CayleyGenerator(d=d, weights=dict(zip(offsets, (w / w.sum()).tolist())))
+        try:
+            matrix = cayley_matrix(side, gen)
+        except NotIrreducible:
+            with pytest.raises(NotIrreducible):
+                torus_fields(gen, side)
+            return
+        report, bounds = torus_fields(gen, side)
+        assert report.method == "fft" and report.spectral_gap > 0
+        j, support_rbar = cancellation_free_sums(gen, side)
+        assert report.j == report.j_weighted == bounds["res_rbar"]
+        assert report.j == pytest.approx(j, rel=TORUS_COST_RTOL)
+        assert bounds["topo_rbar"] == pytest.approx(support_rbar, rel=TORUS_COST_RTOL)
+        assert_torus_matches_dense(report, bounds, matrix)
+
+    def test_matches_dense_route_on_the_576_node_torus(self):
+        # The largest torus of the benchmark's torus workload at seed 1.
+        gen = cayley_case1_generator(2, seed=[1, 1, 2, 24, 0])
+        report, bounds = torus_fields(gen, 24)
+        assert_torus_matches_dense(report, bounds, cayley_matrix(24, gen))
+
+    def test_one_sided_ring_closed_form(self):
+        # g = (1/2, 1/2) on Z_n: J = (n^2 - 1) / (3n).
+        report, bounds = torus_fields(cayley_case2_generator(1), 10)
+        assert report.j == pytest.approx(99 / 30, rel=1e-13)
+        assert bounds["res_rbar"] == report.j == report.j_weighted
+
+    @pytest.mark.parametrize("weights", [
+        {(0, 0): 1.0},                 # no offsets but 0
+        {(0, 0): 0.5, (1, 0): 0.5},    # one axis only
+        {(0, 0): 0.5, (1, 1): 0.5},    # the diagonal subgroup
+    ])
+    def test_reducible_generator_raises(self, weights):
+        gen = CayleyGenerator(d=2, weights=weights)
+        for side in (3, 4, 6):
+            with pytest.raises(NotIrreducible):
+                cayley_matrix(side, gen)
+            with pytest.raises(NotIrreducible):
+                torus_fields(gen, side)
+
+    def test_small_side_rejected(self):
+        with pytest.raises(LqConsensusError, match="at least 3"):
+            torus_fields(cayley_case2_generator(2), 2)
 
 
 class TestGeometricSweep:

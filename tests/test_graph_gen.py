@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from lqconsensus import (
     RejectionExhausted,
     audit_block,
     cayley_case1,
+    cayley_case1_generator,
     cayley_case2,
+    cayley_case2_generator,
     cayley_matrix,
     circle_matrix,
     classify,
@@ -115,10 +119,42 @@ class TestCayleyCase1:
         assert gen_a.weights == gen_b.weights
         assert gen_a.weights != gen_c.weights
 
-    def test_impossible_band_exhausts(self):
-        # nine weights summing to 1 cannot all lie in [0.3, 0.31]
+    def test_narrow_band_exhausts(self):
+        # nine weights summing to 1 can all lie in [0.11, 0.112] (at 1/9,
+        # for one), but a uniform draw essentially never lands there
         with pytest.raises(RejectionExhausted):
-            cayley_case1(3, 2, p_min=0.3, p_max=0.31, max_attempts=50)
+            cayley_case1(3, 2, p_min=0.11, p_max=0.112, max_attempts=50)
+
+    @pytest.mark.parametrize("d,p_min,p_max", [
+        (2, 0.2, 0.3),     # 9 * p_min > 1: the weights would sum above 1
+        (2, 0.01, 0.1),    # 9 * p_max < 1: the weights would sum below 1
+        (3, 0.04, 0.05),   # 27 * p_min > 1
+        (3, 0.001, 0.03),  # 27 * p_max < 1
+    ])
+    def test_infeasible_band_fails_before_drawing(self, monkeypatch, d, p_min, p_max):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was seeded for an infeasible band")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(OutOfRange, match="cannot all lie"):
+            cayley_case1(4, d, p_min=p_min, p_max=p_max)
+        with pytest.raises(OutOfRange, match="cannot all lie"):
+            cayley_case1_generator(d, p_min=p_min, p_max=p_max)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 7, [5, 1, 2, 24, 3]])
+    def test_default_band_draws_the_same_weights(self, d, seed):
+        # The rejection loop written out: uniform draws over {-1, 0, 1}^d in
+        # product order, normalized, until all lie in the default band.
+        lo, hi = {2: (0.05, 0.2), 3: (0.01, 0.1)}[d]
+        rng = np.random.default_rng(seed)
+        while True:
+            raw = rng.random(3 ** d)
+            w = raw / raw.sum()
+            if ((w >= lo) & (w <= hi)).all():
+                break
+        expected = dict(zip(itertools.product((-1, 0, 1), repeat=d), w.tolist()))
+        assert cayley_case1_generator(d, seed=seed).weights == expected
+        assert cayley_case1(3, d, seed=seed)[0].weights == expected
 
     def test_dimension_gate(self):
         with pytest.raises(OutOfRange):
@@ -147,6 +183,13 @@ class TestCayleyCase2:
     def test_dimension_gate(self):
         with pytest.raises(OutOfRange):
             cayley_case2(3, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matrix_of_generator(self, d):
+        gen = cayley_case2_generator(d)
+        assert len(gen.weights) == d + 1
+        np.testing.assert_array_equal(cayley_case2(4, d).entries,
+                                      cayley_matrix(4, gen).entries)
 
 
 class TestEpsilonChain:
