@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     RejectionExhausted,
 )
-from .stochastic_core import ConsensusMatrix, validate_consensus
+from .stochastic_core import ConsensusMatrix, reach, validate_consensus
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -346,6 +346,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         "pi_check": "symmetric",
     }
     iu = np.triu_indices(n, 1)
+    full = (1 << n) - 1
     for _ in range(max_attempts):
         audit["attempts"] += 1
         coords = _place_nodes(rng, n, d, l, params.s, node_attempt_cap, audit)
@@ -354,8 +355,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         adj = np.zeros((n, n), dtype=bool)
         adj[iu] = keep
         adj |= adj.T
-        ncomp, _ = csgraph.connected_components(csr_matrix(adj), directed=False)
-        if ncomp > 1:
+        if reach(adj) != full:
             audit["rejected_disconnected"] += 1
             continue
         if not gamma_check(coords, l, params.gamma, divisions):
@@ -368,17 +368,14 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         m = adj.astype(float) + np.eye(n)
         edge_u, edge_v = np.nonzero(np.triu(adj, 1))
         draws = rng.random(edge_u.size)
-        for u, v, x in zip(edge_u, edge_v, draws):
-            if x < params.p_d:
-                m[u, v] = 0.0
-            elif x < 2.0 * params.p_d:
-                m[v, u] = 0.0
-        ncomp, _ = csgraph.connected_components(
-            csr_matrix(m > 0), directed=True, connection="strong")
-        if ncomp > 1:
+        drop_uv = draws < params.p_d
+        drop_vu = ~drop_uv & (draws < 2.0 * params.p_d)
+        m[edge_u[drop_uv], edge_v[drop_uv]] = 0.0
+        m[edge_v[drop_vu], edge_u[drop_vu]] = 0.0
+        nz = m > 0
+        if reach(nz) != full or reach(np.ascontiguousarray(nz.T)) != full:
             audit["rejected_reducible"] += 1
             continue
-        nz = m > 0
         m[nz] = params.b + rng.random(int(nz.sum())) * (1.0 - params.b)
         m /= m.sum(axis=1, keepdims=True)
         matrix = validate_consensus(m)

@@ -4,6 +4,9 @@ A conductance matrix is symmetric, nonnegative and irreducible; its Laplacian
 is L(C) = diag(C 1) - C, so diagonal entries of C never matter.  The effective
 resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b), with the
 pseudoinverse L(C)^+ taken from one symmetric eigendecomposition.
+
+Connectivity of a network is exact reachability from node 0 on the support
+C > 0 (`stochastic_core.reach`); self loops cannot change it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import (
     DimensionMismatch,
@@ -26,6 +28,7 @@ from .stochastic_core import (
     ConsensusMatrix,
     InvariantMeasure,
     classify,
+    reach,
     validate_consensus,
 )
 
@@ -68,13 +71,15 @@ def conductance_matrix(entries) -> ConductanceMatrix:
         raise NegativeEntry(f"conductance ({i}, {j}) = {a[i, j]} is negative")
     a = (a + a.T) / 2.0
     a[a < 0.0] = 0.0
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    ncomp, _ = csgraph.connected_components(csr_matrix(off > 0.0), directed=False)
-    if ncomp > 1:
-        raise Disconnected(f"conductance support has {ncomp} components")
+    n = a.shape[0]
+    reached = reach(a > 0.0)
+    if reached != (1 << n) - 1:
+        first = (~reached & (reached + 1)).bit_length() - 1
+        raise Disconnected(
+            f"conductance support is disconnected: node 0 reaches "
+            f"{reached.bit_count()} of {n} nodes; node {first} is not reached")
     a.setflags(write=False)
-    return ConductanceMatrix(n=a.shape[0], entries=a)
+    return ConductanceMatrix(n=n, entries=a)
 
 
 def unit_conductance(adjacency) -> ConductanceMatrix:

@@ -4,6 +4,11 @@ A consensus matrix is row stochastic, irreducible (strongly connected directed
 support) and has a strictly positive diagonal.  Its invariant measure pi is the
 positive left eigenvector of eigenvalue 1, normalized to sum 1, so that
 P^t -> 1 pi^T.
+
+Irreducibility is exact reachability on the support: `reach` packs each row of
+a boolean adjacency into one Python int and runs a breadth-first search that
+ORs each reached node's row once, and the support is strongly connected iff
+node 0 reaches every node along the support and along its transpose.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import (
     DimensionMismatch,
@@ -160,14 +164,39 @@ def validate_consensus(entries) -> ConsensusMatrix:
         raise NotStochastic(f"row {i} sums to {a[i].sum()}, off by {row_err[i]}")
     a.setflags(write=False)
     matrix = ConsensusMatrix(n=n, entries=a)
-    ncomp, labels = csgraph.connected_components(
-        csr_matrix(matrix.support), directed=True, connection="strong")
-    if ncomp > 1:
-        outsider = int(np.argmax(labels != labels[0]))
+    s = matrix.support
+    component = reach(s) & reach(np.ascontiguousarray(s.T))
+    if component != (1 << n) - 1:
+        outsider = (~component & (component + 1)).bit_length() - 1
         raise NotIrreducible(
-            f"support graph has {ncomp} strongly connected components; "
+            f"support graph is not strongly connected: the strongly connected "
+            f"component of node 0 has {component.bit_count()} of {n} nodes; "
             f"node {outsider} is not reachable from/to node 0")
     return matrix
+
+
+def reach(adjacency, start: int = 0) -> int:
+    """Bitmask of the nodes reachable from `start` along a boolean adjacency.
+
+    Bit i is set iff node i is reachable (start included).  Each row is packed
+    into one int and a breadth-first search ORs each reached node's row once.
+    Pass a C-contiguous array: packing a transposed view is far slower.
+    """
+    a = np.asarray(adjacency, dtype=bool)
+    width = (a.shape[1] + 7) // 8
+    packed = np.packbits(a, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, len(packed), width)]
+    seen = frontier = 1 << start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~seen
+        seen |= frontier
+    return seen
 
 
 def invariant_measure(P: ConsensusMatrix) -> InvariantMeasure:

@@ -8,6 +8,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from lqconsensus import (
     CayleyGenerator,
@@ -966,6 +967,36 @@ class TestValidate:
         assert main(["validate", "--seed", "6"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def command_outputs(argv, out, capsys):
+    """Standard output and every written file of one command that exits 0,
+    the audit's wall-time line left out."""
+    code = main([*argv, "--out", str(out)] if argv[0] != "validate" else argv)
+    assert code == 0
+    files = {path.name: strip_wall_time(path.read_text())
+             for path in sorted(out.iterdir())} if out.exists() else {}
+    return capsys.readouterr().out.replace(str(out), "<out>"), files
+
+
+class TestConnectivityWithoutScipy:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seed", "0"],
+        ["epsilon-sweep", "-p", "points=5"],
+        ["geometric", "-p", "n_list=25", "-p", "instances=1"],
+    ])
+    def test_commands_never_call_connected_components(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # Connectivity is decided by `stochastic_core.reach`; scipy's
+        # component labelling stays out of every command, and the outputs
+        # do not depend on it.
+        expected = command_outputs(argv, tmp_path / "a", capsys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csgraph.connected_components was called")
+
+        monkeypatch.setattr(csgraph, "connected_components", refuse)
+        assert command_outputs(argv, tmp_path / "b", capsys) == expected
 
 
 class TestArgumentHandling:

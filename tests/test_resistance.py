@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 from lqconsensus import (
     Disconnected,
@@ -71,6 +72,28 @@ class TestConductanceMatrix:
         c[2, 3] = c[3, 2] = 1.0
         with pytest.raises(Disconnected):
             conductance_matrix(c)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_disconnected_message_names_first_unreached_node(self, seed):
+        # Node 0 reaches exactly its scipy component; the first node outside
+        # it is the one named.  Self loops connect nothing.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        edges = np.triu(rng.random((n, n)) < rng.uniform(1.0, 6.0) / n, 1)
+        c = (edges | edges.T) * (0.1 + rng.random((n, n)))
+        c = (c + c.T) / 2.0
+        np.fill_diagonal(c, 1.0)
+        ncomp, labels = csgraph.connected_components(csr_matrix(edges), directed=False)
+        if ncomp == 1:
+            assert conductance_matrix(c).n == n
+            return
+        size = int((labels == labels[0]).sum())
+        first = int(np.argmax(labels != labels[0]))
+        with pytest.raises(Disconnected) as info:
+            conductance_matrix(c)
+        assert str(info.value) == (
+            f"conductance support is disconnected: node 0 reaches {size} of "
+            f"{n} nodes; node {first} is not reached")
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 from lqconsensus import (
     DimensionMismatch,
@@ -12,7 +15,9 @@ from lqconsensus import (
     ZeroDiagonal,
     circle_matrix,
     cayley_case1,
+    cayley_case1_generator,
     cayley_case2,
+    cayley_matrix,
     classify,
     commuting_example,
     invariant_measure,
@@ -24,7 +29,7 @@ from lqconsensus import (
     time_reversal,
     validate_consensus,
 )
-from lqconsensus.stochastic_core import SUPPORT_THRESHOLD
+from lqconsensus.stochastic_core import SUPPORT_THRESHOLD, reach
 from helpers import (
     random_consensus,
     random_reversible,
@@ -309,3 +314,111 @@ class TestMatrixFiles:
                 verdicts.append("NotIrreducible")
         expected = "accepted" if coupling > SUPPORT_THRESHOLD else "NotIrreducible"
         assert verdicts == [expected, expected]
+
+
+def scipy_components(support, directed):
+    """(component count, labels) from scipy: the reference for `reach`."""
+    return csgraph.connected_components(csr_matrix(support), directed=directed,
+                                        connection="strong")
+
+
+def reach_verdicts(support):
+    """(strongly connected, connected as an undirected graph) from `reach`."""
+    full = (1 << support.shape[0]) - 1
+    strong = (reach(support) == full
+              and reach(np.ascontiguousarray(support.T)) == full)
+    return strong, reach(support | support.T) == full
+
+
+def scipy_verdicts(support):
+    return (scipy_components(support, True)[0] == 1,
+            scipy_components(support | support.T, False)[0] == 1)
+
+
+def random_support(seed, n, density, symmetric):
+    rng = np.random.default_rng(seed)
+    support = rng.random((n, n)) < density
+    return support | support.T if symmetric else support
+
+
+def two_cliques_one_arc(n):
+    """Two complete halves joined by the single arc (0, n // 2)."""
+    h = n // 2
+    support = np.zeros((n, n), dtype=bool)
+    support[:h, :h] = support[h:, h:] = True
+    support[0, h] = True
+    return support
+
+
+supports = st.builds(random_support, seed=st.integers(0, 2**32 - 1),
+                     n=st.integers(1, 40), density=st.floats(0.02, 0.9),
+                     symmetric=st.booleans())
+
+
+class TestReach:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(support=supports)
+    def test_verdicts_match_scipy(self, support):
+        assert reach_verdicts(support) == scipy_verdicts(support)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(support=supports, start=st.integers(0, 39))
+    def test_mask_is_the_breadth_first_closure(self, support, start):
+        # Bit i is set iff scipy's shortest path from `start` to i is finite.
+        n = support.shape[0]
+        start %= n
+        dist = csgraph.shortest_path(csr_matrix(support), directed=True,
+                                     unweighted=True, indices=start)
+        expected = sum(1 << i for i in np.flatnonzero(np.isfinite(dist)))
+        assert reach(support, start) == expected
+
+    @pytest.mark.parametrize("shape", ["ring", "path"])
+    def test_2000_node_directed_chain(self, shape):
+        n = 2000
+        support = np.zeros((n, n), dtype=bool)
+        support[np.arange(n - 1), np.arange(1, n)] = True
+        if shape == "ring":
+            support[n - 1, 0] = True
+        assert reach_verdicts(support) == scipy_verdicts(support)
+        assert reach_verdicts(support) == (shape == "ring", True)
+
+    def test_576_node_workload_torus(self):
+        # The largest torus of the benchmark's torus workload at seed 1.
+        gen = cayley_case1_generator(2, seed=[1, 1, 2, 24, 0])
+        support = cayley_matrix(24, gen).support
+        assert reach_verdicts(support) == scipy_verdicts(support) == (True, True)
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_two_cliques_joined_by_one_arc(self, n):
+        support = two_cliques_one_arc(n)
+        assert reach_verdicts(support) == scipy_verdicts(support) == (False, True)
+        assert reach(support) == (1 << n) - 1
+        assert reach(np.ascontiguousarray(support.T)) == (1 << n // 2) - 1
+
+
+class TestNotIrreducibleMessage:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(support=supports)
+    def test_names_scipy_outsider_and_component_size(self, support):
+        # The outsider is the smallest node outside node 0's strongly
+        # connected component, as scipy labels it.
+        np.fill_diagonal(support, True)
+        a = support / support.sum(axis=1, keepdims=True)
+        ncomp, labels = scipy_components(support, True)
+        if ncomp == 1:
+            validate_consensus(a)
+            return
+        outsider = int(np.argmax(labels != labels[0]))
+        size = int((labels == labels[0]).sum())
+        n = support.shape[0]
+        with pytest.raises(NotIrreducible) as info:
+            validate_consensus(a)
+        assert str(info.value) == (
+            f"support graph is not strongly connected: the strongly connected "
+            f"component of node 0 has {size} of {n} nodes; "
+            f"node {outsider} is not reachable from/to node 0")
+
+    def test_two_cliques_joined_by_one_arc(self):
+        support = two_cliques_one_arc(10)
+        with pytest.raises(NotIrreducible, match="has 5 of 10 nodes; node 5 "):
+            validate_consensus(support / support.sum(axis=1, keepdims=True))
