@@ -32,7 +32,12 @@ from .errors import (
     OutOfRange,
     RejectionExhausted,
 )
-from .stochastic_core import ConsensusMatrix, reach, validate_consensus
+from .stochastic_core import (
+    ConsensusMatrix,
+    reach,
+    strong_component,
+    validate_consensus,
+)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -373,7 +378,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         m[edge_u[drop_uv], edge_v[drop_uv]] = 0.0
         m[edge_v[drop_vu], edge_u[drop_vu]] = 0.0
         nz = m > 0
-        if reach(nz) != full or reach(np.ascontiguousarray(nz.T)) != full:
+        if strong_component(nz) != full:
             audit["rejected_reducible"] += 1
             continue
         m[nz] = params.b + rng.random(int(nz.sum())) * (1.0 - params.b)

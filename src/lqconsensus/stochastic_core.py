@@ -6,9 +6,10 @@ positive left eigenvector of eigenvalue 1, normalized to sum 1, so that
 P^t -> 1 pi^T.
 
 Irreducibility is exact reachability on the support: `reach` packs each row of
-a boolean adjacency into one Python int and runs a breadth-first search that
-ORs each reached node's row once, and the support is strongly connected iff
-node 0 reaches every node along the support and along its transpose.
+a boolean adjacency into one Python int and runs a breadth-first search from
+node 0 that ORs each reached node's row once.  `strong_component` intersects
+the nodes node 0 reaches along the support and along its transpose, and the
+support is strongly connected iff that component holds every node.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ def validate_consensus(entries) -> ConsensusMatrix:
         raise NotStochastic(f"row {i} sums to {a[i].sum()}, off by {row_err[i]}")
     a.setflags(write=False)
     matrix = ConsensusMatrix(n=n, entries=a)
-    s = matrix.support
-    component = reach(s) & reach(np.ascontiguousarray(s.T))
+    component = strong_component(matrix.support)
     if component != (1 << n) - 1:
         outsider = (~component & (component + 1)).bit_length() - 1
         raise NotIrreducible(
@@ -175,19 +175,19 @@ def validate_consensus(entries) -> ConsensusMatrix:
     return matrix
 
 
-def reach(adjacency, start: int = 0) -> int:
-    """Bitmask of the nodes reachable from `start` along a boolean adjacency.
+def reach(adjacency) -> int:
+    """Bitmask of the nodes reachable from node 0 along a boolean adjacency.
 
-    Bit i is set iff node i is reachable (start included).  Each row is packed
+    Bit i is set iff node i is reachable (node 0 included).  Each row is packed
     into one int and a breadth-first search ORs each reached node's row once.
-    Pass a C-contiguous array: packing a transposed view is far slower.
     """
-    a = np.asarray(adjacency, dtype=bool)
+    # Packing a transposed view is far slower than packing a contiguous copy.
+    a = np.ascontiguousarray(adjacency, dtype=bool)
     width = (a.shape[1] + 7) // 8
     packed = np.packbits(a, axis=1, bitorder="little").tobytes()
     rows = [int.from_bytes(packed[i:i + width], "little")
             for i in range(0, len(packed), width)]
-    seen = frontier = 1 << start
+    seen = frontier = 1
     while frontier:
         grown = 0
         while frontier:
@@ -197,6 +197,12 @@ def reach(adjacency, start: int = 0) -> int:
         frontier = grown & ~seen
         seen |= frontier
     return seen
+
+
+def strong_component(support) -> int:
+    """Bitmask of the strongly connected component of node 0 in `support`."""
+    s = np.asarray(support, dtype=bool)
+    return reach(s) & reach(s.T)
 
 
 def invariant_measure(P: ConsensusMatrix) -> InvariantMeasure:

@@ -29,7 +29,11 @@ from lqconsensus import (
     time_reversal,
     validate_consensus,
 )
-from lqconsensus.stochastic_core import SUPPORT_THRESHOLD, reach
+from lqconsensus.stochastic_core import (
+    SUPPORT_THRESHOLD,
+    reach,
+    strong_component,
+)
 from helpers import (
     random_consensus,
     random_reversible,
@@ -325,9 +329,8 @@ def scipy_components(support, directed):
 def reach_verdicts(support):
     """(strongly connected, connected as an undirected graph) from `reach`."""
     full = (1 << support.shape[0]) - 1
-    strong = (reach(support) == full
-              and reach(np.ascontiguousarray(support.T)) == full)
-    return strong, reach(support | support.T) == full
+    return (strong_component(support) == full,
+            reach(support | support.T) == full)
 
 
 def scipy_verdicts(support):
@@ -362,15 +365,20 @@ class TestReach:
         assert reach_verdicts(support) == scipy_verdicts(support)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(support=supports, start=st.integers(0, 39))
-    def test_mask_is_the_breadth_first_closure(self, support, start):
-        # Bit i is set iff scipy's shortest path from `start` to i is finite.
-        n = support.shape[0]
-        start %= n
+    @given(support=supports)
+    def test_mask_is_the_breadth_first_closure(self, support):
+        # Bit i is set iff scipy's shortest path from node 0 to i is finite.
         dist = csgraph.shortest_path(csr_matrix(support), directed=True,
-                                     unweighted=True, indices=start)
+                                     unweighted=True, indices=0)
         expected = sum(1 << i for i in np.flatnonzero(np.isfinite(dist)))
-        assert reach(support, start) == expected
+        assert reach(support) == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(support=supports)
+    def test_strong_component_matches_scipy_labels(self, support):
+        labels = scipy_components(support, True)[1]
+        expected = sum(1 << i for i in np.flatnonzero(labels == labels[0]))
+        assert strong_component(support) == expected
 
     @pytest.mark.parametrize("shape", ["ring", "path"])
     def test_2000_node_directed_chain(self, shape):
@@ -393,7 +401,7 @@ class TestReach:
         support = two_cliques_one_arc(n)
         assert reach_verdicts(support) == scipy_verdicts(support) == (False, True)
         assert reach(support) == (1 << n) - 1
-        assert reach(np.ascontiguousarray(support.T)) == (1 << n // 2) - 1
+        assert strong_component(support) == (1 << n // 2) - 1
 
 
 class TestNotIrreducibleMessage:
