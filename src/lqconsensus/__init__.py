@@ -98,11 +98,9 @@ from .stochastic_core import (
     MatrixClass,
     SupportGraphs,
     classify,
-    invariant_measure,
     load_matrix_csv,
     multiplicative_reversiblization,
     save_matrix_csv,
-    support_graphs,
     time_reversal,
     validate_consensus,
 )
@@ -124,16 +122,15 @@ __all__ = [
     "classify", "commuting_example", "conductance_matrix",
     "corollary_normal_bounds", "effective_resistance", "f_delta",
     "gamma_check", "green_matrix", "hypothetical_lower_violation",
-    "invariant_measure", "laplacian", "load_conductance_csv",
-    "load_edge_list", "load_matrix_csv", "lq_cost_exact",
-    "lq_cost_truncated", "multiplicative_reversiblization",
+    "laplacian", "load_conductance_csv", "load_edge_list", "load_matrix_csv",
+    "lq_cost_exact", "lq_cost_truncated", "multiplicative_reversiblization",
     "noisy_consensus_estimate", "normal_corollary", "p_epsilon", "phi_map",
     "psi_map", "resistance_sandwich_check", "resistance_theorem",
     "reversiblization_conductance",
     "reversiblization_support", "rho_check", "sample_geometric",
     "save_conductance_csv", "save_coordinates_csv", "save_edge_list",
-    "save_matrix_csv", "save_resistance_csv", "support_graphs",
-    "theorem_resistance_bounds", "theorem_topology_bounds", "time_reversal",
+    "save_matrix_csv", "save_resistance_csv", "theorem_resistance_bounds",
+    "theorem_topology_bounds", "time_reversal",
     "topology_theorem", "trace_pair", "unit_conductance", "validate_consensus",
     "weighted_average_resistance",
 ]

@@ -26,7 +26,7 @@ from .resistance import (
     effective_resistance,
     unit_conductance,
 )
-from .stochastic_core import ConsensusMatrix, classify, support_graphs
+from .stochastic_core import ConsensusMatrix, classify
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def theorem_topology_bounds(P: ConsensusMatrix) -> BoundsReport:
     `classify(P).commuting`.
     """
     inv = P.invariant
-    graphs = support_graphs(P)
+    graphs = P.graphs
     rbar = average_resistance(P.support_resistance)
     return topology_theorem(P.n, inv.pi_min, inv.pi_max, graphs.p_min,
                             graphs.p_max, graphs.delta_in, graphs.delta_out,
@@ -170,7 +170,7 @@ def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
     """
     if not classify(P).normal:
         raise NotNormal("the corollary applies to normal consensus matrices only")
-    graphs = support_graphs(P)
+    graphs = P.graphs
     return normal_corollary(P.n, graphs.p_min, graphs.p_max, graphs.delta_in,
                             average_resistance(P.support_resistance))
 
@@ -222,7 +222,7 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
 
     delta is delta_in when `classify(P).commuting`, delta_out otherwise.
     """
-    graphs = support_graphs(P)
+    graphs = P.graphs
     fuzz = reversiblization_support(P)
     adj = np.zeros((P.n, P.n), dtype=bool)
     u, v = np.array(list(fuzz.edges), dtype=int).reshape(-1, 2).T

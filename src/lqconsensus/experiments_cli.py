@@ -77,6 +77,9 @@ GEOMETRIC_N_DEFAULT = {
 
 BOUND_SLACK_REL = 1e-9
 BOUND_SLACK_ABS = 1e-12
+# Geometric instances of at most this many nodes also run the truncated
+# series as a cross-check of the exact cost.
+EXACT_CHECK_MAX_N = 200
 
 
 def _fmt(value) -> str:
@@ -169,14 +172,6 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """An experiment tag plus its validated flat parameter map."""
-
-    experiment: str
-    parameters: dict
-
-
 def _to_int(key: str, text: str) -> int:
     try:
         return int(text)
@@ -219,8 +214,7 @@ _CONFIG_KEYS = {
         "d": (_to_int, 2), "n_list": (_to_int_list, None),
         "instances": (_to_int, 15), "seed": (_to_int, 0),
         **{f.name: (_to_float, f.default) for f in dataclasses.fields(GeometricParams)},
-        "max_attempts": (_to_int, 1000), "node_attempt_cap": (_to_int, 10_000),
-        "divisions": (_to_int, 30), "exact_check_max_n": (_to_int, 200),
+        "max_attempts": (_to_int, 1000),
     },
     "validate": {"seed": (_to_int, 0)},
 }
@@ -245,8 +239,9 @@ def _read_config_file(path) -> dict:
 
 
 def build_config(experiment: str, config_file=None, overrides=(),
-                 seed=None) -> ExperimentConfig:
-    """Merge defaults, a key=value config file, and override strings."""
+                 seed=None) -> dict:
+    """The dict of parameters that the experiment's `run_*` function takes:
+    defaults merged with a key=value config file, then override strings."""
     if experiment not in _CONFIG_KEYS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     schema = _CONFIG_KEYS[experiment]
@@ -267,7 +262,7 @@ def build_config(experiment: str, config_file=None, overrides=(),
         parameters["seed"] = seed
     if parameters.get("seed") is not None and parameters["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
-    return ExperimentConfig(experiment=experiment, parameters=parameters)
+    return parameters
 
 
 SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -565,11 +560,9 @@ EPSILON_CURVES = (
 )
 
 
-def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
-                      svg: bool = False) -> int:
+def run_epsilon_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     """Cost and bounds of the 3-node family over a log-spaced epsilon grid."""
-    p = config.parameters
-    eps_min, eps_max, points = p["eps_min"], p["eps_max"], p["points"]
+    eps_min, eps_max, points = config["eps_min"], config["eps_max"], config["points"]
     if not (0.0 < eps_min <= eps_max <= 0.5):
         raise ConfigError(
             f"epsilon grid must sit inside (0, 0.5]: got [{eps_min}, {eps_max}]")
@@ -602,7 +595,7 @@ def run_epsilon_sweep(config: ExperimentConfig, out_dir: Path,
     chart = ("epsilon_sweep", curves,
              {"xlabel": "epsilon", "ylabel": "cost", "logx": True, "logy": True})
     return _write_sweep(
-        out_dir, "epsilon-sweep", p["seed"],
+        out_dir, "epsilon-sweep", config["seed"],
         {"points": points, "eps_min": _fmt(eps_min), "eps_max": _fmt(eps_max)},
         rows, details, start, tables=tables, chart=chart, svg=svg, summary=summary)
 
@@ -623,8 +616,7 @@ def _growth_fit(d: int, nodes, mean_j) -> list:
             f"growth_b={_fmt(b)}", f"growth_rel_residual={_fmt(residual)}"]
 
 
-def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
-                     svg: bool = False) -> int:
+def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     """Torus-graph scaling: J and the normal-matrix bounds over an n grid.
 
     Each instance samples only its generator (case 1: banded weights drawn
@@ -636,25 +628,25 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
     refused in case 2.  With at least 3 sizes the audit also fits the
     per-size mean J to a g(N) + b (`_growth_fit`).
     """
-    p = config.parameters
-    case, d, seed = p["case"], p["d"], p["seed"]
+    case, d, seed = config["case"], config["d"], config["seed"]
     if case not in (1, 2):
         raise ConfigError(f"case={case} must be 1 or 2")
     if case == 1 and d not in (2, 3):
         raise ConfigError("case 1 sampling is defined for d in {2, 3}")
     if d not in CAYLEY_N_DEFAULT:
         raise ConfigError(f"d={d} must be 1, 2 or 3")
-    if case == 2 and (p["p_min"] is not None or p["p_max"] is not None):
+    if case == 2 and (config["p_min"] is not None or config["p_max"] is not None):
         raise ConfigError("p_min and p_max set the case-1 weight band;"
                           " case 2 has fixed weights")
-    n_list = p["n_list"] or CAYLEY_N_DEFAULT[d]
-    instances = p["instances"] if p["instances"] is not None else (20 if case == 1 else 1)
+    n_list = config["n_list"] or CAYLEY_N_DEFAULT[d]
+    instances = (config["instances"] if config["instances"] is not None
+                 else 20 if case == 1 else 1)
     if instances < 1:
         raise ConfigError(f"instances={instances} must be at least 1")
     settings = {"case": case, "d": d, "n_list": ",".join(map(str, n_list)),
                 "instances": instances}
     if case == 1:
-        p_min, p_max = case1_range(d, p["p_min"], p["p_max"])
+        p_min, p_max = case1_range(d, config["p_min"], config["p_max"])
         settings.update(p_min=_fmt(p_min), p_max=_fmt(p_max))
     start = time.perf_counter()
     rows, details, per_size = [], [], []
@@ -690,26 +682,25 @@ def run_cayley_sweep(config: ExperimentConfig, out_dir: Path,
                         tables=tables, chart=chart, svg=svg, summary=summary)
 
 
-def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
-                        svg: bool = False) -> int:
+def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     """Random-geometric-graph scaling of the exact cost J and J_w.
 
-    Instances that the sampler cannot draw within max_attempts are skipped
-    and audited.  Every other instance goes through `_evaluate`; those with
-    n <= exact_check_max_n also run the truncated series at its defaults as
-    a cross-check, whose relative error is the row's j_exact_rel_err.  Each
-    audit detail line gives the sampler's attempts and rejections, rho_n,
-    and the `_evaluate` detail.
+    The config sets the sampler's GeometricParams and max_attempts; its other
+    settings are `graph_gen` constants.  Instances that the sampler cannot
+    draw within max_attempts are skipped and audited.  Every other instance
+    goes through `_evaluate`; those with n <= EXACT_CHECK_MAX_N also run the
+    truncated series as a cross-check, whose relative error is the row's
+    j_exact_rel_err.  Each audit detail line gives the sampler's attempts and
+    rejections, rho_n, and the `_evaluate` detail.
     """
-    p = config.parameters
-    d, seed, instances = p["d"], p["seed"], p["instances"]
+    d, seed, instances = config["d"], config["seed"], config["instances"]
     if d not in (2, 3):
         raise ConfigError(f"d={d} must be 2 or 3 for the geometric sweep")
     if instances < 1:
         raise ConfigError(f"instances={instances} must be at least 1")
-    n_list = p["n_list"] or GEOMETRIC_N_DEFAULT[d]
+    n_list = config["n_list"] or GEOMETRIC_N_DEFAULT[d]
     params = GeometricParams(**{
-        f.name: p[f.name] for f in dataclasses.fields(GeometricParams)})
+        f.name: config[f.name] for f in dataclasses.fields(GeometricParams)})
     start = time.perf_counter()
     rows, details, sizes, per_size = [], [], [], []
     skipped = 0
@@ -717,17 +708,14 @@ def run_geometric_sweep(config: ExperimentConfig, out_dir: Path,
         per_n = []
         for i in range(instances):
             try:
-                inst = sample_geometric(
-                    params, n, d, seed=[seed, d, n, i],
-                    max_attempts=p["max_attempts"],
-                    node_attempt_cap=p["node_attempt_cap"],
-                    divisions=p["divisions"])
+                inst = sample_geometric(params, n, d, seed=[seed, d, n, i],
+                                        max_attempts=config["max_attempts"])
             except (RejectionExhausted, InfeasibleDensity) as exc:
                 skipped += 1
                 details.append(f"n={n} instance={i} skipped={type(exc).__name__}")
                 continue
             row, _, detail = _evaluate(
-                inst.matrix, cross_check=n <= p["exact_check_max_n"], nodes=n,
+                inst.matrix, cross_check=n <= EXACT_CHECK_MAX_N, nodes=n,
                 experiment="geometric", n=n, d=d, instance=i)
             rows.append(row)
             per_n.append(row)
@@ -960,20 +948,21 @@ def _suite_stationarity(rng):
 
 
 def _max_uncovered(coords, box: float, divisions: int) -> float:
-    from scipy.spatial import cKDTree
-    step = box / divisions
-    axis = np.arange(divisions + 1) * step
-    mesh = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    dist, _ = cKDTree(coords).query(grid)
-    return float(dist.max())
+    """Largest distance from a point of the (divisions + 1)^2 grid on
+    [0, box]^2 to its nearest node, by a running minimum over the nodes."""
+    axis = np.arange(divisions + 1) * (box / divisions)
+    nearest = np.full((axis.size, axis.size), np.inf)
+    for x, y in coords:
+        np.minimum(nearest, (axis - x)[:, None] ** 2 + (axis - y)[None, :] ** 2,
+                   out=nearest)
+    return float(np.sqrt(nearest.max()))
 
 
 def _suite_gamma_oracle(rng):
     slacks = []
     for _ in range(3):
         coords = rng.random((40, 2)) * 3.0
-        if gamma_check(coords, 3.0, 1.0, divisions=30):
+        if gamma_check(coords, 3.0, 1.0):
             slacks.append(1.0 - _max_uncovered(coords, 3.0, 300))
         else:
             slacks.append(0.0)
@@ -994,15 +983,14 @@ _VALIDATION_SUITES = (
 )
 
 
-def run_validation_suite(config: ExperimentConfig,
-                         inject_fault: bool = False) -> int:
+def run_validation_suite(config: dict, inject_fault: bool = False) -> int:
     """Run every cross-module property suite; nonzero exit on any failure.
 
     With `inject_fault` (the --inject-fault flag), a synthetic 0.05 is
     subtracted from every check's slack — a negative control proving the
     reporting pipeline surfaces failures.
     """
-    seed = config.parameters["seed"]
+    seed = config["seed"]
     fault = 0.05 if inject_fault else 0.0
     results = []
     for index, suite in enumerate(_VALIDATION_SUITES):

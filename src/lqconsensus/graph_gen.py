@@ -40,6 +40,12 @@ from .stochastic_core import (
 )
 
 WEIGHT_SUM_TOL = 1e-12
+# The coverage certificate's grid has this many steps along each axis.
+GAMMA_GRID_DIVISIONS = 30
+# Candidate positions tried for one node before the density is infeasible.
+NODE_ATTEMPT_CAP = 10_000
+# Uniform weight draws a case-1 generator gets before its band is given up.
+CASE1_MAX_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -122,32 +128,32 @@ def case1_range(d: int, p_min: float | None = None,
 
 
 def cayley_case1_generator(d: int, p_min: float | None = None,
-                           p_max: float | None = None, seed: int = 0,
-                           max_attempts: int = 100_000) -> CayleyGenerator:
+                           p_max: float | None = None,
+                           seed: int = 0) -> CayleyGenerator:
     """Rejection-sample a full-neighborhood generator with banded weights.
 
     Weights are drawn uniformly on all of {-1, 0, 1}^d, normalized to sum 1,
     and accepted iff every weight lies in the band `case1_range(d, p_min,
     p_max)`, which is checked before the first draw.  Deterministic per seed.
+    Raises RejectionExhausted after CASE1_MAX_DRAWS draws.
     """
     p_min, p_max = case1_range(d, p_min, p_max)
     offsets = list(itertools.product((-1, 0, 1), repeat=d))
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(CASE1_MAX_DRAWS):
         raw = rng.random(len(offsets))
         w = raw / raw.sum()
         if ((w >= p_min) & (w <= p_max)).all():
             return CayleyGenerator(d=d, weights=dict(zip(offsets, w.tolist())))
     raise RejectionExhausted(
-        f"no generator in [{p_min}, {p_max}] after {max_attempts} draws")
+        f"no generator in [{p_min}, {p_max}] after {CASE1_MAX_DRAWS} draws")
 
 
 def cayley_case1(n: int, d: int, p_min: float | None = None,
-                 p_max: float | None = None, seed: int = 0,
-                 max_attempts: int = 100_000):
+                 p_max: float | None = None, seed: int = 0):
     """(generator, matrix): `cayley_case1_generator` and its Cayley matrix
     on Z_n^d."""
-    gen = cayley_case1_generator(d, p_min, p_max, seed, max_attempts)
+    gen = cayley_case1_generator(d, p_min, p_max, seed)
     return gen, cayley_matrix(n, gen)
 
 
@@ -257,22 +263,21 @@ class GeometricInstance:
     audit: dict
 
 
-def gamma_check(coordinates, l: float, gamma: float, divisions: int = 30) -> bool:
+def gamma_check(coordinates, l: float, gamma: float) -> bool:
     """One-sided coverage certificate: gamma_n <= gamma if this passes.
 
-    Tests a grid of (divisions+1)^d points with spacing l/divisions; every
-    grid point must lie within gamma - (l/divisions) sqrt(d)/2 of some node.
-    A pass guarantees coverage; a fail may be spurious (never the reverse).
+    Tests a grid of (GAMMA_GRID_DIVISIONS + 1)^d points with spacing
+    step = l / GAMMA_GRID_DIVISIONS; every grid point must lie within
+    gamma - step sqrt(d)/2 of some node.  A pass guarantees coverage; a fail
+    may be spurious (never the reverse).
     """
-    if divisions < 1:
-        raise OutOfRange(f"divisions = {divisions} must be at least 1")
     coords = np.asarray(coordinates, dtype=float)
     d = coords.shape[1]
-    step = l / divisions
+    step = l / GAMMA_GRID_DIVISIONS
     margin = gamma - step * np.sqrt(d) / 2.0
     if margin < 0:
         return False
-    axes = [np.arange(divisions + 1) * step for _ in range(d)]
+    axes = [np.arange(GAMMA_GRID_DIVISIONS + 1) * step for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     dist, _ = cKDTree(coords).query(grid)
@@ -301,11 +306,11 @@ def rho_check(graph, coordinates, rho: float, distances=None):
     return rho_n >= rho, rho_n
 
 
-def _place_nodes(rng, n, d, l, s, node_attempt_cap, audit):
+def _place_nodes(rng, n, d, l, s, audit):
     coords = np.empty((n, d))
     placed = 0
     while placed < n:
-        for attempt in range(node_attempt_cap):
+        for attempt in range(NODE_ATTEMPT_CAP):
             candidate = rng.random(d) * l
             if placed == 0:
                 break
@@ -316,20 +321,21 @@ def _place_nodes(rng, n, d, l, s, node_attempt_cap, audit):
         else:
             raise InfeasibleDensity(
                 f"could not place node {placed} of {n} at spacing {s} "
-                f"in [0, {l}]^{d} within {node_attempt_cap} attempts")
+                f"in [0, {l}]^{d} within {NODE_ATTEMPT_CAP} attempts")
         coords[placed] = candidate
         placed += 1
     return coords
 
 
 def sample_geometric(params: GeometricParams, n: int, d: int, seed,
-                     max_attempts: int = 1000, node_attempt_cap: int = 10_000,
-                     divisions: int = 30) -> GeometricInstance:
+                     max_attempts: int = 1000) -> GeometricInstance:
     """Run the full sampling pipeline; pure function of (params, n, d, seed).
 
     Any screening failure (disconnected, coverage, distance ratio, reducible
     matrix, invariant-measure range) restarts the construction from node
-    placement; `max_attempts` bounds the restarts.  The invariant-measure
+    placement; `max_attempts` bounds the restarts.  Each node gets
+    NODE_ATTEMPT_CAP candidate positions before InfeasibleDensity, and the
+    coverage screen is `gamma_check` on its fixed grid.  The invariant-measure
     screen is the one symmetric band: it rejects when n pi_min < pi_bar_min
     or n pi_max > pi_bar_max, and the audit's `pi_check=symmetric` names it.
     """
@@ -354,7 +360,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
     full = (1 << n) - 1
     for _ in range(max_attempts):
         audit["attempts"] += 1
-        coords = _place_nodes(rng, n, d, l, params.s, node_attempt_cap, audit)
+        coords = _place_nodes(rng, n, d, l, params.s, audit)
         de = cdist(coords, coords)
         keep = (de[iu] <= params.r) & (rng.random(iu[0].size) < params.p_e)
         adj = np.zeros((n, n), dtype=bool)
@@ -363,7 +369,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         if reach(adj) != full:
             audit["rejected_disconnected"] += 1
             continue
-        if not gamma_check(coords, l, params.gamma, divisions):
+        if not gamma_check(coords, l, params.gamma):
             audit["rejected_gamma"] += 1
             continue
         rho_ok, rho_n = rho_check(adj, coords, params.rho, distances=de)
@@ -418,22 +424,35 @@ def save_edge_list(instance: GeometricInstance, path) -> None:
 
 
 def load_edge_list(path, n: int | None = None) -> np.ndarray:
-    """Read "u v [weight]" lines into a dense adjacency (weights optional)."""
-    pairs = []
-    weights = []
+    """Read "u v [weight]" lines into a dense adjacency (weights optional).
+
+    Ids are 0-based and must lie in [0, n); without `n`, n is one more than
+    the largest id.  Blank lines are skipped.  A line that is not two integer
+    ids and an optional number raises ValueError, and an id outside [0, n)
+    raises OutOfRange; both name the line.
+    """
+    edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) > 2 else 1.0
-            pairs.append((u, v))
-            weights.append(w)
+            try:
+                if len(parts) not in (2, 3):
+                    raise ValueError
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]', "
+                                 f"got {line.strip()!r}") from None
+            edges.append((lineno, u, v, w))
     if n is None:
-        n = 1 + max(max(u, v) for u, v in pairs) if pairs else 0
+        n = 1 + max(max(u, v) for _, u, v, _ in edges) if edges else 0
     adj = np.zeros((n, n))
-    for (u, v), w in zip(pairs, weights):
+    for lineno, u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise OutOfRange(
+                f"{path}:{lineno}: edge {u} {v} has an id outside [0, {n})")
         adj[u, v] = w
         adj[v, u] = w
     return adj

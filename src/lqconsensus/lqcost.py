@@ -23,6 +23,10 @@ STEIN_RESIDUAL_TOL = 1e-11
 GREEN_IDENTITY_TOL = 1e-9
 # Trials per Monte Carlo block: each block draws from its own generator.
 MC_BLOCK = 1024
+# The truncated series' stopping rule (see `lq_cost_truncated`).
+TRUNCATED_MAX_TERMS = 10_000
+TRUNCATED_DELTA = 1e-5
+TRUNCATED_WINDOW = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +46,10 @@ class LqReport:
 
     An "exact" report gives the number of Stein doublings in `steps_used` and
     the relative Stein residual in `stein_residual`; a "truncated" report
-    gives the number of series terms in `steps_used` and its stopping rule in
-    `change_rule`; an "fft" report (a Cayley torus in closed form, from
-    `experiments_cli.torus_fields`) gives the smallest 1 - |lambda_k|^2 over
-    the nonzero frequencies in `spectral_gap`.
+    gives the number of series terms in `steps_used`, under the fixed
+    stopping rule of `lq_cost_truncated`; an "fft" report (a Cayley torus in
+    closed form, from `experiments_cli.torus_fields`) gives the smallest
+    1 - |lambda_k|^2 over the nonzero frequencies in `spectral_gap`.
     """
 
     j: float
@@ -54,7 +58,6 @@ class LqReport:
     method: str
     steps_used: int | None = None
     stein_residual: float | None = None
-    change_rule: str | None = None
     spectral_gap: float | None = None
 
     def to_kv(self) -> str:
@@ -69,8 +72,6 @@ class LqReport:
             lines.append(f"steps_used={self.steps_used}")
         if self.stein_residual is not None:
             lines.append(f"stein_residual={self.stein_residual!r}")
-        if self.change_rule is not None:
-            lines.append(f"change_rule={self.change_rule}")
         if self.spectral_gap is not None:
             lines.append(f"spectral_gap={self.spectral_gap!r}")
         return "\n".join(lines)
@@ -145,16 +146,14 @@ def lq_cost_exact(P: ConsensusMatrix) -> LqReport:
                     steps_used=doublings, stein_residual=residual)
 
 
-def lq_cost_truncated(P: ConsensusMatrix, t_max: int = 10_000,
-                      delta: float = 1e-5, window: int = 10) -> LqReport:
+def lq_cost_truncated(P: ConsensusMatrix) -> LqReport:
     """Partial sums of J and J_w with the double stopping rule.
 
-    The sum ends at t_max, or at the first point where the change of the
-    partial sum of J stays below `delta` (absolute) for `window` consecutive
-    steps.  `steps_used` counts the terms actually accumulated.
+    The sum ends at t = TRUNCATED_MAX_TERMS, or at the first point where the
+    change of the partial sum of J stays below TRUNCATED_DELTA (absolute) for
+    TRUNCATED_WINDOW consecutive steps.  `steps_used` counts the terms
+    actually accumulated.
     """
-    if t_max < 1 or delta <= 0 or window < 1:
-        raise ValueError("t_max >= 1, delta > 0 and window >= 1 are required")
     pi = P.invariant.pi
     n = P.n
     target = np.outer(np.ones(n), pi)
@@ -164,7 +163,7 @@ def lq_cost_truncated(P: ConsensusMatrix, t_max: int = 10_000,
     t0 = None
     consecutive = 0
     steps = 0
-    for _ in range(t_max + 1):
+    for _ in range(TRUNCATED_MAX_TERMS + 1):
         b = power - target
         term = float((b * b).sum()) / n
         jw += float((pi[:, None] * b * b).sum())
@@ -172,15 +171,15 @@ def lq_cost_truncated(P: ConsensusMatrix, t_max: int = 10_000,
         steps += 1
         if t0 is None:
             t0 = term
-        if term < delta:
+        if term < TRUNCATED_DELTA:
             consecutive += 1
-            if consecutive >= window:
+            if consecutive >= TRUNCATED_WINDOW:
                 break
         else:
             consecutive = 0
         power = power @ P.entries
     return LqReport(j=j, j_weighted=jw, t0_term=t0, method="truncated",
-                    steps_used=steps, change_rule="absolute")
+                    steps_used=steps)
 
 
 def noisy_consensus_estimate(P: ConsensusMatrix, horizon: int, trials: int,

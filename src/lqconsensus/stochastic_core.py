@@ -205,11 +205,6 @@ def strong_component(support) -> int:
     return reach(s) & reach(s.T)
 
 
-def invariant_measure(P: ConsensusMatrix) -> InvariantMeasure:
-    """The invariant measure of P (cached on the matrix)."""
-    return P.invariant
-
-
 def _invariant_residual(a: np.ndarray, pi: np.ndarray) -> float:
     return float(np.abs(pi @ a - pi).max())
 
@@ -292,11 +287,6 @@ def _classification_residuals(P: ConsensusMatrix) -> dict:
         "commuting": float(np.abs(P.reversal @ a - a @ P.reversal).max()),
         "doubly_stochastic": float(np.abs(a.sum(axis=0) - 1.0).max()),
     }
-
-
-def support_graphs(P: ConsensusMatrix) -> SupportGraphs:
-    """Support adjacency, degree maxima and entry extremes (cached on P)."""
-    return P.graphs
 
 
 def _build_support_graphs(P: ConsensusMatrix) -> SupportGraphs:

@@ -1,0 +1,71 @@
+"""The benchmark in perfbench/ calls the package by name, so a renamed
+function or parameter breaks it without failing any other test.  These tests
+read perfbench/ (nothing there is changed or imported as a package) and check
+that its span targets resolve, that the calls its workloads make still bind,
+and that its count hooks still find their arguments.
+"""
+import importlib
+import inspect
+import runpy
+from pathlib import Path
+
+import pytest
+
+import lqconsensus
+from lqconsensus import experiments_cli, graph_gen, lqcost
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    # run_path compiles the file in memory and writes no bytecode next to it.
+    return runpy.run_path(str(SPANS))
+
+
+def test_every_span_target_resolves(spans):
+    for module_name, attr, _, _ in spans["TARGETS"]:
+        assert callable(getattr(importlib.import_module(module_name), attr)), \
+            f"{module_name}.{attr}"
+
+
+# The calls of perfbench/workload.py, in its argument shapes; `_` stands for
+# a value whose type the binding does not check.
+_ = object()
+WORKLOAD_CALLS = [
+    (graph_gen.sample_geometric, (graph_gen.GeometricParams(), _, 2), {"seed": _}),
+    (graph_gen.cayley_case1, (_, 2), {"seed": _}),
+    (graph_gen.cayley_case2, (_, 2), {}),
+    (graph_gen.circle_matrix, (_, _, _), {}),
+    (graph_gen.p_epsilon, (_,), {}),
+    (graph_gen.commuting_example, (), {}),
+    (lqcost.noisy_consensus_estimate, (_,),
+     {"horizon": _, "trials": _, "seed": _, "chunk": _}),
+    (lqconsensus.save_matrix_csv, (_, _), {}),
+    (experiments_cli.main, (_,), {}),
+]
+
+
+@pytest.mark.parametrize("func,args,kwargs", WORKLOAD_CALLS,
+                         ids=[call[0].__name__ for call in WORKLOAD_CALLS])
+def test_workload_calls_bind(func, args, kwargs):
+    inspect.signature(func).bind(*args, **kwargs)
+
+
+def test_count_hooks_read_their_arguments(spans):
+    tracer = spans["Tracer"]()
+    try:
+        tracer.install()
+        P = graph_gen.p_epsilon(0.25)
+        lqcost.lq_cost_exact(P)
+        lqcost.lq_cost_truncated(P)
+        lqcost.noisy_consensus_estimate(P, horizon=2, trials=3, seed=0, chunk=3)
+        graph_gen.sample_geometric(graph_gen.GeometricParams(), 10, 2, seed=0)
+    finally:
+        tracer.remove()
+    counts = {span[0]: span[5] for span in tracer.spans if span[5] is not None}
+    assert counts["lqcost.lq_cost_exact"]["n"] == 3
+    assert counts["lqcost.lq_cost_truncated"]["steps"] >= 1
+    assert counts["lqcost.noisy_consensus_estimate"] == {"trial_steps": 6}
+    assert counts["graph_gen.sample_geometric"]["attempts"] >= 1
+    assert not any("hook_errors" in c for c in counts.values())

@@ -25,7 +25,6 @@ from lqconsensus import (
     resistance_sandwich_check,
     reversiblization_conductance,
     reversiblization_support,
-    support_graphs,
     theorem_resistance_bounds,
     theorem_topology_bounds,
     unit_conductance,
@@ -252,7 +251,7 @@ class TestReversiblizationSupport:
 
     def test_every_base_edge_survives(self, rng):
         P = random_consensus(rng, 8, density=0.3)
-        und = support_graphs(P).undirected
+        und = P.graphs.undirected
         base = {(u, v) for u in range(8) for v in range(u + 1, 8) if und[u, v]}
         fuzz = reversiblization_support(P)
         assert base <= set(fuzz.edges)
@@ -312,7 +311,7 @@ class TestSimpleMonotonicity:
         #   <= R_bar(C_{P*P}) <= 1/(n pi_min p_min^2) R_bar(G(P*P))
         for _ in range(30):
             P = random_consensus(rng, int(rng.integers(3, 10)))
-            graphs = support_graphs(P)
+            graphs = P.graphs
             inv = P.invariant
             weighted = average_resistance(
                 effective_resistance(reversiblization_conductance(P)))

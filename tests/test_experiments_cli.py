@@ -205,26 +205,29 @@ class TestResultRowGate:
 class TestBuildConfig:
     def test_defaults(self):
         config = build_config("epsilon-sweep")
-        assert config.parameters["points"] == 100
-        assert config.parameters["eps_min"] == pytest.approx(1e-3)
-        assert config.parameters["eps_max"] == pytest.approx(0.5)
-        assert config.parameters["seed"] == 0
+        assert config["points"] == 100
+        assert config["eps_min"] == pytest.approx(1e-3)
+        assert config["eps_max"] == pytest.approx(0.5)
+        assert config["seed"] == 0
 
     def test_overrides_and_types(self):
         config = build_config("geometric", overrides=[
             "n_list=25,50", "p_d=0.2", "instances=3"])
-        assert config.parameters["n_list"] == (25, 50)
-        assert config.parameters["p_d"] == pytest.approx(0.2)
-        assert config.parameters["instances"] == 3
+        assert config["n_list"] == (25, 50)
+        assert config["p_d"] == pytest.approx(0.2)
+        assert config["instances"] == 3
 
     def test_pi_screen_is_not_a_key(self):
         # The invariant-measure screen is the one symmetric band.
         with pytest.raises(ConfigError, match="unknown key 'literal_pi_check'"):
             build_config("geometric", overrides=["literal_pi_check=true"])
 
-    @pytest.mark.parametrize("key", ["t_max", "delta", "window"])
+    @pytest.mark.parametrize("key", ["t_max", "delta", "window", "divisions",
+                                     "node_attempt_cap", "exact_check_max_n"])
     def test_truncated_series_is_not_configurable(self, tmp_path, capsys, key):
-        # The geometric cross-check runs the series at its defaults.
+        # The geometric cross-check runs the series with its module constants,
+        # and the sampler's grid, node cap and the cross-check's size cut-off
+        # are module constants too.
         assert main(["geometric", "--out", str(tmp_path / "x"),
                      "-p", f"{key}=5"]) == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err
@@ -249,9 +252,9 @@ class TestBuildConfig:
         cfg.write_text("# comment line\n\npoints = 7\neps_max = 0.25\n")
         config = build_config("epsilon-sweep", config_file=cfg,
                               overrides=["points=9"], seed=4)
-        assert config.parameters["points"] == 9
-        assert config.parameters["eps_max"] == pytest.approx(0.25)
-        assert config.parameters["seed"] == 4
+        assert config["points"] == 9
+        assert config["eps_max"] == pytest.approx(0.25)
+        assert config["seed"] == 4
 
     def test_config_file_syntax_error_names_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -698,10 +701,11 @@ class TestGeometricSweep:
 
     def test_exact_cost_with_truncated_cross_check(self, tmp_path, monkeypatch):
         truncated = count_calls(monkeypatch, lq_cost_truncated)
+        monkeypatch.setattr(experiments_cli, "EXACT_CHECK_MAX_N", 20)
         out = tmp_path / "run"
         assert main(["geometric", "--out", str(out), "-p", "d=2",
-                     "-p", "n_list=20,25", "-p", "exact_check_max_n=20",
-                     "-p", "instances=2", "--seed", "3"]) == 0
+                     "-p", "n_list=20,25", "-p", "instances=2",
+                     "--seed", "3"]) == 0
         _, _, rows = read_results(out / "results.csv")
         assert [row["n"] for row in rows] == ["20", "20", "25", "25"]
         assert len(truncated) == 2
@@ -967,6 +971,18 @@ class TestValidate:
         assert main(["validate", "--seed", "6"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_gamma_oracle_matches_kd_tree(self, rng):
+        # The running minimum over the nodes forms the same squared distances
+        # as scipy's KD-tree query on the same grid, so the maximum is equal.
+        from scipy.spatial import cKDTree
+        axis = np.arange(301) * (3.0 / 300)
+        mesh = np.meshgrid(axis, axis, indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        for _ in range(5):
+            coords = rng.random((40, 2)) * 3.0
+            expected = float(cKDTree(coords).query(grid)[0].max())
+            assert experiments_cli._max_uncovered(coords, 3.0, 300) == expected
 
 
 def command_outputs(argv, out, capsys):

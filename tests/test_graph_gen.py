@@ -29,9 +29,9 @@ from lqconsensus import (
     sample_geometric,
     save_coordinates_csv,
     save_edge_list,
-    support_graphs,
     time_reversal,
 )
+from lqconsensus import graph_gen
 from helpers import rho_n_floyd_warshall
 
 
@@ -119,11 +119,12 @@ class TestCayleyCase1:
         assert gen_a.weights == gen_b.weights
         assert gen_a.weights != gen_c.weights
 
-    def test_narrow_band_exhausts(self):
+    def test_narrow_band_exhausts(self, monkeypatch):
         # nine weights summing to 1 can all lie in [0.11, 0.112] (at 1/9,
         # for one), but a uniform draw essentially never lands there
-        with pytest.raises(RejectionExhausted):
-            cayley_case1(3, 2, p_min=0.11, p_max=0.112, max_attempts=50)
+        monkeypatch.setattr(graph_gen, "CASE1_MAX_DRAWS", 50)
+        with pytest.raises(RejectionExhausted, match="after 50 draws"):
+            cayley_case1(3, 2, p_min=0.11, p_max=0.112)
 
     @pytest.mark.parametrize("d,p_min,p_max", [
         (2, 0.2, 0.3),     # 9 * p_min > 1: the weights would sum above 1
@@ -162,16 +163,16 @@ class TestCayleyCase1:
 
     def test_in_degree_is_full_neighborhood(self):
         _, P = cayley_case1(4, 2, seed=0)
-        assert support_graphs(P).delta_in == 8
+        assert P.graphs.delta_in == 8
         _, P = cayley_case1(3, 3, seed=0)
-        assert support_graphs(P).delta_in == 26
+        assert P.graphs.delta_in == 26
 
 
 class TestCayleyCase2:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_in_degree_equals_dimension(self, d):
         P = cayley_case2(3, d)
-        assert support_graphs(P).delta_in == d
+        assert P.graphs.delta_in == d
         assert classify(P).commuting
 
     def test_one_dimensional_is_lazy_ring(self):
@@ -300,10 +301,6 @@ class TestGammaCheck:
     def test_tiny_gamma_fails_fast(self):
         assert not gamma_check(np.array([[0.5, 0.5]]), l=1.0, gamma=0.001)
 
-    def test_divisions_gate(self):
-        with pytest.raises(OutOfRange):
-            gamma_check(np.array([[0.5, 0.5]]), l=1.0, gamma=0.75, divisions=0)
-
     def test_pass_implies_true_coverage(self, rng):
         # one-sided guarantee: every accepted configuration really covers the
         # box at radius gamma, confirmed on a 10x finer grid
@@ -418,10 +415,11 @@ class TestSampleGeometric:
                 return
         pytest.fail("no asymmetric edge produced at p_d = 0.45 across 6 seeds")
 
-    def test_infeasible_density(self):
+    def test_infeasible_density(self, monkeypatch):
         params = GeometricParams(s=0.99, r=1.0)
-        with pytest.raises(InfeasibleDensity):
-            sample_geometric(params, n=30, d=2, seed=0, node_attempt_cap=200)
+        monkeypatch.setattr(graph_gen, "NODE_ATTEMPT_CAP", 200)
+        with pytest.raises(InfeasibleDensity, match="within 200 attempts"):
+            sample_geometric(params, n=30, d=2, seed=0)
 
     def test_unreachable_ratio_exhausts(self):
         params = GeometricParams(rho=10.0)
@@ -446,6 +444,51 @@ class TestGeometricFiles:
         assert np.abs(coords - inst.coordinates).max() <= 1e-15
         adj = load_edge_list(epath, n=20)
         np.testing.assert_array_equal(adj > 0, inst.graph)
+
+    def test_edge_list_round_trip_infers_n(self, tmp_path):
+        # An accepted graph is connected, so every node appears in some edge.
+        inst = sample_geometric(GeometricParams(), n=25, d=2, seed=5)
+        path = tmp_path / "edges.txt"
+        save_edge_list(inst, path)
+        for line in path.read_text().splitlines():
+            u, v = map(int, line.split())
+            assert 0 <= u < v < 25
+        np.testing.assert_array_equal(load_edge_list(path), inst.graph.astype(float))
+
+    def test_edge_list_weights(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1 0.5\n\n1 2\n")
+        np.testing.assert_array_equal(load_edge_list(path, n=4), [
+            [0.0, 0.5, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("text,n,lineno", [
+        # negative indexing would wrap -1 to the last node
+        pytest.param("0 1\n-1 2\n", None, 2, id="negative"),
+        pytest.param("0 1\n2 -1\n", 3, 2, id="negative-given-n"),
+        pytest.param("0 1\n1 3\n", 3, 2, id="equal-to-n"),
+        pytest.param("\n0 7\n", 5, 2, id="after-blank-line"),
+    ])
+    def test_edge_list_id_out_of_range(self, tmp_path, text, n, lineno):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(OutOfRange, match=f"edges.txt:{lineno}: "):
+            load_edge_list(path, n=n)
+
+    @pytest.mark.parametrize("text,lineno", [
+        pytest.param("0\n", 1, id="one-field"),
+        pytest.param("0 1\n\n2\n", 3, id="blank-lines-count"),
+        pytest.param("0 1 0.5 9\n", 1, id="four-fields"),
+        pytest.param("0 one\n", 1, id="word-id"),
+        pytest.param("0 1.5\n", 1, id="float-id"),
+        pytest.param("0 1 heavy\n", 1, id="word-weight"),
+    ])
+    def test_edge_list_malformed_line(self, tmp_path, text, lineno):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        message = rf"edges.txt:{lineno}: expected 'u v \[weight\]'"
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(path)
 
     def test_audit_block_lists_measurements(self):
         inst = sample_geometric(GeometricParams(), n=15, d=2, seed=4)

@@ -20,12 +20,10 @@ from lqconsensus import (
     cayley_matrix,
     classify,
     commuting_example,
-    invariant_measure,
     load_matrix_csv,
     multiplicative_reversiblization,
     p_epsilon,
     save_matrix_csv,
-    support_graphs,
     time_reversal,
     validate_consensus,
 )
@@ -96,18 +94,18 @@ class TestValidateConsensus:
 
 class TestInvariantMeasure:
     def test_uniform_measure(self):
-        inv = invariant_measure(uniform(4))
+        inv = uniform(4).invariant
         np.testing.assert_allclose(inv.pi, 0.25, atol=1e-12)
         assert inv.residual <= 1e-10
         assert inv.route == "lstsq"
 
     def test_circulant_measure_is_uniform(self):
-        inv = invariant_measure(circle_matrix(6, 0.3, 0.2))
+        inv = circle_matrix(6, 0.3, 0.2).invariant
         np.testing.assert_allclose(inv.pi, 1.0 / 6, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25, 0.5])
     def test_epsilon_chain_closed_form(self, eps):
-        inv = invariant_measure(p_epsilon(eps))
+        inv = p_epsilon(eps).invariant
         expected = np.array([1.0, 1.0, 2.0 - 2.0 * eps]) / (4.0 - 2.0 * eps)
         np.testing.assert_allclose(inv.pi, expected, atol=1e-10)
 
@@ -149,7 +147,7 @@ class TestInvariantMeasure:
             assert pi[k] == pytest.approx(float(r ** k / total), rel=1e-12, abs=0)
 
     def test_extremes_and_diag(self):
-        inv = invariant_measure(p_epsilon(0.25))
+        inv = p_epsilon(0.25).invariant
         assert inv.pi_min == inv.pi.min()
         assert inv.pi_max == inv.pi.max()
         np.testing.assert_array_equal(np.diag(inv.diag), inv.pi)
@@ -251,7 +249,7 @@ class TestClassify:
 
 class TestSupportGraphs:
     def test_epsilon_chain_degrees(self):
-        g = support_graphs(p_epsilon(0.1))
+        g = p_epsilon(0.1).graphs
         assert g.delta_in == 1
         assert g.delta_out == 1
         assert g.delta_undirected == 2
@@ -259,22 +257,22 @@ class TestSupportGraphs:
         assert g.p_max == pytest.approx(0.9)
 
     def test_torus_case2_in_degree(self):
-        assert support_graphs(cayley_case2(4, 2)).delta_in == 2
-        assert support_graphs(cayley_case2(3, 3)).delta_in == 3
+        assert cayley_case2(4, 2).graphs.delta_in == 2
+        assert cayley_case2(3, 3).graphs.delta_in == 3
 
     def test_torus_case1_in_degree(self):
         _, P = cayley_case1(4, 3, seed=0)
-        assert support_graphs(P).delta_in == 26
+        assert P.graphs.delta_in == 26
 
     def test_undirected_is_symmetrization(self, rng):
         P = random_consensus(rng, 9, density=0.3)
-        g = support_graphs(P)
+        g = P.graphs
         np.testing.assert_array_equal(g.undirected, g.directed | g.directed.T)
         assert g.directed.diagonal().all()
 
     def test_entry_extremes_cover_diagonal(self, rng):
         P = random_consensus(rng, 7)
-        g = support_graphs(P)
+        g = P.graphs
         nz = P.entries[P.entries > 0]
         assert g.p_min == pytest.approx(nz.min())
         assert g.p_max == pytest.approx(nz.max())
