@@ -63,6 +63,7 @@ from .resistance import (
 )
 from .stochastic_core import (
     CLASSIFICATION_TOL,
+    INVARIANT_RESIDUAL_TOL,
     SUPPORT_THRESHOLD,
     classify,
     load_matrix_csv,
@@ -92,21 +93,6 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _exceeds(value, limit) -> bool:
-    """Whether value lies above limit by more than the bound slack:
-    BOUND_SLACK_REL relative plus BOUND_SLACK_ABS absolute."""
-    return value > limit * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
-
-
-def _check_below(value, limit, label: str) -> None:
-    """Raise LqConsensusError naming `label` if value exceeds limit (None skips)."""
-    if value is None or limit is None:
-        return
-    if _exceeds(value, limit):
-        raise LqConsensusError(
-            f"result row violates {label}: {value} > {limit}")
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One experiment data point; its fields, in order, are the CSV columns
@@ -117,12 +103,30 @@ class ResultRow:
     the truncated series against the exact cost, on geometric rows where that
     cross-check ran; it is empty elsewhere.
 
-    Construction verifies that the cost values sit below every populated
-    upper bound and above every certified lower bound (norm_j_lower whenever
-    populated, the res_* and topo_* lower bounds when lower_applicable), with
-    1e-9 relative slack, and raises LqConsensusError naming the bound
-    otherwise.
+    Construction is the gate that every sweep row, `analyze` report and bound
+    suite of `validate` passes.  Its inequalities are listed once, as (smaller
+    field, larger field, bound name) in GATED and CERTIFIED_LOWER: the costs
+    below every upper bound and above norm_j_lower, and above the theorems'
+    lower bounds only when lower_applicable certifies them.  Each one whose
+    two fields are populated (`gated`) must have a `margin` of at least 0,
+    that is, hold up to BOUND_SLACK_REL relative plus BOUND_SLACK_ABS
+    absolute slack; otherwise LqConsensusError names the bound.
     """
+
+    GATED = (
+        ("j", "res_j_upper", "the resistance-theorem J upper bound"),
+        ("j", "topo_j_upper", "the topology-theorem J upper bound"),
+        ("j", "norm_j_upper", "the normal-corollary J upper bound"),
+        ("j_weighted", "res_jw_upper", "the resistance-theorem weighted upper bound"),
+        ("j_weighted", "topo_jw_upper", "the topology-theorem weighted upper bound"),
+        ("norm_j_lower", "j", "the normal-corollary J lower bound"),
+    )
+    CERTIFIED_LOWER = (
+        ("res_j_lower", "j", "the resistance-theorem J lower bound"),
+        ("topo_j_lower", "j", "the topology-theorem J lower bound"),
+        ("res_jw_lower", "j_weighted", "the resistance-theorem weighted lower bound"),
+        ("topo_jw_lower", "j_weighted", "the topology-theorem weighted lower bound"),
+    )
 
     experiment: str
     n: int
@@ -148,22 +152,25 @@ class ResultRow:
     lower_applicable: bool
     j_normalized: float | None
 
+    def gated(self) -> list:
+        """The entries of GATED, and of CERTIFIED_LOWER when lower_applicable,
+        whose two fields are both populated."""
+        table = self.GATED + (self.CERTIFIED_LOWER if self.lower_applicable else ())
+        return [(smaller, larger, name) for smaller, larger, name in table
+                if getattr(self, smaller) is not None and getattr(self, larger) is not None]
+
+    def margin(self, smaller: str, larger: str) -> float:
+        """larger (1 + BOUND_SLACK_REL) + BOUND_SLACK_ABS - smaller, for two
+        field names: negative exactly when the gate refuses the pair."""
+        return (getattr(self, larger) * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
+                - getattr(self, smaller))
+
     def __post_init__(self):
-        _check_below(self.j, self.res_j_upper, "the resistance-theorem J upper bound")
-        _check_below(self.j, self.topo_j_upper, "the topology-theorem J upper bound")
-        _check_below(self.j, self.norm_j_upper, "the normal-corollary J upper bound")
-        _check_below(self.j_weighted, self.res_jw_upper,
-                     "the resistance-theorem weighted upper bound")
-        _check_below(self.j_weighted, self.topo_jw_upper,
-                     "the topology-theorem weighted upper bound")
-        _check_below(self.norm_j_lower, self.j, "the normal-corollary J lower bound")
-        if self.lower_applicable:
-            _check_below(self.res_j_lower, self.j, "the resistance-theorem J lower bound")
-            _check_below(self.topo_j_lower, self.j, "the topology-theorem J lower bound")
-            _check_below(self.res_jw_lower, self.j_weighted,
-                         "the resistance-theorem weighted lower bound")
-            _check_below(self.topo_jw_lower, self.j_weighted,
-                         "the topology-theorem weighted lower bound")
+        for smaller, larger, name in self.gated():
+            if self.margin(smaller, larger) < 0:
+                raise LqConsensusError(
+                    f"result row violates {name}:"
+                    f" {getattr(self, smaller)} > {getattr(self, larger)}")
 
     def to_cells(self) -> list:
         return [self.experiment] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
@@ -582,13 +589,14 @@ def run_epsilon_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     tables = {stem: (grid, y) for (_, _, stem), (_, _, y) in zip(EPSILON_CURVES, curves)}
     hyp = [row for row in rows if not row.lower_applicable and row.res_j_lower > row.j]
     certified = [row for row in rows if row.lower_applicable]
+    valid = all(row.margin(smaller, larger) >= 0 for row in certified
+                for smaller, larger, _ in ResultRow.CERTIFIED_LOWER)
     summary = [
         f"hypothetical_lower_above_j_count={len(hyp)}",
         f"hypothetical_lower_above_j_max_eps="
         f"{_fmt(max((row.epsilon for row in hyp), default=None))}",
         f"certified_lower_points={len(certified)}",
-        f"certified_lower_valid="
-        f"{_fmt(not any(_exceeds(r.res_j_lower, r.j) for r in certified))}",
+        f"certified_lower_valid={_fmt(valid)}",
         f"certified_lower_min_rel_margin="
         f"{_fmt(min(((r.j - r.res_j_lower) / r.j for r in certified), default=None))}",
     ]
@@ -789,16 +797,6 @@ def analyze_matrix(path, truncated: bool = False) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    """One validation suite's outcome; a suite passes iff worst_slack >= 0."""
-
-    name: str
-    checks: int
-    failures: int
-    worst_slack: float
-
-
 def _first_irreducible(draw, failure: str):
     """Validate up to 200 draws of `draw()`; the first irreducible one wins."""
     for _ in range(200):
@@ -842,109 +840,95 @@ def _random_circulant(rng, n: int):
 
 
 def _suite_trace_inequality(rng):
-    slacks = []
     for _ in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         for t in range(9):
             left, right = trace_pair(matrix, t)
-            slacks.append(right - left + 1e-9)
-    return slacks
+            yield right - left + 1e-9
 
 
 def _suite_trace_equality_reversible(rng):
-    slacks = []
     for _ in range(10):
         matrix = _random_reversible(rng, int(rng.integers(3, 9)))
         for t in range(7):
             left, right = trace_pair(matrix, t)
-            slacks.append(1e-9 - abs(right - left))
-    return slacks
+            yield 1e-9 - abs(right - left)
 
 
 def _suite_green_resistance_identity(rng):
-    slacks = []
     for _ in range(15):
         matrix = _random_reversible(rng, int(rng.integers(3, 13)))
         rbar_w = weighted_average_resistance(
             effective_resistance(phi_map(matrix)), matrix.invariant)
         target = green_matrix(matrix).trace / matrix.n
-        slacks.append(1e-8 - abs(rbar_w - target))
-    return slacks
+        yield 1e-8 - abs(rbar_w - target)
+
+
+def _gate_margins(row):
+    """The row gate's margin of every inequality it holds `row` to."""
+    return [row.margin(smaller, larger) for smaller, larger, _ in row.gated()]
 
 
 def _suite_upper_bounds(rng):
-    slacks = []
-    for _ in range(30):
+    """Random consensus matrices through `_evaluate`, the sweeps' pipeline:
+    J and J_w against every bound of the row gate, which raises on a
+    violation (the certified lower bounds too, for a commuting draw)."""
+    for i in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
-        report = lq_cost_exact(matrix)
-        for bounds in (theorem_resistance_bounds(matrix),
-                       theorem_topology_bounds(matrix)):
-            slacks.append(bounds.j_upper - report.j + 1e-9)
-            slacks.append(bounds.jw_upper - report.j_weighted + 1e-9)
-    return slacks
+        row, _, _ = _evaluate(matrix, experiment="validate", n=matrix.n, instance=i)
+        yield from _gate_margins(row)
 
 
 def _suite_lower_bounds_commuting(rng):
+    """Commuting matrices through `_evaluate`, as `_suite_upper_bounds`;
+    each must be classified as commuting, so that the row gate also holds
+    its costs above the theorems' lower bounds."""
     matrices = [commuting_example(), p_epsilon(0.5), cayley_case2(4, 2),
                 circle_matrix(6, 0.3, 0.3)]
     matrices += [_random_circulant(rng, int(rng.integers(3, 9)))
                  for _ in range(16)]
-    slacks = []
-    for matrix in matrices:
-        report = lq_cost_exact(matrix)
-        for bounds in (theorem_resistance_bounds(matrix),
-                       theorem_topology_bounds(matrix)):
-            if not bounds.lower_applicable:
-                raise LqConsensusError(
-                    "a commuting test matrix was not classified as commuting")
-            slacks.append(report.j - bounds.j_lower + 1e-9)
-            slacks.append(report.j_weighted - bounds.jw_lower + 1e-9)
-    return slacks
+    for i, matrix in enumerate(matrices):
+        row, _, _ = _evaluate(matrix, experiment="validate", n=matrix.n, instance=i)
+        if not row.lower_applicable:
+            raise LqConsensusError(
+                "a commuting test matrix was not classified as commuting")
+        yield from _gate_margins(row)
 
 
 def _suite_sandwich(rng):
-    slacks = []
     for _ in range(15):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         margins = resistance_sandwich_check(matrix)
-        slacks.append(margins.min_upper_margin + 1e-9)
-        slacks.append(margins.min_lower_margin + 1e-9)
-    return slacks
+        yield margins.min_upper_margin + 1e-9
+        yield margins.min_lower_margin + 1e-9
 
 
 def _suite_support_oracle(rng):
-    slacks = []
     for _ in range(15):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)), density=0.35)
         fuzz = reversiblization_support(matrix)
         numeric = (matrix.reversal @ matrix.entries) > SUPPORT_THRESHOLD
         expected = {(u, v) for u in range(matrix.n) for v in range(u + 1, matrix.n)
                     if numeric[u, v]}
-        slacks.append(0.0 if fuzz.edges == frozenset(expected) else -1.0)
+        yield 0.0 if fuzz.edges == frozenset(expected) else -1.0
         witness_ok = all(matrix.support[w, u] and matrix.support[w, v]
                          for (u, v), w in fuzz.pivots.items())
-        slacks.append(0.0 if witness_ok else -1.0)
-    return slacks
+        yield 0.0 if witness_ok else -1.0
 
 
 def _suite_exact_vs_truncated(rng):
-    slacks = []
     for _ in range(10):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
         exact = lq_cost_exact(matrix)
         trunc = lq_cost_truncated(matrix)
-        slacks.append(1e-5 - abs(trunc.j - exact.j) / exact.j)
-    return slacks
+        yield 1e-5 - abs(trunc.j - exact.j) / exact.j
 
 
 def _suite_stationarity(rng):
-    slacks = []
     for _ in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 13)))
         pi = matrix.invariant.pi
-        residual = float(np.abs(pi @ matrix.entries - pi).max())
-        slacks.append(1e-10 - residual)
-    return slacks
+        yield INVARIANT_RESIDUAL_TOL - float(np.abs(pi @ matrix.entries - pi).max())
 
 
 def _max_uncovered(coords, box: float, divisions: int) -> float:
@@ -959,14 +943,10 @@ def _max_uncovered(coords, box: float, divisions: int) -> float:
 
 
 def _suite_gamma_oracle(rng):
-    slacks = []
     for _ in range(3):
         coords = rng.random((40, 2)) * 3.0
-        if gamma_check(coords, 3.0, 1.0):
-            slacks.append(1.0 - _max_uncovered(coords, 3.0, 300))
-        else:
-            slacks.append(0.0)
-    return slacks
+        covered = gamma_check(coords, 3.0, 1.0)
+        yield 1.0 - _max_uncovered(coords, 3.0, 300) if covered else 0.0
 
 
 _VALIDATION_SUITES = (
@@ -984,29 +964,35 @@ _VALIDATION_SUITES = (
 
 
 def run_validation_suite(config: dict, inject_fault: bool = False) -> int:
-    """Run every cross-module property suite; nonzero exit on any failure.
+    """Run every cross-module property suite; exit 2 if any fails.
 
-    With `inject_fault` (the --inject-fault flag), a synthetic 0.05 is
-    subtracted from every check's slack — a negative control proving the
-    reporting pipeline surfaces failures.
+    Each suite yields one slack per check, negative when the check misses,
+    and prints one line: its checks, failures, worst slack and status.  A
+    suite fails when a check misses or when it raises LqConsensusError,
+    which stops that suite only: its line counts the checks made before
+    and ends with error=<type>: <message>.  The two bound suites run the
+    sweeps' pipeline, so their slacks are the row gate's margins and a
+    violated bound raises in the gate.  With `inject_fault` (the
+    --inject-fault flag) each slack s becomes min(s, 0) - 0.05, so every
+    check misses: a negative control proving the report surfaces failures.
     """
-    seed = config["seed"]
-    fault = 0.05 if inject_fault else 0.0
-    results = []
+    passed = 0
     for index, suite in enumerate(_VALIDATION_SUITES):
-        slacks = [s - fault for s in suite(np.random.default_rng([seed, index]))]
-        results.append(SuiteResult(
-            name=suite.__name__.removeprefix("_suite_"), checks=len(slacks),
-            failures=sum(1 for s in slacks if s < 0), worst_slack=float(min(slacks))))
-    for result in results:
-        status = "pass" if result.worst_slack >= 0 else "fail"
-        print(f"suite={result.name} checks={result.checks} "
-              f"failures={result.failures} worst_slack={result.worst_slack:.6g} "
-              f"status={status}")
-    passed = sum(1 for r in results if r.worst_slack >= 0)
-    print(f"suites_passed={passed}/{len(results)}")
-    print(f"result={'pass' if passed == len(results) else 'fail'}")
-    return 0 if passed == len(results) else 2
+        slacks, error = [], ""
+        try:
+            for slack in suite(np.random.default_rng([config["seed"], index])):
+                slacks.append(min(slack, 0.0) - 0.05 if inject_fault else slack)
+        except LqConsensusError as exc:
+            error = f" error={type(exc).__name__}: {exc}"
+        failures = sum(1 for s in slacks if not s >= 0)
+        ok = not (failures or error)
+        passed += ok
+        print(f"suite={suite.__name__.removeprefix('_suite_')} checks={len(slacks)} "
+              f"failures={failures} worst_slack={min(slacks, default=math.nan):.6g} "
+              f"status={'pass' if ok else 'fail'}{error}")
+    print(f"suites_passed={passed}/{len(_VALIDATION_SUITES)}")
+    print(f"result={'pass' if passed == len(_VALIDATION_SUITES) else 'fail'}")
+    return 0 if passed == len(_VALIDATION_SUITES) else 2
 
 
 class _Parser(argparse.ArgumentParser):

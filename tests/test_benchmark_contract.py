@@ -2,7 +2,8 @@
 function or parameter breaks it without failing any other test.  These tests
 read perfbench/ (nothing there is changed or imported as a package) and check
 that its span targets resolve, that the calls its workloads make still bind,
-and that its count hooks still find their arguments.
+that its count hooks still find their arguments, and that its parser reads
+`validate` output, passing or failing.
 """
 import importlib
 import inspect
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import lqconsensus
-from lqconsensus import experiments_cli, graph_gen, lqcost
+from lqconsensus import SteinDivergence, experiments_cli, graph_gen, lqcost
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+CHECKS = PERFBENCH / "checks.py"
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +72,30 @@ def test_count_hooks_read_their_arguments(spans):
     assert counts["lqcost.noisy_consensus_estimate"] == {"trial_steps": 6}
     assert counts["graph_gen.sample_geometric"]["attempts"] >= 1
     assert not any("hook_errors" in c for c in counts.values())
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return runpy.run_path(str(CHECKS))
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["pass", "stein_divergence"])
+def test_validate_output_parses(checks, capsys, monkeypatch, fault):
+    # The `small` workload reads result= and suites_passed= from the whole
+    # stdout, and checks= from each line with its spaces made line breaks.
+    if fault:
+        def diverges(matrix):
+            raise SteinDivergence("no convergence (injected)")
+        monkeypatch.setattr(experiments_cli, "lq_cost_exact", diverges)
+    assert experiments_cli.main(["validate", "--seed", "0"]) == (2 if fault else 0)
+    out = capsys.readouterr().out
+    parse_kv = checks["parse_kv"]
+    report = parse_kv(out)
+    assert report["result"] == ("fail" if fault else "pass")
+    passed, _, total = str(report["suites_passed"]).partition("/")
+    assert total == "10" and (passed == total) is not fault
+    suite_lines = [line for line in out.splitlines() if line.startswith("suite=")]
+    assert len(suite_lines) == 10
+    for line in suite_lines:
+        count = int(parse_kv(line.replace(" ", "\n")).get("checks", 0))
+        assert f" checks={count} " in line

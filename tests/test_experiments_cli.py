@@ -16,8 +16,10 @@ from lqconsensus import (
     GeometricParams,
     LqConsensusError,
     NotIrreducible,
+    SteinDivergence,
     cayley_case1,
     cayley_case1_generator,
+    cayley_case2,
     cayley_case2_generator,
     cayley_matrix,
     classify,
@@ -39,6 +41,8 @@ from lqconsensus import (
 )
 from lqconsensus import experiments_cli, stochastic_core
 from lqconsensus.experiments_cli import (
+    BOUND_SLACK_ABS,
+    BOUND_SLACK_REL,
     CSV_COLUMNS,
     ResultRow,
     _emit_svg,
@@ -200,6 +204,29 @@ class TestResultRowGate:
         with pytest.raises(LqConsensusError,
                            match="normal-corollary J lower bound"):
             dataclasses.replace(row, norm_j_lower=row.j * 1.01)
+
+    def test_slack_is_relative_plus_absolute(self, row):
+        # Lift the topology-theorem bound clear, so only the resistance-theorem
+        # J upper bound can refuse the row.
+        base = dataclasses.replace(row, topo_j_upper=2.0 * row.res_j_upper)
+        limit = row.res_j_upper * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
+        at_limit = dataclasses.replace(base, j=limit)
+        assert at_limit.margin("j", "res_j_upper") == 0.0
+        with pytest.raises(LqConsensusError,
+                           match="resistance-theorem J upper bound"):
+            dataclasses.replace(base, j=float(np.nextafter(limit, np.inf)))
+
+    def test_theorem_lower_bounds_are_gated_only_when_certified(self):
+        # A normal commuting torus populates every bound column.
+        row, _, _ = _evaluate(cayley_case2(4, 2), experiment="cayley", n=4,
+                              instance=0)
+        assert row.lower_applicable
+        lower = {smaller for smaller, _, _ in ResultRow.CERTIFIED_LOWER}
+        for certified in (True, False):
+            gated = {smaller for smaller, _, _ in
+                     dataclasses.replace(row, lower_applicable=certified).gated()}
+            assert "norm_j_lower" in gated
+            assert gated & lower == (lower if certified else set())
 
 
 class TestBuildConfig:
@@ -963,7 +990,53 @@ class TestValidate:
         assert main(["validate", "--inject-fault"]) == 2
         out = capsys.readouterr().out
         assert "result=fail" in out
-        assert "status=fail" in out
+        assert "suites_passed=0/10" in out
+        lines = suite_lines(out)
+        assert len(lines) == 10
+        for fields in lines.values():
+            assert fields["status"] == "fail"
+            assert int(fields["failures"]) == int(fields["checks"]) > 0
+
+    def test_violated_bound_fails_its_suites_and_the_rest_still_run(
+            self, capsys, monkeypatch):
+        def halved(matrix):
+            bounds = theorem_resistance_bounds(matrix)
+            return dataclasses.replace(bounds, j_upper=bounds.j_upper / 2)
+
+        monkeypatch.setattr(experiments_cli, "theorem_resistance_bounds", halved)
+        # At seed 1 a draw of the upper-bounds suite has J above half its bound.
+        assert main(["validate", "--seed", "1"]) == 2
+        out = capsys.readouterr().out
+        lines = suite_lines(out)
+        assert len(lines) == 10
+        for name, fields in lines.items():
+            if name in ("upper_bounds", "lower_bounds_commuting"):
+                assert fields["status"] == "fail"
+                assert fields["error"].startswith(
+                    "LqConsensusError: result row violates"
+                    " the resistance-theorem J upper bound: ")
+            else:
+                assert fields["status"] == "pass" and "error" not in fields
+        assert "suites_passed=8/10" in out
+
+    def test_suite_that_raises_is_reported(self, capsys, monkeypatch):
+        def diverges(matrix):
+            raise SteinDivergence("no convergence (injected)")
+
+        monkeypatch.setattr(experiments_cli, "lq_cost_exact", diverges)
+        assert main(["validate", "--seed", "0"]) == 2
+        out = capsys.readouterr().out
+        lines = suite_lines(out)
+        assert len(lines) == 10
+        raised = {"upper_bounds", "lower_bounds_commuting", "exact_vs_truncated"}
+        for name, fields in lines.items():
+            if name in raised:
+                assert fields["status"] == "fail"
+                assert fields["error"] == "SteinDivergence: no convergence (injected)"
+                assert fields["checks"] == "0"
+            else:
+                assert fields["status"] == "pass" and "error" not in fields
+        assert "suites_passed=7/10" in out
 
     def test_deterministic_output(self, capsys):
         assert main(["validate", "--seed", "6"]) == 0
@@ -983,6 +1056,20 @@ class TestValidate:
             coords = rng.random((40, 2)) * 3.0
             expected = float(cKDTree(coords).query(grid)[0].max())
             assert experiments_cli._max_uncovered(coords, 3.0, 300) == expected
+
+
+def suite_lines(out):
+    """Suite name -> fields of each `validate` suite line; the error field,
+    which ends the line, may hold spaces."""
+    lines = {}
+    for line in out.splitlines():
+        if line.startswith("suite="):
+            head, _, error = line.partition(" error=")
+            fields = dict(part.split("=", 1) for part in head.split())
+            if error:
+                fields["error"] = error
+            lines[fields["suite"]] = fields
+    return lines
 
 
 def command_outputs(argv, out, capsys):
