@@ -17,12 +17,10 @@ construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import (
     Disconnected,
@@ -271,6 +269,8 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     gamma - step sqrt(d)/2 of some node.  A pass guarantees coverage; a fail
     may be spurious (never the reverse).
     """
+    from scipy.spatial import cKDTree
+
     coords = np.asarray(coordinates, dtype=float)
     d = coords.shape[1]
     step = l / GAMMA_GRID_DIVISIONS
@@ -284,25 +284,81 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     return bool(dist.max() <= margin)
 
 
+def _hop_distances(graph) -> np.ndarray:
+    """All-pairs hop distances of an undirected graph; inf where unreached.
+
+    Any nonzero entry of `graph`, in either direction, is an edge of unit
+    length.  A breadth-first search runs from every node at once on
+    bit-packed words: bit s of row v is set once v is reached from s, and
+    each level ORs the frontier rows of v's neighbours into row v.  The
+    level at which a pair is reached is stored bit-sliced, one word array
+    per binary digit, so the bits are unpacked once per digit at the end
+    rather than once per level.
+    """
+    adj = np.asarray(graph) != 0
+    n = adj.shape[0]
+    # Self loops give every node a neighbour list, so no reduceat segment is
+    # empty; a node's own row never holds a new bit.
+    nbr = adj | adj.T
+    np.fill_diagonal(nbr, True)
+    cols = np.flatnonzero(nbr) % n
+    starts = np.concatenate(([0], np.cumsum(nbr.sum(axis=1))[:-1]))
+    words = (n + 63) // 64
+    nodes = np.arange(n, dtype="<u8")
+    frontier = np.zeros((n, words), dtype="<u8")
+    frontier[nodes, nodes // 64] = np.left_shift(1, nodes % 64, dtype="<u8")
+    seen = frontier.copy()
+    digits = []
+    level = 0
+    while True:
+        grown = np.bitwise_or.reduceat(np.take(frontier, cols, axis=0), starts,
+                                       axis=0)
+        grown &= ~seen
+        if not grown.any():
+            break
+        level += 1
+        seen |= grown
+        if level.bit_length() > len(digits):
+            digits.append(np.zeros_like(seen))
+        for bit, digit in enumerate(digits):
+            if level >> bit & 1:
+                digit |= grown
+        frontier = grown
+
+    def unpack(packed):
+        return np.unpackbits(packed.view(np.uint8), axis=1, count=n,
+                             bitorder="little")
+
+    hops = np.zeros((n, n), dtype=np.int32)
+    for bit, digit in enumerate(digits):
+        hops |= unpack(digit).astype(np.int32) << bit
+    hops = hops.astype(float)
+    reached = unpack(seen).view(bool)
+    if not reached.all():
+        hops[~reached] = np.inf
+    return hops
+
+
 def rho_check(graph, coordinates, rho: float, distances=None):
     """(pass flag, rho_n) where rho_n = min over pairs of d_E(u,v) / d_G(u,v).
 
-    Graph distances count unit-length edges (Dijkstra from every node).
-    `distances`, the Euclidean distance matrix of `coordinates`, is computed
-    when the caller does not pass it.
+    Graph distances count unit-length edges (`_hop_distances`, a bit-parallel
+    breadth-first search from every node); a pair with no path raises
+    Disconnected.  `distances`, the Euclidean distance matrix of
+    `coordinates`, is computed when the caller does not pass it.
     """
-    adj = np.asarray(graph)
     coords = np.asarray(coordinates, dtype=float)
     n = coords.shape[0]
     if n < 2:
         return True, float("inf")
-    dg = csgraph.shortest_path(csr_matrix(adj), method="D", directed=False,
-                               unweighted=True)
+    dg = _hop_distances(graph)
     iu = np.triu_indices(n, 1)
     if np.isinf(dg[iu]).any():
         raise Disconnected("graph distances are infinite for some pair")
-    de = cdist(coords, coords) if distances is None else distances
-    rho_n = float((de[iu] / dg[iu]).min())
+    if distances is None:
+        from scipy.spatial.distance import cdist
+        distances = cdist(coords, coords)
+    rho_n = float((distances[iu] / dg[iu]).min())
     return rho_n >= rho, rho_n
 
 
@@ -314,7 +370,10 @@ def _place_nodes(rng, n, d, l, s, audit):
             candidate = rng.random(d) * l
             if placed == 0:
                 break
-            gap = np.linalg.norm(coords[:placed] - candidate, axis=1).min()
+            # np.linalg.norm's squared sums: sqrt is monotone and correctly
+            # rounded, so the root of their minimum is norm's minimum.
+            diff = coords[:placed] - candidate
+            gap = math.sqrt((diff * diff).sum(axis=1).min())
             if gap >= s:
                 break
             audit["nodes_rejected"] += 1
@@ -343,6 +402,8 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         raise OutOfRange(f"need at least 2 nodes, got {n}")
     if d not in (1, 2, 3):
         raise OutOfRange(f"dimension {d} must be 1, 2 or 3")
+    from scipy.spatial.distance import cdist
+
     rng = np.random.default_rng(seed)
     l = params.c * n ** (1.0 / d)
     audit = {

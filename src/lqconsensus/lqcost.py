@@ -149,27 +149,32 @@ def lq_cost_exact(P: ConsensusMatrix) -> LqReport:
 def lq_cost_truncated(P: ConsensusMatrix) -> LqReport:
     """Partial sums of J and J_w with the double stopping rule.
 
-    The sum ends at t = TRUNCATED_MAX_TERMS, or at the first point where the
-    change of the partial sum of J stays below TRUNCATED_DELTA (absolute) for
+    Term t is ||B_t||_F^2 / n for J and sum_u pi_u ||row u of B_t||^2 for
+    J_w, with B_0 = I - 1 pi^T, B_1 = P - 1 pi^T and B_{t+1} = P B_t: since
+    pi^T Abar = 0, P Abar^t = Abar^{t+1}, so after the first step no term
+    subtracts 1 pi^T.  P multiplies as a CSR matrix, at the cost of its
+    nonzeros rather than n^2 per row.  The sum ends at
+    t = TRUNCATED_MAX_TERMS, or at the first point where the change of the
+    partial sum of J stays below TRUNCATED_DELTA (absolute) for
     TRUNCATED_WINDOW consecutive steps.  `steps_used` counts the terms
     actually accumulated.
     """
+    from scipy.sparse import csr_matrix
+
     pi = P.invariant.pi
     n = P.n
     target = np.outer(np.ones(n), pi)
-    power = np.eye(n)
+    sparse = csr_matrix(P.entries)
+    b = np.eye(n) - target
     j = 0.0
     jw = 0.0
-    t0 = None
     consecutive = 0
-    steps = 0
-    for _ in range(TRUNCATED_MAX_TERMS + 1):
-        b = power - target
-        term = float((b * b).sum()) / n
-        jw += float((pi[:, None] * b * b).sum())
+    for t in range(TRUNCATED_MAX_TERMS + 1):
+        rows = np.einsum("ij,ij->i", b, b)
+        term = float(rows.sum()) / n
+        jw += float(pi @ rows)
         j += term
-        steps += 1
-        if t0 is None:
+        if t == 0:
             t0 = term
         if term < TRUNCATED_DELTA:
             consecutive += 1
@@ -177,9 +182,9 @@ def lq_cost_truncated(P: ConsensusMatrix) -> LqReport:
                 break
         else:
             consecutive = 0
-        power = power @ P.entries
+        b = P.entries - target if t == 0 else sparse @ b
     return LqReport(j=j, j_weighted=jw, t0_term=t0, method="truncated",
-                    steps_used=steps)
+                    steps_used=t + 1)
 
 
 def noisy_consensus_estimate(P: ConsensusMatrix, horizon: int, trials: int,

@@ -15,6 +15,7 @@ from lqconsensus import (
     laplacian,
     validate_consensus,
 )
+from lqconsensus import lqcost
 
 
 def uniform(n):
@@ -129,9 +130,36 @@ def two_cliques(n, coupling):
     return validate_consensus(two_clique_entries(n, coupling))
 
 
+def truncated_series_dense(P):
+    """(J, J_w, terms) of the truncated series by dense powers: term t is
+    formed as P^t - 1 pi^T from P^t = P^{t-1} @ P, under lq_cost_truncated's
+    stopping rule.  A reference for its sparse recurrence."""
+    pi = P.invariant.pi
+    n = P.n
+    target = np.outer(np.ones(n), pi)
+    power = np.eye(n)
+    j = jw = 0.0
+    consecutive = steps = 0
+    for _ in range(lqcost.TRUNCATED_MAX_TERMS + 1):
+        b = power - target
+        term = float((b * b).sum()) / n
+        jw += float((pi[:, None] * b * b).sum())
+        j += term
+        steps += 1
+        if term < lqcost.TRUNCATED_DELTA:
+            consecutive += 1
+            if consecutive >= lqcost.TRUNCATED_WINDOW:
+                break
+        else:
+            consecutive = 0
+        power = power @ P.entries
+    return j, jw, steps
+
+
 def rho_n_floyd_warshall(graph, coordinates):
     """min over node pairs of d_E(u,v) / d_G(u,v), with the hop distances
-    d_G from Floyd-Warshall: an oracle for rho_check's Dijkstra route."""
+    d_G from Floyd-Warshall: an oracle for rho_check's bit-parallel
+    breadth-first search."""
     dg = csgraph.floyd_warshall(csr_matrix(np.asarray(graph, dtype=float)),
                                 directed=False, unweighted=True)
     de = cdist(coordinates, coordinates)

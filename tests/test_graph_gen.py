@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 from lqconsensus import (
     CayleyGenerator,
@@ -347,7 +350,7 @@ class TestRhoCheck:
         with pytest.raises(Disconnected):
             rho_check(np.zeros((2, 2), dtype=bool), coords, rho=0.5)
 
-    @pytest.mark.parametrize("n, d", [(30, 2), (80, 2), (60, 3)])
+    @pytest.mark.parametrize("n, d", [(30, 2), (80, 2), (60, 3), (343, 3)])
     def test_rho_n_matches_floyd_warshall(self, n, d):
         # The sampler's rho_n and a direct call both equal the all-pairs
         # Floyd-Warshall ratio, on the accepted graph and on a sparser one.
@@ -364,6 +367,83 @@ class TestRhoCheck:
         sparse |= sparse.T
         assert rho_check(sparse, coords, rho=0.0)[1] == \
             rho_n_floyd_warshall(sparse, coords)
+
+
+def random_graph(seed, n, density, isolated, path, symmetric):
+    """A random undirected graph with arcs of probability `density`, a random
+    path through all nodes when `path` (long hop distances), then the share
+    `isolated` of its nodes cut off.  Unless `symmetric`, each edge is given
+    in one direction only."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    if path:
+        order = rng.permutation(n)
+        adj[order[:-1], order[1:]] = True
+    cut = rng.random(n) < isolated
+    adj[cut] = False
+    adj[:, cut] = False
+    return adj | adj.T if symmetric else adj
+
+
+# n runs past 128, so the packed rows span up to three 64-bit words; the
+# second range draws more graphs near that size.
+graphs = st.builds(random_graph, seed=st.integers(0, 2**32 - 1),
+                   n=st.integers(1, 130) | st.integers(100, 130),
+                   density=st.floats(0.0, 0.1),
+                   isolated=st.sampled_from([0.0, 0.02, 0.3]),
+                   path=st.booleans(), symmetric=st.booleans())
+
+
+class TestHopDistances:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(graph=graphs)
+    def test_matches_floyd_warshall(self, graph):
+        # Every finite distance and every unreached (inf) pair agree.
+        expected = csgraph.floyd_warshall(csr_matrix(graph.astype(float)),
+                                          directed=False, unweighted=True)
+        assert np.array_equal(graph_gen._hop_distances(graph), expected)
+        n = graph.shape[0]
+        coords = np.random.default_rng(n).random((n, 2))
+        if np.isinf(expected).any():
+            with pytest.raises(Disconnected):
+                rho_check(graph, coords, rho=0.0)
+        else:
+            rho_n = rho_n_floyd_warshall(graph, coords) if n > 1 else np.inf
+            assert rho_check(graph, coords, rho=0.0) == (True, rho_n)
+
+
+def place_nodes_by_norm(rng, n, d, l, s):
+    """(coordinates, nodes_rejected) by the rule `_place_nodes` replaces:
+    a candidate's gap is np.linalg.norm's minimum over the placed nodes."""
+    coords = np.empty((n, d))
+    rejected = 0
+    for placed in range(n):
+        while True:
+            candidate = rng.random(d) * l
+            if placed == 0 or np.linalg.norm(
+                    coords[:placed] - candidate, axis=1).min() >= s:
+                break
+            rejected += 1
+        coords[placed] = candidate
+    return coords, rejected
+
+
+class TestPlaceNodes:
+    @pytest.mark.parametrize("n, d", [(25, 2), (300, 2), (50, 3), (343, 3)])
+    def test_same_draws_and_verdicts_as_the_norm_rule(self, n, d):
+        # The same coordinates, rejections and generator state as the norm
+        # rule, at the sampler's default spacing and box.
+        params = GeometricParams()
+        l = params.c * n ** (1.0 / d)
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n])
+            audit = {"nodes_rejected": 0}
+            coords = graph_gen._place_nodes(rng, n, d, l, params.s, audit)
+            reference = np.random.default_rng([seed, n])
+            expected, rejected = place_nodes_by_norm(reference, n, d, l, params.s)
+            assert np.array_equal(coords, expected)
+            assert audit["nodes_rejected"] == rejected
+            assert rng.random() == reference.random()
 
 
 class TestSampleGeometric:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from lqconsensus import (
+    GeometricParams,
     SolveFailure,
     SteinDivergence,
     circle_matrix,
@@ -15,6 +16,7 @@ from lqconsensus import (
     lq_cost_truncated,
     noisy_consensus_estimate,
     p_epsilon,
+    sample_geometric,
     trace_pair,
 )
 from lqconsensus import lqcost
@@ -23,6 +25,7 @@ from helpers import (
     random_consensus,
     random_reversible,
     sparse_consensus,
+    truncated_series_dense,
     two_cliques,
     uniform,
 )
@@ -215,6 +218,33 @@ class TestTruncatedCost:
         monkeypatch.setattr(lqcost, "TRUNCATED_MAX_TERMS", 3)
         report = lq_cost_truncated(p_epsilon(0.001))
         assert report.steps_used == 4
+
+
+class TestTruncatedRecurrence:
+    """The sparse recurrence B_{t+1} = P B_t against the dense powers
+    P^t - 1 pi^T: the same number of terms, J and J_w within 1e-13."""
+
+    @staticmethod
+    def assert_matches_dense(P):
+        report = lq_cost_truncated(P)
+        j, jw, steps = truncated_series_dense(P)
+        assert report.steps_used == steps
+        assert abs(report.j - j) <= 1e-13 * j
+        assert abs(report.j_weighted - jw) <= 1e-13 * jw
+
+    def test_validate_sized_matrices(self, rng):
+        for n in range(3, 13):
+            for P in (random_consensus(rng, n), random_reversible(rng, n),
+                      sparse_consensus(rng, n, 0.1)):
+                self.assert_matches_dense(P)
+
+    def test_epsilon_chain(self):
+        self.assert_matches_dense(p_epsilon(1e-3))
+
+    @pytest.mark.parametrize("n, d", [(25, 2), (100, 2), (200, 2), (125, 3)])
+    def test_geometric_matrices(self, n, d):
+        inst = sample_geometric(GeometricParams(), n, d, seed=[11, d, n, 0])
+        self.assert_matches_dense(inst.matrix)
 
 
 class TestNoisyConsensus:

@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import lqconsensus
 from lqconsensus import experiments_cli
@@ -80,3 +84,16 @@ def test_config_keys_are_pinned():
     assert {experiment: list(keys) for experiment, keys
             in experiments_cli._CONFIG_KEYS.items()} == CONFIG_KEYS
 
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it (the sampler's
+    # distance and coverage screens and the truncated series), so importing
+    # the package, or its CLI module, does not pay for it.
+    src = str(Path(lqconsensus.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, lqconsensus, lqconsensus.experiments_cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
