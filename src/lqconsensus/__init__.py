@@ -84,11 +84,8 @@ from .resistance import (
     conductance_matrix,
     effective_resistance,
     laplacian,
-    load_conductance_csv,
     phi_map,
     psi_map,
-    save_conductance_csv,
-    save_resistance_csv,
     unit_conductance,
     weighted_average_resistance,
 )
@@ -101,7 +98,6 @@ from .stochastic_core import (
     load_matrix_csv,
     multiplicative_reversiblization,
     save_matrix_csv,
-    time_reversal,
     validate_consensus,
 )
 
@@ -122,15 +118,14 @@ __all__ = [
     "classify", "commuting_example", "conductance_matrix",
     "corollary_normal_bounds", "effective_resistance", "f_delta",
     "gamma_check", "green_matrix", "hypothetical_lower_violation",
-    "laplacian", "load_conductance_csv", "load_edge_list", "load_matrix_csv",
+    "laplacian", "load_edge_list", "load_matrix_csv",
     "lq_cost_exact", "lq_cost_truncated", "multiplicative_reversiblization",
     "noisy_consensus_estimate", "normal_corollary", "p_epsilon", "phi_map",
     "psi_map", "resistance_sandwich_check", "resistance_theorem",
     "reversiblization_conductance",
     "reversiblization_support", "rho_check", "sample_geometric",
-    "save_conductance_csv", "save_coordinates_csv", "save_edge_list",
-    "save_matrix_csv", "save_resistance_csv", "theorem_resistance_bounds",
-    "theorem_topology_bounds", "time_reversal",
+    "save_coordinates_csv", "save_edge_list", "save_matrix_csv",
+    "theorem_resistance_bounds", "theorem_topology_bounds",
     "topology_theorem", "trace_pair", "unit_conductance", "validate_consensus",
     "weighted_average_resistance",
 ]

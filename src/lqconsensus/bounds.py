@@ -4,7 +4,9 @@ Two bound families are provided.  The resistance theorem works on the network
 C_{P*P} = n P^T Pi P (the conductance matrix of the multiplicative
 reversiblization); the topology theorem needs only the unit-conductance
 resistance of the undirected support graph together with the entry extremes
-and the maximum in-degree.  Lower bounds are certified exactly when P*P = PP*;
+and the maximum in-degree.  Both need only the average resistance
+R_bar = tr(L^+)/n (`average_resistance`); only the resistance sandwich builds
+all-pairs resistances.  Lower bounds are certified exactly when P*P = PP*;
 the hypothetical values are always reported so the failure region of the
 lower bound can be mapped.  Each theorem's arithmetic is written once, in a
 function of its constants (`resistance_theorem`, `topology_theorem`,
@@ -138,12 +140,11 @@ def normal_corollary(n: int, p_min: float, p_max: float, delta_in: int,
 
 
 def theorem_resistance_bounds(P: ConsensusMatrix) -> BoundsReport:
-    """`resistance_theorem` on P: R_bar from the effective resistance of
-    C_{P*P}, and lower bounds certified when P*P = PP*, as `classify`
-    decides it.
+    """`resistance_theorem` on P: R_bar = tr(L^+)/n of C_{P*P}, and lower
+    bounds certified when P*P = PP*, as `classify` decides it.
     """
     inv = P.invariant
-    rbar = average_resistance(effective_resistance(reversiblization_conductance(P)))
+    rbar = average_resistance(reversiblization_conductance(P))
     return resistance_theorem(P.n, inv.pi_min, inv.pi_max, rbar,
                               classify(P).commuting)
 
@@ -156,10 +157,9 @@ def theorem_topology_bounds(P: ConsensusMatrix) -> BoundsReport:
     """
     inv = P.invariant
     graphs = P.graphs
-    rbar = average_resistance(P.support_resistance)
     return topology_theorem(P.n, inv.pi_min, inv.pi_max, graphs.p_min,
                             graphs.p_max, graphs.delta_in, graphs.delta_out,
-                            rbar, classify(P).commuting)
+                            P.support_rbar, classify(P).commuting)
 
 
 def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
@@ -172,7 +172,7 @@ def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
         raise NotNormal("the corollary applies to normal consensus matrices only")
     graphs = P.graphs
     return normal_corollary(P.n, graphs.p_min, graphs.p_max, graphs.delta_in,
-                            average_resistance(P.support_resistance))
+                            P.support_rbar)
 
 
 def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
@@ -221,13 +221,14 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     """Evaluate (1/(4 delta - 2)) R_uv(G(P)) <= R_uv(G(P*P)) <= R_uv(G(P)).
 
     delta is delta_in when `classify(P).commuting`, delta_out otherwise.
+    The only caller of `effective_resistance`, on G(P) and G(P*P).
     """
     graphs = P.graphs
     fuzz = reversiblization_support(P)
     adj = np.zeros((P.n, P.n), dtype=bool)
     u, v = np.array(list(fuzz.edges), dtype=int).reshape(-1, 2).T
     adj[u, v] = adj[v, u] = True
-    r_base = P.support_resistance.values
+    r_base = effective_resistance(unit_conductance(graphs.undirected)).values
     r_fuzz = effective_resistance(unit_conductance(adj)).values
     if classify(P).commuting:
         delta, variant = graphs.delta_in, "in"

@@ -35,6 +35,7 @@ from .bounds import (
 )
 from .errors import (
     ConfigError,
+    Disconnected,
     InfeasibleDensity,
     InvalidGenerator,
     LqConsensusError,
@@ -56,7 +57,7 @@ from .graph_gen import (
 )
 from .lqcost import LqReport, green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
 from .resistance import (
-    CONNECTIVITY_RTOL,
+    _nonzero_spectrum,
     effective_resistance,
     phi_map,
     weighted_average_resistance,
@@ -411,13 +412,15 @@ def torus_fields(gen: CayleyGenerator, side: int):
     side) on Z_side^d in closed form, without building P.
 
     P is circulant: its eigenvalues are lambda = fftn(g), it is normal (so
-    commuting and doubly stochastic) and pi = 1/N exactly, N = side^d.  Over
-    the frequencies k != 0:
-    - J = J_w = (1/N) sum 1 / (1 - |lambda_k|^2).  The resistance theorem's
-      R_bar is the same sum: C_{P*P} = P^T P has Laplacian I - P^T P.
+    commuting and doubly stochastic) and pi = 1/N exactly, N = side^d.  Both
+    R_bar are tr(L^+)/N, with the dense route's null-space rule
+    (`resistance._nonzero_spectrum`) applied to the Laplacian's symbol:
+    - J = J_w = (1/N) sum 1 / (1 - |lambda_k|^2) over k != 0 is the
+      resistance theorem's R_bar: C_{P*P} = P^T P has Laplacian I - P^T P,
+      with diagonal 1 - sum_h g_h^2.
     - The topology theorem's and the corollary's R_bar is (1/N) sum 1 / mu_k,
       with mu the symbol of the unit Laplacian of G(P), whose edges are the
-      nonzero offsets and their negatives.
+      nonzero offsets and their negatives, and whose diagonal is the degree.
     - p_min and p_max are the weights of g, and delta_in = delta_out is its
       number of nonzero offsets.
     An offset of weight at most SUPPORT_THRESHOLD is no edge, as in G(P).
@@ -425,9 +428,9 @@ def torus_fields(gen: CayleyGenerator, side: int):
 
     Returns the LqReport (method "fft", spectral_gap the smallest
     1 - |lambda_k|^2) and the bound columns as `bound_fields` gives them.
-    Raises InvalidGenerator for side < 3, and NotIrreducible when the gap is
-    not positive or some mu_k falls below CONNECTIVITY_RTOL times the degree
-    (the null-space rule of `effective_resistance`).
+    Raises InvalidGenerator for side < 3, and NotIrreducible where the rule
+    finds either Laplacian disconnected, as the dense route raises
+    Disconnected on the Cayley matrix.
     """
     if side < 3:
         raise InvalidGenerator(f"torus side {side} must be at least 3")
@@ -442,15 +445,16 @@ def torus_fields(gen: CayleyGenerator, side: int):
     # Index -h mod side of every axis: reverse, then shift by one.
     edges = support | np.roll(np.flip(support), 1, axis=tuple(range(d)))
     degree = int(edges.sum())
-    lam = np.fft.fftn(g).ravel()[1:]
+    lam = np.fft.fftn(g).ravel()
     gaps = 1.0 - (lam.real ** 2 + lam.imag ** 2)
-    mu = degree - np.fft.fftn(edges.astype(float)).real.ravel()[1:]
-    gap, threshold = float(gaps.min()), CONNECTIVITY_RTOL * degree
-    if not (gap > 0 and mu.min() > threshold):
+    gaps[0] = 0.0  # lambda_0 = sum g = 1: the constant mode is the null vector
+    mu = degree - np.fft.fftn(edges.astype(float)).real.ravel()
+    try:
+        gaps = _nonzero_spectrum(gaps, 1.0 - float(np.sum(g ** 2)))
+        mu = _nonzero_spectrum(mu, degree)
+    except Disconnected as exc:
         raise NotIrreducible(
-            f"the torus Z_{side}^{d} is reducible or numerically so: spectral"
-            f" gap {gap:.2e}, smallest support Laplacian symbol {mu.min():.2e}"
-            f" against the null-space threshold {threshold:.2e}")
+            f"the torus Z_{side}^{d} is reducible or numerically so: {exc}") from exc
     j = float(np.sum(1.0 / gaps) / n)
     support_rbar = float(np.sum(1.0 / mu) / n)
     pi = 1.0 / n
@@ -461,7 +465,7 @@ def torus_fields(gen: CayleyGenerator, side: int):
         topology_theorem(n, pi, pi, p_min, p_max, delta, delta, support_rbar, True),
         normal_corollary(n, p_min, p_max, delta, support_rbar))
     report = LqReport(j=j, j_weighted=j, t0_term=(n - 1) / n, method="fft",
-                      spectral_gap=gap)
+                      spectral_gap=float(gaps.min()))
     return report, bounds
 
 

@@ -3,7 +3,9 @@
 A conductance matrix is symmetric, nonnegative and irreducible; its Laplacian
 is L(C) = diag(C 1) - C, so diagonal entries of C never matter.  The effective
 resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b), with the
-pseudoinverse L(C)^+ taken from one symmetric eigendecomposition.
+pseudoinverse L(C)^+ taken from one symmetric eigendecomposition; the average
+R_bar = tr(L(C)^+)/n needs only the eigenvalues.  One null-space rule,
+`_nonzero_spectrum`, reads every Laplacian spectrum, the torus symbols too.
 
 Connectivity of a network is exact reachability from node 0 on the support
 C > 0 (`stochastic_core.reach`); self loops cannot change it.
@@ -33,7 +35,7 @@ from .stochastic_core import (
 )
 
 SYMMETRY_TOL = 1e-12
-# Laplacian eigenvalues below this fraction of the largest diagonal entry
+# Laplacian eigenvalues at most this fraction of the largest diagonal entry
 # count as the null space, so a second one means a disconnected network.
 CONNECTIVITY_RTOL = 1e-10
 
@@ -96,23 +98,35 @@ def laplacian(C: ConductanceMatrix) -> np.ndarray:
     return np.diag(C.entries.sum(axis=1)) - C.entries
 
 
+def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
+    """The nonzero part of a Laplacian spectrum `w`, in its given order.
+
+    Eigenvalues at most CONNECTIVITY_RTOL times `scale`, the Laplacian's
+    largest diagonal entry, are null; a null space of dimension above one
+    raises Disconnected naming the spectral gap (second smallest eigenvalue).
+    """
+    threshold = CONNECTIVITY_RTOL * scale
+    null = w <= threshold
+    if null.sum() > 1:
+        raise Disconnected(
+            f"Laplacian null space has dimension {null.sum()}: spectral gap "
+            f"{np.partition(w, 1)[1]:.2e} is below the null-space threshold "
+            f"{threshold:.2e}")
+    return w[~null]
+
+
 def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
     """All-pairs effective resistance of the network, from the Laplacian
-    pseudoinverse.
-
-    Laplacian eigenvalues below CONNECTIVITY_RTOL times the largest diagonal
-    entry count as the null space; the pseudoinverse drops them, and a null
-    space of dimension above one raises Disconnected naming the spectral gap.
+    pseudoinverse: it inverts the eigenvalues that `_nonzero_spectrum` keeps.
+    Only the resistance sandwich needs all pairs; the bounds read R_bar from
+    `average_resistance`.
     """
     L = laplacian(C)
     w, v = np.linalg.eigh(L)
-    threshold = CONNECTIVITY_RTOL * float(np.diagonal(L).max())
-    null_dim = int((w < threshold).sum())
-    if null_dim > 1:
-        raise Disconnected(
-            f"Laplacian null space has dimension {null_dim}: spectral gap "
-            f"{w[1]:.2e} is below the null-space threshold {threshold:.2e}")
-    inv_w = np.where(w < threshold, 0.0, 1.0 / np.where(w == 0, 1.0, w))
+    nonzero = _nonzero_spectrum(w, float(np.diagonal(L).max()))
+    # w ascends, so the null space is its leading block.
+    inv_w = np.zeros_like(w)
+    inv_w[len(w) - len(nonzero):] = 1.0 / nonzero
     h = (v * inv_w[None, :]) @ v.T
     d = np.diagonal(h)
     r = d[:, None] + d[None, :] - 2.0 * h
@@ -123,10 +137,14 @@ def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
     return ResistanceMatrix(values=r)
 
 
-def average_resistance(R: ResistanceMatrix) -> float:
-    """R_bar = (1 / 2n^2) * sum over all ordered pairs of R_uv."""
-    n = R.values.shape[0]
-    return float(R.values.sum() / (2.0 * n * n))
+def average_resistance(C: ConductanceMatrix) -> float:
+    """R_bar = (1/2n^2) sum_{u,v} R_uv = tr(L(C)^+)/n: (1/n) sum 1/lambda
+    over the Laplacian eigenvalues that `_nonzero_spectrum` keeps, with no
+    n x n resistance matrix built.
+    """
+    L = laplacian(C)
+    w = _nonzero_spectrum(np.linalg.eigvalsh(L), float(np.diagonal(L).max()))
+    return float(np.sum(1.0 / w) / C.n)
 
 
 def weighted_average_resistance(R: ResistanceMatrix, pi) -> float:
@@ -171,18 +189,3 @@ def psi_map(C: ConductanceMatrix) -> ConsensusMatrix:
         raise ZeroDiagonal(f"conductance diagonal at node {i} is {d[i]}")
     rows = C.entries.sum(axis=1)
     return validate_consensus(C.entries / rows[:, None])
-
-
-def save_conductance_csv(C: ConductanceMatrix, path) -> None:
-    np.savetxt(path, C.entries, delimiter=",", fmt="%.17g")
-
-
-def load_conductance_csv(path) -> ConductanceMatrix:
-    """Parse a CSV conductance matrix; `conductance_matrix` validates it, so
-    a network gets the same verdict in memory and from its file."""
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return conductance_matrix(a)
-
-
-def save_resistance_csv(R: ResistanceMatrix, path) -> None:
-    np.savetxt(path, R.values, delimiter=",", fmt="%.17g")

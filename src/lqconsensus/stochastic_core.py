@@ -54,24 +54,17 @@ class InvariantMeasure:
     def pi_max(self) -> float:
         return float(self.pi.max())
 
-    @property
-    def diag(self) -> np.ndarray:
-        """The diagonal matrix Pi = diag(pi)."""
-        return np.diag(self.pi)
-
 
 @dataclass(frozen=True, eq=False)
 class SupportGraphs:
-    """The directed support (ConsensusMatrix.support), its symmetrization, and
-    degree and entry extremes.  Degrees exclude self loops; p_min and p_max
-    range over the entries on the support, diagonal included.
+    """The symmetrization of the directed support (ConsensusMatrix.support),
+    and degree and entry extremes.  Degrees exclude self loops; p_min and
+    p_max range over the entries on the support, diagonal included.
     """
 
-    directed: np.ndarray
     undirected: np.ndarray
     delta_in: int
     delta_out: int
-    delta_undirected: int
     p_min: float
     p_max: float
 
@@ -112,7 +105,9 @@ class ConsensusMatrix:
 
     @cached_property
     def reversal(self) -> np.ndarray:
-        """Entries of the time reversal P* = Pi^{-1} P^T Pi."""
+        """Entries of the time reversal P* = Pi^{-1} P^T Pi, a consensus
+        matrix with the same invariant measure (`validate_consensus` wraps
+        it)."""
         pi = self.invariant.pi
         star = (self.entries.T * pi[None, :]) / pi[:, None]
         star.setflags(write=False)
@@ -128,10 +123,11 @@ class ConsensusMatrix:
         return _classification_residuals(self)
 
     @cached_property
-    def support_resistance(self):
-        """All-pairs unit-conductance effective resistance of G(P)."""
-        from .resistance import effective_resistance, unit_conductance
-        return effective_resistance(unit_conductance(self.graphs.undirected))
+    def support_rbar(self) -> float:
+        """Average unit-conductance resistance R_bar = tr(L^+)/n of G(P),
+        which the topology theorem and the normal corollary share."""
+        from .resistance import average_resistance, unit_conductance
+        return average_resistance(unit_conductance(self.graphs.undirected))
 
 
 def validate_consensus(entries) -> ConsensusMatrix:
@@ -248,12 +244,6 @@ def _power_iteration(a: np.ndarray, max_iter: int = 200_000):
     return pi, _invariant_residual(a, pi)
 
 
-def time_reversal(P: ConsensusMatrix) -> ConsensusMatrix:
-    """The time reversal P* (entries P.reversal) as a validated consensus
-    matrix; same invariant measure as P."""
-    return validate_consensus(P.reversal)
-
-
 def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:
     """P* P: reversible, same invariant measure, strictly positive diagonal."""
     return validate_consensus(P.reversal @ P.entries)
@@ -293,15 +283,12 @@ def _build_support_graphs(P: ConsensusMatrix) -> SupportGraphs:
     directed = P.support
     undirected = directed | directed.T
     undirected.setflags(write=False)
-    loops = np.eye(P.n, dtype=bool)
-    off, und_off = directed & ~loops, undirected & ~loops
+    off = directed & ~np.eye(P.n, dtype=bool)
     nonzero = P.entries[directed]
     return SupportGraphs(
-        directed=directed,
         undirected=undirected,
         delta_in=int(off.sum(axis=0).max()),
         delta_out=int(off.sum(axis=1).max()),
-        delta_undirected=int(und_off.sum(axis=1).max()),
         p_min=float(nonzero.min()),
         p_max=float(nonzero.max()),
     )

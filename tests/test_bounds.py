@@ -240,7 +240,7 @@ class TestReversiblizationSupport:
             P = random_consensus(rng, int(rng.integers(3, 10)),
                                  density=float(rng.uniform(0.25, 0.9)))
             fuzz = reversiblization_support(P)
-            star = P.invariant.diag @ P.entries
+            star = P.invariant.pi[:, None] * P.entries
             numeric = P.entries.T @ star
             numeric_edges = {
                 (u, v)
@@ -313,10 +313,8 @@ class TestSimpleMonotonicity:
             P = random_consensus(rng, int(rng.integers(3, 10)))
             graphs = P.graphs
             inv = P.invariant
-            weighted = average_resistance(
-                effective_resistance(reversiblization_conductance(P)))
-            topological = average_resistance(
-                effective_resistance(unit_conductance(fuzz_adjacency(P))))
+            weighted = average_resistance(reversiblization_conductance(P))
+            topological = average_resistance(unit_conductance(fuzz_adjacency(P)))
             upper = topological / (P.n * inv.pi_min * graphs.p_min**2)
             lower = topological / (
                 P.n * inv.pi_max * (graphs.delta_in + 1) * graphs.p_max**2)
@@ -325,10 +323,8 @@ class TestSimpleMonotonicity:
 
     def test_uniform_three_lower_is_tight(self):
         P = uniform(3)
-        weighted = average_resistance(
-            effective_resistance(reversiblization_conductance(P)))
-        topological = average_resistance(
-            effective_resistance(unit_conductance(fuzz_adjacency(P))))
+        weighted = average_resistance(reversiblization_conductance(P))
+        topological = average_resistance(unit_conductance(fuzz_adjacency(P)))
         lower = topological / (3 * (1 / 3) * 3 * (1 / 3) ** 2)
         assert weighted == pytest.approx(lower, rel=1e-12)
 

@@ -13,10 +13,12 @@ from scipy.sparse import csgraph
 from lqconsensus import (
     CayleyGenerator,
     ConfigError,
+    Disconnected,
     GeometricParams,
     LqConsensusError,
     NotIrreducible,
     SteinDivergence,
+    average_resistance,
     cayley_case1,
     cayley_case1_generator,
     cayley_case2,
@@ -699,8 +701,43 @@ class TestTorusFields:
         with pytest.raises(LqConsensusError, match="at least 3"):
             torus_fields(cayley_case2_generator(2), 2)
 
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("w, connected", [
+        (1e-6, True), (1e-9, True), (1e-11, False), (1e-12, False)])
+    def test_same_verdict_as_dense_route_on_weak_coupling(self, side, w, connected):
+        # A weight-w offset along the second axis: G(P) is connected at every
+        # w, but C_{P*P}'s Laplacian has eigenvalues of order w, which the
+        # one null-space rule counts as null below about 5e-11.
+        gen = CayleyGenerator(d=2, weights={(0, 0): 0.5, (1, 0): 0.5 - w, (0, 1): w})
+        matrix = cayley_matrix(side, gen)
+        if not connected:
+            with pytest.raises(NotIrreducible, match="null space has dimension"):
+                torus_fields(gen, side)
+            with pytest.raises(Disconnected):
+                theorem_resistance_bounds(matrix)
+            return
+        # Each route gets the small eigenvalues 1 - |lambda_k|^2 to a few eps
+        # absolute, so R_bar to about eps / gap relative: the two differ by
+        # 2e-10 at w = 1e-6 and by 1.2e-7 at w = 1e-9, where both are about
+        # 1e-7 off `cancellation_free_sums`.
+        report, bounds = torus_fields(gen, side)
+        rtol = max(1e-9, 10 * np.finfo(float).eps / report.spectral_gap)
+        assert bounds["res_rbar"] == pytest.approx(
+            theorem_resistance_bounds(matrix).constants["r_bar"], rel=rtol)
+
 
 class TestGeometricSweep:
+    def test_bounds_build_no_all_pairs_resistance(self, monkeypatch):
+        # The bound block reads R_bar of C_{P*P} and of G(P) once each, from
+        # Laplacian eigenvalues; no all-pairs resistance matrix is built.
+        matrix = sample_geometric(GeometricParams(), 25, 2, seed=[1, 2, 25, 0]).matrix
+        averages = count_calls(monkeypatch, average_resistance)
+        resistances = count_calls(monkeypatch, effective_resistance)
+        fields = bound_fields(matrix)
+        assert theorem_topology_bounds(matrix).constants["r_bar"] == fields["topo_rbar"]
+        assert len(averages) == 2
+        assert len(resistances) == 0
+
     def test_rows_and_cross_check(self, tmp_path):
         out = tmp_path / "run"
         code = main(["geometric", "--out", str(out), "-p", "d=2",
@@ -878,18 +915,21 @@ class TestAnalyze:
 
     def test_report_computes_each_derived_quantity_once(self, tmp_path, capsys,
                                                         monkeypatch):
-        # Resistances of C_{P*P}, G(P) (shared by the topology theorem, the
-        # normal corollary and the sandwich) and G(P*P); one G(P*P) support,
-        # shared by the sandwich and the fuzz_* lines.
+        # Average resistances of C_{P*P} and G(P) (shared by the topology
+        # theorem and the normal corollary); all-pairs resistances of G(P)
+        # and G(P*P) for the sandwich only; one G(P*P) support, shared by the
+        # sandwich and the fuzz_* lines.
         path = tmp_path / "torus.csv"
         save_matrix_csv(cayley_case1(4, 2, seed=1)[1], path)
+        averages = count_calls(monkeypatch, average_resistance)
         resistances = count_calls(monkeypatch, effective_resistance)
         supports = count_calls(monkeypatch, reversiblization_support)
         assert main(["analyze", str(path)]) == 0
         kv = self.kv(capsys)
         assert kv["normal"] == "true"
         assert "norm_j_upper" in kv and "fuzz_edges" in kv
-        assert len(resistances) == 3
+        assert len(averages) == 2
+        assert len(resistances) == 2
         assert len(supports) == 1
 
     def test_near_reducible_two_cliques(self, tmp_path, capsys):

@@ -32,7 +32,6 @@ from lqconsensus import (
     sample_geometric,
     save_coordinates_csv,
     save_edge_list,
-    time_reversal,
 )
 from lqconsensus import graph_gen
 from helpers import rho_n_floyd_warshall
@@ -234,7 +233,7 @@ class TestCommutingExample:
 
     def test_commutation_residual(self):
         P = commuting_example()
-        star = time_reversal(P).entries
+        star = P.reversal
         residual = np.abs(star @ P.entries - P.entries @ star).max()
         assert residual <= 1e-12
 

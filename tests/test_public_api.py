@@ -7,6 +7,34 @@ from pathlib import Path
 import lqconsensus
 from lqconsensus import experiments_cli
 
+# Every public name, sorted.  Adding or removing one changes this list.
+PUBLIC_NAMES = [
+    "BoundsReport", "CayleyGenerator", "ConductanceMatrix", "ConfigError",
+    "ConsensusMatrix", "DimensionMismatch", "Disconnected", "FuzzSupport",
+    "GeometricInstance", "GeometricParams", "GreenMatrix",
+    "InfeasibleDensity", "InvalidGenerator", "InvalidWeights",
+    "InvariantMeasure", "LqConsensusError", "LqReport", "MatrixClass",
+    "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
+    "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
+    "ResistanceMatrix", "SandwichMargins", "SolveFailure",
+    "SteinDivergence", "SupportGraphs", "ZeroDiagonal", "audit_block",
+    "average_resistance", "case1_range", "cayley_case1",
+    "cayley_case1_generator", "cayley_case2", "cayley_case2_generator",
+    "cayley_matrix", "circle_matrix", "classify", "commuting_example",
+    "conductance_matrix", "corollary_normal_bounds",
+    "effective_resistance", "f_delta", "gamma_check", "green_matrix",
+    "hypothetical_lower_violation", "laplacian", "load_edge_list",
+    "load_matrix_csv", "lq_cost_exact", "lq_cost_truncated",
+    "multiplicative_reversiblization", "noisy_consensus_estimate",
+    "normal_corollary", "p_epsilon", "phi_map", "psi_map",
+    "resistance_sandwich_check", "resistance_theorem",
+    "reversiblization_conductance", "reversiblization_support",
+    "rho_check", "sample_geometric", "save_coordinates_csv",
+    "save_edge_list", "save_matrix_csv", "theorem_resistance_bounds",
+    "theorem_topology_bounds", "topology_theorem", "trace_pair",
+    "unit_conductance", "validate_consensus", "weighted_average_resistance",
+]
+
 # Every parameter with a default in the public API.  A setting that every
 # caller leaves at one value is a module constant instead (GAMMA_GRID_DIVISIONS,
 # NODE_ATTEMPT_CAP, CASE1_MAX_DRAWS, the TRUNCATED_* rule, EXACT_CHECK_MAX_N),
@@ -54,6 +82,10 @@ def _signatures() -> dict:
     return {name: inspect.signature(obj) for name, obj in api.items()
             if callable(obj)
             and not (inspect.isclass(obj) and issubclass(obj, Exception))}
+
+
+def test_public_names_are_pinned():
+    assert lqconsensus.__all__ == PUBLIC_NAMES
 
 
 def test_no_tolerance_is_settable():

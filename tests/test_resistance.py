@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
 from lqconsensus import (
     Disconnected,
     DimensionMismatch,
+    GeometricParams,
     NegativeEntry,
     NotReversible,
     NotSymmetric,
@@ -13,16 +16,16 @@ from lqconsensus import (
     conductance_matrix,
     effective_resistance,
     laplacian,
-    load_conductance_csv,
     p_epsilon,
     phi_map,
     psi_map,
-    save_conductance_csv,
+    reversiblization_conductance,
+    sample_geometric,
     unit_conductance,
     validate_consensus,
     weighted_average_resistance,
 )
-from helpers import grounded_resistance, random_reversible
+from helpers import grounded_resistance, random_reversible, two_clique_entries
 
 
 def ring_adjacency(n):
@@ -61,6 +64,19 @@ class TestConductanceMatrix:
     def test_not_symmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             conductance_matrix([[0.0, 1.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("asymmetry, accepted", [
+        (1e-13, True), (1e-11, False), (1e-10, False)])
+    def test_symmetry_tolerance(self, asymmetry, accepted):
+        # SYMMETRY_TOL is 1e-12; an accepted matrix is symmetrized exactly.
+        a = np.ones((4, 4)) - np.eye(4)
+        a[0, 1] += asymmetry
+        if accepted:
+            c = conductance_matrix(a)
+            np.testing.assert_array_equal(c.entries, (a + a.T) / 2.0)
+            return
+        with pytest.raises(NotSymmetric):
+            conductance_matrix(a)
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeEntry):
@@ -178,16 +194,74 @@ class TestEffectiveResistance:
                                    effective_resistance(base).values, atol=1e-10)
 
 
+def all_pairs_mean(C):
+    """R_bar = (1/2n^2) sum_{u,v} R_uv, from all-pairs resistance."""
+    return effective_resistance(C).values.sum() / (2.0 * C.n * C.n)
+
+
+class TestAverageResistance:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(2, 60), density=st.floats(0.0, 1.0),
+           spread=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_trace_formula_matches_all_pairs_mean(self, n, density, spread, seed):
+        # Weights over 10^-spread .. 10^spread on a random spanning path plus
+        # random chords, so every network is connected.  Both formulas were
+        # within 3.3e-14 of a 40-digit tr(L^+)/n on 40 such networks; their
+        # round-off grows with the condition of L (3e-12 each, of opposite
+        # signs, on a 7-node path with weights over six decades).
+        rng = np.random.default_rng(seed)
+        chords = np.triu(rng.random((n, n)) < density, 1)
+        order = rng.permutation(n)
+        chords[order[:-1], order[1:]] = True
+        c = np.where(chords | chords.T, 10.0 ** rng.uniform(-spread, spread, (n, n)), 0.0)
+        C = conductance_matrix(np.triu(c, 1) + np.triu(c, 1).T)
+        assert average_resistance(C) == pytest.approx(all_pairs_mean(C), rel=1e-12)
+
+    def test_trace_formula_on_the_300_node_workload_graph(self):
+        # The 300-node geometric graph of the benchmark's geometric workload
+        # at seed 1: its support and its reversiblization network.
+        P = sample_geometric(GeometricParams(), 300, 2, seed=[1, 2, 300, 0]).matrix
+        for C in (unit_conductance(P.graphs.undirected),
+                  reversiblization_conductance(P)):
+            assert average_resistance(C) == pytest.approx(all_pairs_mean(C),
+                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("weight, connected", [
+        (1e-6, True), (1e-11, False), (1e-13, False)])
+    def test_same_null_space_verdict_as_all_pairs(self, weight, connected):
+        # Two 20-cliques of conductance 1/20 joined by one edge: the Fiedler
+        # value, about weight / 10, against the threshold CONNECTIVITY_RTOL
+        # * 0.95.  Accepted, R_bar is (6 k(k - 1) r + 2k^2 / weight) / 2n^2
+        # with k = 20, n = 40 and r = 2, the resistance within a clique.
+        # Both formulas lose about eps ||L|| / lambda_2 ~ 2e-9 of it (6e-10
+        # and 1e-9 here).
+        C = conductance_matrix(two_clique_entries(40, weight))
+        if connected:
+            exact = (6 * 380 * 2 + 2 * 400 / weight) / 3200
+            assert average_resistance(C) == pytest.approx(exact, rel=1e-7)
+            assert all_pairs_mean(C) == pytest.approx(exact, rel=1e-7)
+            return
+        with pytest.raises(Disconnected, match="null space has dimension 2"):
+            average_resistance(C)
+        with pytest.raises(Disconnected, match="null space has dimension 2"):
+            effective_resistance(C)
+
+    def test_one_node_network_has_zero_average(self):
+        C = conductance_matrix([[0.0]])
+        assert average_resistance(C) == 0.0
+        assert effective_resistance(C).values.tolist() == [[0.0]]
+
+
 class TestAverages:
     def test_complete_three_average(self):
-        R = effective_resistance(complete_conductance(3))
-        assert average_resistance(R) == pytest.approx(2.0 / 9, abs=1e-12)
+        C = complete_conductance(3)
+        assert average_resistance(C) == pytest.approx(2.0 / 9, abs=1e-12)
 
     def test_uniform_weights_reduce_to_average(self, rng):
         c = random_conductance(rng, 6)
         R = effective_resistance(c)
         assert weighted_average_resistance(R, np.full(6, 1 / 6)) == pytest.approx(
-            average_resistance(R), abs=1e-12)
+            average_resistance(c), abs=1e-12)
 
     def test_weighted_average_complete_three(self):
         R = effective_resistance(complete_conductance(3, value=1.0 / 3))
@@ -198,7 +272,8 @@ class TestAverages:
         P = validate_consensus(np.full((4, 4), 0.25))
         R = effective_resistance(complete_conductance(4))
         got = weighted_average_resistance(R, P.invariant)
-        assert got == pytest.approx(average_resistance(R), abs=1e-12)
+        assert got == pytest.approx(average_resistance(complete_conductance(4)),
+                                    abs=1e-12)
 
     def test_dimension_mismatch(self):
         R = effective_resistance(complete_conductance(3))
@@ -212,9 +287,8 @@ class TestAverages:
             n = int(rng.integers(3, 10))
             c = random_conductance(rng, n, with_diagonal=True)
             pi = psi_map(c).invariant
-            R = effective_resistance(c)
-            rbar = average_resistance(R)
-            rbar_w = weighted_average_resistance(R, pi)
+            rbar = average_resistance(c)
+            rbar_w = weighted_average_resistance(effective_resistance(c), pi)
             assert n * n * pi.pi_min**2 * rbar <= rbar_w + 1e-12
             assert rbar_w <= n * n * pi.pi_max**2 * rbar + 1e-12
 
@@ -257,34 +331,3 @@ class TestNetworkMaps:
         rows = c.entries.sum(axis=1)
         np.testing.assert_allclose(pi, rows / rows.sum(), atol=1e-9)
 
-
-class TestConductanceFiles:
-    def test_round_trip(self, rng, tmp_path):
-        c = random_conductance(rng, 6, with_diagonal=True)
-        path = tmp_path / "network.csv"
-        save_conductance_csv(c, path)
-        back = load_conductance_csv(path)
-        assert np.abs(back.entries - c.entries).max() <= 1e-15
-
-    def test_load_rejects_asymmetry(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1\n2,0\n")
-        with pytest.raises(NotSymmetric):
-            load_conductance_csv(path)
-
-    @pytest.mark.parametrize("asymmetry, accepted", [
-        (1e-13, True), (1e-11, False), (1e-10, False)])
-    def test_same_verdict_in_memory_and_from_file(self, tmp_path, asymmetry,
-                                                  accepted):
-        a = np.ones((4, 4)) - np.eye(4)
-        a[0, 1] += asymmetry
-        path = tmp_path / "network.csv"
-        np.savetxt(path, a, delimiter=",", fmt="%.17g")
-        if accepted:
-            np.testing.assert_array_equal(load_conductance_csv(path).entries,
-                                          conductance_matrix(a).entries)
-            return
-        with pytest.raises(NotSymmetric):
-            conductance_matrix(a)
-        with pytest.raises(NotSymmetric):
-            load_conductance_csv(path)
