@@ -30,6 +30,9 @@ from .resistance import (
 )
 from .stochastic_core import ConsensusMatrix, classify
 
+# Edges of G(P*P) whose pivots `reversiblization_support` searches at once.
+PIVOT_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -182,12 +185,17 @@ def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
     a positive row w (the pivot).  Ties break to the smallest index.  Every
     edge of G(P) survives because self loops make u itself a pivot for (u, v).
     The shared-row counts come from a float product, exact below 2^53; the
-    pivots from one argmax over an n x |edges| boolean array.
+    pivots from one argmax per PIVOT_CHUNK edges over the rows of the
+    transposed support, so the boolean temporary is PIVOT_CHUNK x n.
     """
     s = P.support
     indicator = s.astype(float)
     u, v = np.nonzero(np.triu(indicator.T @ indicator > 0, 1))
-    pivots = np.argmax(s[:, u] & s[:, v], axis=0)
+    columns = np.ascontiguousarray(s.T)
+    pivots = np.empty(u.size, dtype=np.intp)
+    for start in range(0, u.size, PIVOT_CHUNK):
+        chunk = slice(start, start + PIVOT_CHUNK)
+        pivots[chunk] = np.argmax(columns[u[chunk]] & columns[v[chunk]], axis=1)
     new = ~(s | s.T)[u, v]
     edges = list(zip(u.tolist(), v.tolist()))
     return FuzzSupport(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -544,7 +545,10 @@ def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
         for row in rows:
             fh.write(",".join(row.to_cells()) + "\n")
     for stem, columns in tables.items():
-        np.savetxt(out_dir / f"{stem}.dat", np.column_stack(columns), fmt="%.17g")
+        table = np.column_stack(columns)
+        line = " ".join(["%.17g"] * table.shape[1]) + "\n"
+        (out_dir / f"{stem}.dat").write_text(
+            "".join(line % tuple(values) for values in table.tolist()))
     if svg and chart is not None:
         stem, curves, axes = chart
         _emit_svg(out_dir / f"{stem}.svg", curves, **axes)
@@ -1006,7 +1010,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process; callers must not mutate it."""
     parser = _Parser(prog="lqconsensus",
                      description="Consensus cost experiments and analysis.")
     sub = parser.add_subparsers(dest="command", required=True)

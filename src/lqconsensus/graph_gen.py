@@ -44,6 +44,8 @@ GAMMA_GRID_DIVISIONS = 30
 NODE_ATTEMPT_CAP = 10_000
 # Uniform weight draws a case-1 generator gets before its band is given up.
 CASE1_MAX_DRAWS = 100_000
+# Case-1 weight draws taken from the generator at once.
+CASE1_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -133,16 +135,23 @@ def cayley_case1_generator(d: int, p_min: float | None = None,
     Weights are drawn uniformly on all of {-1, 0, 1}^d, normalized to sum 1,
     and accepted iff every weight lies in the band `case1_range(d, p_min,
     p_max)`, which is checked before the first draw.  Deterministic per seed.
-    Raises RejectionExhausted after CASE1_MAX_DRAWS draws.
+    Draws come CASE1_BLOCK rows at a time, one row per draw, each normalized
+    by its own sum; the first row inside the band is the one that single
+    draws would accept.  Raises RejectionExhausted after CASE1_MAX_DRAWS
+    draws.
     """
     p_min, p_max = case1_range(d, p_min, p_max)
     offsets = list(itertools.product((-1, 0, 1), repeat=d))
     rng = np.random.default_rng(seed)
-    for _ in range(CASE1_MAX_DRAWS):
-        raw = rng.random(len(offsets))
-        w = raw / raw.sum()
-        if ((w >= p_min) & (w <= p_max)).all():
-            return CayleyGenerator(d=d, weights=dict(zip(offsets, w.tolist())))
+    drawn = 0
+    while drawn < CASE1_MAX_DRAWS:
+        raw = rng.random((min(CASE1_BLOCK, CASE1_MAX_DRAWS - drawn), len(offsets)))
+        drawn += raw.shape[0]
+        w = raw / raw.sum(axis=1, keepdims=True)
+        inside = ((w >= p_min) & (w <= p_max)).all(axis=1)
+        if inside.any():
+            return CayleyGenerator(
+                d=d, weights=dict(zip(offsets, w[inside.argmax()].tolist())))
     raise RejectionExhausted(
         f"no generator in [{p_min}, {p_max}] after {CASE1_MAX_DRAWS} draws")
 
@@ -363,27 +372,60 @@ def rho_check(graph, coordinates, rho: float, distances=None):
 
 
 def _place_nodes(rng, n, d, l, s, audit):
-    coords = np.empty((n, d))
-    placed = 0
-    while placed < n:
-        for attempt in range(NODE_ATTEMPT_CAP):
-            candidate = rng.random(d) * l
-            if placed == 0:
-                break
-            # np.linalg.norm's squared sums: sqrt is monotone and correctly
-            # rounded, so the root of their minimum is norm's minimum.
-            diff = coords[:placed] - candidate
-            gap = math.sqrt((diff * diff).sum(axis=1).min())
-            if gap >= s:
-                break
-            audit["nodes_rejected"] += 1
-        else:
-            raise InfeasibleDensity(
-                f"could not place node {placed} of {n} at spacing {s} "
-                f"in [0, {l}]^{d} within {NODE_ATTEMPT_CAP} attempts")
-        coords[placed] = candidate
-        placed += 1
-    return coords
+    """n positions in [0, l)^d, each at least s from every earlier one.
+
+    Candidates are uniform draws tried in order, at most NODE_ATTEMPT_CAP
+    per node.  They are drawn n - placed at a time: a block holds no more
+    candidates than nodes left to place, so the last node takes the last
+    candidate drawn and the stream ends where one draw per candidate would.
+    Space is cut into cells of side 2s, keyed by one integer, and each
+    placed node is listed in the 3^d cells around its own.  A candidate is
+    tested against the list of its cell: every node outside it is at least
+    2s away along some axis, far beyond the rounding of a cell index.  A gap is the square root of the squared
+    differences summed axis by axis in index order, which is
+    np.linalg.norm's arithmetic.
+    """
+    side = 2.0 * s
+    # Cell indices run from 1 to int(l / side) + 1, so a neighbour's index
+    # stays in [0, stride) and no two cells share a key.
+    stride = int(l / side) + 3
+    scales = [stride ** k for k in range(d)]
+    around = [sum(o * m for o, m in zip(offset, scales))
+              for offset in itertools.product((-1, 0, 1), repeat=d)]
+    near = {}
+    coords = []
+    rejected = 0
+    while True:
+        for candidate in (rng.random((n - len(coords), d)) * l).tolist():
+            key = 0
+            for x, m in zip(candidate, scales):
+                key += (int(x / side) + 1) * m
+            if _closer_than(s, candidate, near.get(key, ())):
+                rejected += 1
+                audit["nodes_rejected"] += 1
+                if rejected == NODE_ATTEMPT_CAP:
+                    raise InfeasibleDensity(
+                        f"could not place node {len(coords)} of {n} at spacing {s} "
+                        f"in [0, {l}]^{d} within {NODE_ATTEMPT_CAP} attempts")
+                continue
+            rejected = 0
+            coords.append(candidate)
+            if len(coords) == n:
+                return np.array(coords)
+            for k in around:
+                near.setdefault(key + k, []).append(candidate)
+
+
+def _closer_than(s, candidate, nodes) -> bool:
+    """Whether some node lies less than s from the candidate."""
+    for node in nodes:
+        sq = 0.0
+        for a, b in zip(node, candidate):
+            diff = a - b
+            sq += diff * diff
+        if math.sqrt(sq) < s:
+            return True
+    return False
 
 
 def sample_geometric(params: GeometricParams, n: int, d: int, seed,

@@ -30,6 +30,7 @@ from lqconsensus import (
     unit_conductance,
     validate_consensus,
 )
+from lqconsensus import bounds
 from helpers import (
     random_circulant,
     random_consensus,
@@ -276,6 +277,34 @@ class TestReversiblizationSupport:
                 if two_step[u, v] > 1e-14 or two_step[v, u] > 1e-14
             }
             assert set(reversiblization_support(P).edges) == expected
+
+    @staticmethod
+    def whole_search(P):
+        """(edges, pivots, new_edges) from one argmax over the n x |edges|
+        boolean array, the search the chunks replace."""
+        s = P.support
+        indicator = s.astype(float)
+        u, v = np.nonzero(np.triu(indicator.T @ indicator > 0, 1))
+        pivots = np.argmax(s[:, u] & s[:, v], axis=0)
+        new = ~(s | s.T)[u, v]
+        edges = list(zip(u.tolist(), v.tolist()))
+        return (frozenset(edges), dict(zip(edges, pivots.tolist())),
+                frozenset(zip(u[new].tolist(), v[new].tolist())))
+
+    def test_chunks_match_the_whole_search(self, rng, monkeypatch):
+        monkeypatch.setattr(bounds, "PIVOT_CHUNK", 7)
+        for _ in range(30):
+            P = random_consensus(rng, int(rng.integers(12, 40)),
+                                 density=float(rng.uniform(0.1, 0.6)))
+            fuzz = reversiblization_support(P)
+            assert len(fuzz.edges) > 2 * bounds.PIVOT_CHUNK
+            assert (fuzz.edges, fuzz.pivots, fuzz.new_edges) == self.whole_search(P)
+
+    def test_dense_support_matches_the_whole_search(self, rng):
+        P = random_consensus(rng, 400, density=0.9)
+        fuzz = reversiblization_support(P)
+        assert len(fuzz.edges) > 10 * bounds.PIVOT_CHUNK
+        assert (fuzz.edges, fuzz.pivots, fuzz.new_edges) == self.whole_search(P)
 
     def test_epsilon_chain_support(self):
         fuzz = reversiblization_support(p_epsilon(0.25))

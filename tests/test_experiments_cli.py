@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -49,6 +53,7 @@ from lqconsensus.experiments_cli import (
     ResultRow,
     _emit_svg,
     _evaluate,
+    _write_sweep,
     bound_fields,
     build_config,
     main,
@@ -1180,3 +1185,74 @@ class TestArgumentHandling:
         assert main(["epsilon-sweep", "--out", str(tmp_path / "x"),
                      "-p", "nope=1"]) == 1
         assert "known keys" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    def test_import_builds_no_parser(self):
+        # The parser is built by the first `main` call, not by the import,
+        # and only once per process.
+        src = str(Path(experiments_cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "\n".join([
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counted(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counted",
+            "import lqconsensus.experiments_cli as cli",
+            "print(len(built), cli.build_parser.cache_info().currsize)",
+            "assert cli.build_parser() is cli.build_parser()",
+            "print(cli.build_parser.cache_info().misses)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "0", "1"]
+
+    def test_calls_do_not_leak_into_each_other(self, tmp_path, capsys):
+        # One process, one parser: a call's -p list, and a refused flag,
+        # must not reach the next call.
+        experiments_cli.build_parser.cache_clear()
+        argv = ["cayley", "-p", "d=3", "-p", "n_list=3", "-p", "instances=1",
+                "--seed", "4", "--svg"]
+        assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+        _, _, rows = read_results(tmp_path / "first" / "results.csv")
+        assert [row["d"] for row in rows] == ["3"]
+        assert main(["cayley", "-p", "n_list=3", "-p", "instances=1",
+                     "--out", str(tmp_path / "default")]) == 0
+        _, _, rows = read_results(tmp_path / "default" / "results.csv")
+        assert [row["d"] for row in rows] == ["2"]
+        assert main(["cayley", "--frobnicate", "--out", str(tmp_path / "x")]) == 1
+        assert "--frobnicate" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+        assert experiments_cli.build_parser.cache_info().misses == 1
+        assert experiments_cli.build_parser().parse_args(["cayley"]).param == []
+        names = sorted(path.name for path in (tmp_path / "first").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "again").iterdir())
+        for name in names:
+            first, again = ((tmp_path / run / name).read_bytes()
+                            for run in ("first", "again"))
+            if name == "audit.txt":
+                first, again = strip_wall_time(first.decode()), strip_wall_time(again.decode())
+            assert again == first, name
+
+
+class TestSweepTables:
+    @pytest.mark.parametrize("columns", [
+        ([np.nan], [np.inf], [-np.inf]),
+        ([-0.0], [5e-324], [1e308]),
+        ([0.0, -0.0, 5e-324, 1e308, -1e308], [1.0, -2.0, 3.0, 2.0 ** 53, 1e16],
+         [np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0]),
+        (np.arange(1, 4), [0.5, 0.25, 0.125]),
+        ([7.0],),
+    ])
+    def test_dat_bytes_are_those_of_savetxt(self, tmp_path, capsys, columns):
+        _write_sweep(tmp_path / "run", "tables", 0, {}, [], [], time.perf_counter(),
+                     tables={"table": columns}, chart=None, svg=False)
+        capsys.readouterr()
+        np.savetxt(tmp_path / "reference.dat", np.column_stack(columns), fmt="%.17g")
+        assert ((tmp_path / "run" / "table.dat").read_bytes()
+                == (tmp_path / "reference.dat").read_bytes())

@@ -128,6 +128,29 @@ class TestCayleyCase1:
         with pytest.raises(RejectionExhausted, match="after 50 draws"):
             cayley_case1(3, 2, p_min=0.11, p_max=0.112)
 
+    @pytest.mark.parametrize("d,p_min,p_max,seed", [
+        (2, 0.08, 0.15, 0), (2, 0.08, 0.15, 2), (3, 0.015, 0.08, 0)])
+    def test_draw_budget_is_exact_across_blocks(self, monkeypatch, d, p_min,
+                                                p_max, seed):
+        # k is the count of single draws the written-out loop takes to accept
+        # a weight vector; the band needs more than one block of draws.
+        # A budget of k draws still finds it, a budget of k - 1 does not.
+        rng = np.random.default_rng(seed)
+        k = 0
+        while True:
+            k += 1
+            raw = rng.random(3 ** d)
+            w = raw / raw.sum()
+            if ((w >= p_min) & (w <= p_max)).all():
+                break
+        assert k > graph_gen.CASE1_BLOCK
+        expected = dict(zip(itertools.product((-1, 0, 1), repeat=d), w.tolist()))
+        monkeypatch.setattr(graph_gen, "CASE1_MAX_DRAWS", k)
+        assert cayley_case1_generator(d, p_min, p_max, seed=seed).weights == expected
+        monkeypatch.setattr(graph_gen, "CASE1_MAX_DRAWS", k - 1)
+        with pytest.raises(RejectionExhausted, match=f"after {k - 1} draws"):
+            cayley_case1_generator(d, p_min, p_max, seed=seed)
+
     @pytest.mark.parametrize("d,p_min,p_max", [
         (2, 0.2, 0.3),     # 9 * p_min > 1: the weights would sum above 1
         (2, 0.01, 0.1),    # 9 * p_max < 1: the weights would sum below 1
@@ -413,22 +436,59 @@ class TestHopDistances:
 
 def place_nodes_by_norm(rng, n, d, l, s):
     """(coordinates, nodes_rejected) by the rule `_place_nodes` replaces:
-    a candidate's gap is np.linalg.norm's minimum over the placed nodes."""
+    one draw per candidate, and a candidate's gap is np.linalg.norm's
+    minimum over all placed nodes."""
     coords = np.empty((n, d))
     rejected = 0
     for placed in range(n):
-        while True:
+        for _ in range(graph_gen.NODE_ATTEMPT_CAP):
             candidate = rng.random(d) * l
             if placed == 0 or np.linalg.norm(
                     coords[:placed] - candidate, axis=1).min() >= s:
                 break
             rejected += 1
+        else:
+            raise InfeasibleDensity(
+                f"could not place node {placed} of {n} at spacing {s} "
+                f"in [0, {l}]^{d} within {graph_gen.NODE_ATTEMPT_CAP} attempts")
         coords[placed] = candidate
     return coords, rejected
 
 
+class CountingGenerator:
+    """A generator that records the shape of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+class FixedDraws:
+    """Prepared uniform draws, handed out in order whatever the shape asked."""
+
+    def __init__(self, rows):
+        self.values = np.ravel(rows).tolist()
+
+    def random(self, shape):
+        size = int(np.prod(shape))
+        assert size <= len(self.values), "more draws than prepared"
+        drawn, self.values = self.values[:size], self.values[size:]
+        return np.array(drawn).reshape(shape)
+
+
+def reference_placement(rng, n, d, l, s, audit):
+    coords, rejected = place_nodes_by_norm(rng, n, d, l, s)
+    audit["nodes_rejected"] += rejected
+    return coords
+
+
 class TestPlaceNodes:
-    @pytest.mark.parametrize("n, d", [(25, 2), (300, 2), (50, 3), (343, 3)])
+    @pytest.mark.parametrize("n, d", [(25, 2), (300, 2), (50, 3), (343, 3),
+                                      (20, 1), (200, 1)])
     def test_same_draws_and_verdicts_as_the_norm_rule(self, n, d):
         # The same coordinates, rejections and generator state as the norm
         # rule, at the sampler's default spacing and box.
@@ -443,6 +503,60 @@ class TestPlaceNodes:
             assert np.array_equal(coords, expected)
             assert audit["nodes_rejected"] == rejected
             assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("n, d, s", [(60, 2, 0.3), (40, 3, 0.45), (30, 1, 0.25)])
+    def test_crowded_spacing_draws_only_the_candidates_tried(self, n, d, s):
+        # At a spacing near jamming most candidates are refused, so the
+        # candidates come in many blocks; every block is drawn in full and
+        # tried, so the generator ends where single draws would.
+        l = 0.5 * n ** (1.0 / d)
+        for seed in range(3):
+            rng = CountingGenerator([seed, n, 7])
+            audit = {"nodes_rejected": 0}
+            coords = graph_gen._place_nodes(rng, n, d, l, s, audit)
+            reference = np.random.default_rng([seed, n, 7])
+            expected, rejected = place_nodes_by_norm(reference, n, d, l, s)
+            assert np.array_equal(coords, expected)
+            assert audit["nodes_rejected"] == rejected > n
+            assert len(rng.shapes) > 3
+            assert sum(rows for rows, _ in rng.shapes) == n + rejected
+            assert rng.rng.random() == reference.random()
+
+    def test_a_gap_that_rounds_to_the_spacing_is_kept(self):
+        # The squared gap 0.01 lies below s*s = 0.010000000000000002, but
+        # its root is exactly s = 0.1, so the norm rule keeps the candidate;
+        # comparing squares would refuse it.
+        rows = [[0.5, 0.5], [0.5309429189646006, 0.5950922487164446]]
+        audit = {"nodes_rejected": 0}
+        coords = graph_gen._place_nodes(FixedDraws(rows), 2, 2, 1.0, 0.1, audit)
+        expected, rejected = place_nodes_by_norm(FixedDraws(rows), 2, 2, 1.0, 0.1)
+        assert audit["nodes_rejected"] == rejected == 0
+        assert np.array_equal(coords, expected)
+
+    @pytest.mark.parametrize("d, s", [(2, 0.6), (1, 0.9)])
+    def test_infeasible_density_names_the_same_node(self, monkeypatch, d, s):
+        monkeypatch.setattr(graph_gen, "NODE_ATTEMPT_CAP", 30)
+        n = 40
+        l = 0.5 * n ** (1.0 / d)
+        with pytest.raises(InfeasibleDensity) as expected:
+            place_nodes_by_norm(np.random.default_rng(3), n, d, l, s)
+        assert "within 30 attempts" in str(expected.value)
+        with pytest.raises(InfeasibleDensity) as raised:
+            graph_gen._place_nodes(np.random.default_rng(3), n, d, l, s,
+                                   {"nodes_rejected": 0})
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n, d", [(60, 2), (150, 2), (50, 3)])
+    def test_sampler_is_unchanged_under_the_norm_rule(self, monkeypatch, n, d):
+        params = GeometricParams()
+        for seed in range(2):
+            inst = sample_geometric(params, n, d, seed=[seed, n])
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_gen, "_place_nodes", reference_placement)
+                expected = sample_geometric(params, n, d, seed=[seed, n])
+            assert np.array_equal(inst.coordinates, expected.coordinates)
+            assert np.array_equal(inst.matrix.entries, expected.matrix.entries)
+            assert inst.audit == expected.audit
 
 
 class TestSampleGeometric:
