@@ -51,7 +51,6 @@ from .graph_gen import (
     CayleyGenerator,
     GeometricInstance,
     GeometricParams,
-    audit_block,
     case1_range,
     cayley_case1,
     cayley_case1_generator,
@@ -61,12 +60,9 @@ from .graph_gen import (
     circle_matrix,
     commuting_example,
     gamma_check,
-    load_edge_list,
     p_epsilon,
     rho_check,
     sample_geometric,
-    save_coordinates_csv,
-    save_edge_list,
 )
 from .lqcost import (
     GreenMatrix,
@@ -112,19 +108,18 @@ __all__ = [
     "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
     "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
     "ResistanceMatrix", "SandwichMargins", "SolveFailure", "SteinDivergence",
-    "SupportGraphs", "ZeroDiagonal", "audit_block", "average_resistance",
+    "SupportGraphs", "ZeroDiagonal", "average_resistance",
     "case1_range", "cayley_case1", "cayley_case1_generator", "cayley_case2",
     "cayley_case2_generator", "cayley_matrix", "circle_matrix",
     "classify", "commuting_example", "conductance_matrix",
     "corollary_normal_bounds", "effective_resistance", "f_delta",
     "gamma_check", "green_matrix", "hypothetical_lower_violation",
-    "laplacian", "load_edge_list", "load_matrix_csv",
+    "laplacian", "load_matrix_csv",
     "lq_cost_exact", "lq_cost_truncated", "multiplicative_reversiblization",
     "noisy_consensus_estimate", "normal_corollary", "p_epsilon", "phi_map",
     "psi_map", "resistance_sandwich_check", "resistance_theorem",
-    "reversiblization_conductance",
-    "reversiblization_support", "rho_check", "sample_geometric",
-    "save_coordinates_csv", "save_edge_list", "save_matrix_csv",
+    "reversiblization_conductance", "reversiblization_support", "rho_check",
+    "sample_geometric", "save_matrix_csv",
     "theorem_resistance_bounds", "theorem_topology_bounds",
     "topology_theorem", "trace_pair", "unit_conductance", "validate_consensus",
     "weighted_average_resistance",

@@ -5,8 +5,9 @@ bound theorems), `cayley` (torus scaling, in closed form from the FFT of
 each generator), `geometric` (random geometric graphs), `analyze` (one
 matrix file), `validate` (cross-module property suites).  File outputs are
 deterministic given the master seed: results.csv carries the seed in a `#`
-comment header, plot data goes to plain two- or three-column .dat tables,
-and audit.txt is reproducible except for its final total_wall_time_s line.
+comment header, each sweep's figure goes to one `<stem>.dat` table whose `#`
+line names its columns, and audit.txt is reproducible except for its final
+total_wall_time_s line.
 Exit codes: 0 success, 1 configuration or input error, 2 validation-suite
 failure.
 """
@@ -504,39 +505,37 @@ def _evaluate(matrix, bounds=None, cross_check: bool = False, nodes=None,
     return row, report, detail
 
 
-def _size_means(prefix: str, x, per_size, family: str, label: str, logy: bool):
-    """Per-size means of one sweep as `_write_sweep` tables and chart:
-    `<prefix>_j` (x, mean J, mean j_normalized), `_upper` and `_lower` (x,
-    mean `family` J bound), and a chart of the three curves.  `per_size`
-    holds the rows at each x; with none there are no tables and no chart.
+def _size_means(stem: str, x, per_size, family: str, label: str, logy: bool):
+    """Per-size means of one sweep as its `_write_sweep` figure: the columns
+    nodes (x), mean_j, mean_j_normalized, mean_<family>_j_upper and
+    mean_<family>_j_lower, charted as mean J against the two bounds.
+    `per_size` holds the rows at each x; with none the table has no rows.
     """
-    if not per_size:
-        return {}, None
-
     def mean(field):
         return [float(np.mean([getattr(r, field) for r in rows])) for rows in per_size]
 
-    x = np.array(x, dtype=float)
-    j, upper, lower = mean("j"), mean(f"{family}_j_upper"), mean(f"{family}_j_lower")
-    tables = {f"{prefix}_j": (x, j, mean("j_normalized")),
-              f"{prefix}_upper": (x, upper), f"{prefix}_lower": (x, lower)}
-    chart = (prefix, [("mean J", x, j), (f"{label} upper", x, upper),
-                      (f"{label} lower", x, lower)],
-             {"xlabel": "nodes", "ylabel": "cost", "logy": logy})
-    return tables, chart
+    columns = {"nodes": np.array(x, dtype=float), "mean_j": mean("j"),
+               "mean_j_normalized": mean("j_normalized")}
+    curves = [("mean J", "mean_j")]
+    for side in ("upper", "lower"):
+        columns[f"mean_{family}_j_{side}"] = mean(f"{family}_j_{side}")
+        curves.append((f"{label} {side}", f"mean_{family}_j_{side}"))
+    return stem, columns, curves, {"logy": logy}
 
 
 def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
-                 rows, details, start: float, *, tables: dict, chart,
-                 svg: bool, summary=(), skipped=None) -> int:
+                 rows, details, start: float, *, figure, svg: bool,
+                 summary=(), skipped=None) -> int:
     """Write one sweep's bundle, after all its rows, and print `wrote ...`.
 
-    The bundle is results.csv, one `.dat` file per entry of `tables` (stem
-    -> columns), with `svg` the `chart` (stem, curves, axis options) as
-    `<stem>.svg`, and audit.txt: experiment, master_seed and `settings`,
-    rows=, skipped= for sweeps that can skip (`skipped` not None), the
-    `summary` lines, one detail line per instance, and the wall time since
-    `start`.  This is a sweep's first write: a failed run makes no directory.
+    The bundle is results.csv, the `figure` (stem, columns: name -> values
+    with x first, curves: (label, column name), axes: logx/logy) as
+    `<stem>.dat` with a `#` line naming the columns, with `svg` its curves
+    against x as `<stem>.svg`, and audit.txt: experiment, master_seed and
+    `settings`, rows=, skipped= for sweeps that can skip (`skipped` not
+    None), the `summary` lines, one detail line per instance, and the wall
+    time since `start`.  This is a sweep's first write: a failed run makes
+    no directory.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w") as fh:
@@ -544,14 +543,16 @@ def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(row.to_cells()) + "\n")
-    for stem, columns in tables.items():
-        table = np.column_stack(columns)
-        line = " ".join(["%.17g"] * table.shape[1]) + "\n"
-        (out_dir / f"{stem}.dat").write_text(
-            "".join(line % tuple(values) for values in table.tolist()))
-    if svg and chart is not None:
-        stem, curves, axes = chart
-        _emit_svg(out_dir / f"{stem}.svg", curves, **axes)
+    stem, columns, curves, axes = figure
+    x_name = next(iter(columns))
+    line = " ".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack(list(columns.values())).tolist()
+    (out_dir / f"{stem}.dat").write_text(
+        "# " + " ".join(columns) + "\n" + "".join(line % tuple(v) for v in table))
+    if svg:
+        _emit_svg(out_dir / f"{stem}.svg",
+                  [(label, columns[x_name], columns[name]) for label, name in curves],
+                  xlabel=x_name, ylabel="cost", **axes)
     lines = [f"experiment={experiment}", f"master_seed={seed}"]
     lines += [f"{key}={value}" for key, value in settings.items()]
     lines.append(f"rows={len(rows)}")
@@ -565,13 +566,13 @@ def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
     return 0
 
 
-# The epsilon sweep's curves: chart label, ResultRow field, .dat file stem.
+# The epsilon sweep's curves: chart label, ResultRow field (the .dat column).
 EPSILON_CURVES = (
-    ("J", "j", "epsilon_j"),
-    ("resistance upper", "res_j_upper", "epsilon_res_upper"),
-    ("resistance lower", "res_j_lower", "epsilon_res_lower"),
-    ("topology upper", "topo_j_upper", "epsilon_topo_upper"),
-    ("topology lower", "topo_j_lower", "epsilon_topo_lower"),
+    ("J", "j"),
+    ("resistance upper", "res_j_upper"),
+    ("resistance lower", "res_j_lower"),
+    ("topology upper", "topo_j_upper"),
+    ("topology lower", "topo_j_lower"),
 )
 
 
@@ -592,9 +593,8 @@ def run_epsilon_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
                                    n=matrix.n, instance=i, epsilon=float(eps))
         rows.append(row)
         details.append(f"instance={i} epsilon={_fmt(eps)} {detail}")
-    curves = [(label, grid, [getattr(row, field) for row in rows])
-              for label, field, _ in EPSILON_CURVES]
-    tables = {stem: (grid, y) for (_, _, stem), (_, _, y) in zip(EPSILON_CURVES, curves)}
+    columns = {"epsilon": grid, **{field: [getattr(row, field) for row in rows]
+                                   for _, field in EPSILON_CURVES}}
     hyp = [row for row in rows if not row.lower_applicable and row.res_j_lower > row.j]
     certified = [row for row in rows if row.lower_applicable]
     valid = all(row.margin(smaller, larger) >= 0 for row in certified
@@ -608,12 +608,11 @@ def run_epsilon_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
         f"certified_lower_min_rel_margin="
         f"{_fmt(min(((r.j - r.res_j_lower) / r.j for r in certified), default=None))}",
     ]
-    chart = ("epsilon_sweep", curves,
-             {"xlabel": "epsilon", "ylabel": "cost", "logx": True, "logy": True})
+    figure = ("epsilon_sweep", columns, EPSILON_CURVES, {"logx": True, "logy": True})
     return _write_sweep(
         out_dir, "epsilon-sweep", config["seed"],
         {"points": points, "eps_min": _fmt(eps_min), "eps_max": _fmt(eps_max)},
-        rows, details, start, tables=tables, chart=chart, svg=svg, summary=summary)
+        rows, details, start, figure=figure, svg=svg, summary=summary)
 
 
 def _growth_fit(d: int, nodes, mean_j) -> list:
@@ -682,11 +681,10 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
             per_n.append(row)
             details.append(f"n={n} instance={i} {detail}")
         per_size.append(per_n)
-    prefix = f"cayley_case{case}_d{d}"
     nodes = [n ** d for n in n_list]
-    tables, chart = _size_means(prefix, nodes, per_size, "norm", "corollary",
-                                logy=False)
-    _, mean_j, normalized = tables[f"{prefix}_j"]
+    figure = _size_means(f"cayley_case{case}_d{d}", nodes, per_size, "norm",
+                         "corollary", logy=False)
+    mean_j, normalized = figure[1]["mean_j"], figure[1]["mean_j_normalized"]
     summary = [f"normalized_j_max_over_min={_fmt(max(normalized) / min(normalized))}"]
     if len(n_list) >= 3:
         summary += _growth_fit(d, nodes, mean_j)
@@ -695,7 +693,7 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
         for n, j, jn in zip(n_list, mean_j, normalized)
     ]
     return _write_sweep(out_dir, "cayley", seed, settings, rows, details, start,
-                        tables=tables, chart=chart, svg=svg, summary=summary)
+                        figure=figure, svg=svg, summary=summary)
 
 
 def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
@@ -748,11 +746,11 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
         if per_n:
             sizes.append(n)
             per_size.append(per_n)
-    tables, chart = _size_means(f"geometric_d{d}", sizes, per_size, "topo",
-                                "topology", logy=True)
+    figure = _size_means(f"geometric_d{d}", sizes, per_size, "topo", "topology",
+                         logy=True)
     settings = {"d": d, "n_list": ",".join(map(str, n_list)), "instances": instances}
     return _write_sweep(out_dir, "geometric", seed, settings, rows, details, start,
-                        tables=tables, chart=chart, svg=svg, skipped=skipped)
+                        figure=figure, svg=svg, skipped=skipped)
 
 
 def analyze_matrix(path, truncated: bool = False) -> int:

@@ -511,58 +511,3 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         f"no acceptable instance after {max_attempts} attempts "
         f"(audit: {audit})")
 
-
-def save_coordinates_csv(instance: GeometricInstance, path) -> None:
-    np.savetxt(path, instance.coordinates, delimiter=",", fmt="%.17g")
-
-
-def save_edge_list(instance: GeometricInstance, path) -> None:
-    """Lines "u v" with 0-based ids, one per undirected edge of the graph."""
-    n = instance.graph.shape[0]
-    with open(path, "w") as fh:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if instance.graph[u, v]:
-                    fh.write(f"{u} {v}\n")
-
-
-def load_edge_list(path, n: int | None = None) -> np.ndarray:
-    """Read "u v [weight]" lines into a dense adjacency (weights optional).
-
-    Ids are 0-based and must lie in [0, n); without `n`, n is one more than
-    the largest id.  Blank lines are skipped.  A line that is not two integer
-    ids and an optional number raises ValueError, and an id outside [0, n)
-    raises OutOfRange; both name the line.
-    """
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if len(parts) not in (2, 3):
-                    raise ValueError
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]', "
-                                 f"got {line.strip()!r}") from None
-            edges.append((lineno, u, v, w))
-    if n is None:
-        n = 1 + max(max(u, v) for _, u, v, _ in edges) if edges else 0
-    adj = np.zeros((n, n))
-    for lineno, u, v, w in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(
-                f"{path}:{lineno}: edge {u} {v} has an id outside [0, {n})")
-        adj[u, v] = w
-        adj[v, u] = w
-    return adj
-
-
-def audit_block(instance: GeometricInstance) -> str:
-    """Flat key=value rendering of the measured parameters and audit trail."""
-    lines = [f"{k}={v}" for k, v in instance.measured.items()]
-    lines += [f"{k}={v}" for k, v in instance.audit.items()]
-    return "\n".join(lines)

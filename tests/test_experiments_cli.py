@@ -72,6 +72,17 @@ def read_results(path):
     return master_seed, header, rows
 
 
+def read_table(path):
+    """A sweep's .dat table as {column name: values}, in file order, after
+    checking that its `#` line names one column per field."""
+    header = path.read_text().partition("\n")[0]
+    assert header.startswith("# ")
+    names = header[2:].split()
+    data = np.loadtxt(path, ndmin=2)
+    assert data.shape[1] == len(names)
+    return dict(zip(names, data.T))
+
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -319,11 +330,11 @@ class TestEpsilonSweep:
         assert header == list(CSV_COLUMNS)
         assert len(rows) == 12
         assert "wall_time_s" not in header
-        for name in ["epsilon_j.dat", "epsilon_res_upper.dat",
-                     "epsilon_res_lower.dat", "epsilon_topo_upper.dat",
-                     "epsilon_topo_lower.dat"]:
-            data = np.loadtxt(out / name)
-            assert data.shape == (12, 2)
+        table = read_table(out / "epsilon_sweep.dat")
+        assert table["epsilon"].shape == (12,)
+        for name in ["j", "res_j_upper", "res_j_lower", "topo_j_upper",
+                     "topo_j_lower"]:
+            assert table[name].shape == (12,)
         audit = (out / "audit.txt").read_text()
         assert "hypothetical_lower_above_j_count=" in audit
         assert "certified_lower_valid=true" in audit
@@ -380,9 +391,7 @@ class TestEpsilonSweep:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert self.run(out_a) == 0
         assert self.run(out_b) == 0
-        for name in ["results.csv", "epsilon_j.dat", "epsilon_res_upper.dat",
-                     "epsilon_res_lower.dat", "epsilon_topo_upper.dat",
-                     "epsilon_topo_lower.dat"]:
+        for name in ["results.csv", "epsilon_sweep.dat"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         assert strip_wall_time((out_a / "audit.txt").read_text()) == \
             strip_wall_time((out_b / "audit.txt").read_text())
@@ -469,11 +478,11 @@ class TestCayleySweep:
                 assert float(row[lower]) <= j * (1 + 1e-9)
             for upper in ["res_j_upper", "topo_j_upper", "norm_j_upper"]:
                 assert j <= float(row[upper]) * (1 + 1e-9)
-        curve = np.loadtxt(out / "cayley_case1_d2_j.dat")
-        assert curve.shape == (2, 3)
-        np.testing.assert_array_equal(curve[:, 0], [9.0, 16.0])
-        assert np.loadtxt(out / "cayley_case1_d2_upper.dat").shape == (2, 2)
-        assert np.loadtxt(out / "cayley_case1_d2_lower.dat").shape == (2, 2)
+        table = read_table(out / "cayley_case1_d2.dat")
+        np.testing.assert_array_equal(table["nodes"], [9.0, 16.0])
+        for name in ["mean_j", "mean_j_normalized", "mean_norm_j_upper",
+                     "mean_norm_j_lower"]:
+            assert table[name].shape == (2,)
         audit = (out / "audit.txt").read_text()
         assert "normalized_j_max_over_min=" in audit
         assert len(parse_svg(out / "cayley_case1_d2.svg").findall(
@@ -594,7 +603,8 @@ class TestCayleySweep:
                      "-p", f"n_list={n_list}", "-p", "instances=1"]) == 0
         audit = dict(line.partition("=")[::2]
                      for line in (out / "audit.txt").read_text().splitlines())
-        nodes, mean_j, _ = np.loadtxt(out / f"cayley_case{case}_d{d}_j.dat").T
+        table = read_table(out / f"cayley_case{case}_d{d}.dat")
+        nodes, mean_j = table["nodes"], table["mean_j"]
         g = {1: nodes, 2: np.log(nodes), 3: np.ones_like(nodes)}[d]
         coef = np.polyfit(g, mean_j, degree)
         fit = np.polyval(coef, g)
@@ -760,7 +770,9 @@ class TestGeometricSweep:
             assert j <= float(row["topo_j_upper"]) * (1 + 1e-9)
             assert float(row["j_normalized"]) == pytest.approx(
                 j / np.log(float(row["n"])), rel=1e-12)
-        assert np.loadtxt(out / "geometric_d2_j.dat").shape == (2, 3)
+        table = read_table(out / "geometric_d2.dat")
+        for name in ["nodes", "mean_j", "mean_j_normalized"]:
+            assert table[name].shape == (2,)
         audit = (out / "audit.txt").read_text()
         assert "skipped=0" in audit
         assert "n=20 instance=0 attempts=" in audit
@@ -810,10 +822,10 @@ class TestGeometricSweep:
                      "--svg"]) == 0
         (curves,) = charts
         by_label = {label: (list(x), list(y)) for label, x, y in curves}
-        table = np.loadtxt(out / "geometric_d2_j.dat")
+        table = read_table(out / "geometric_d2.dat")
         x, j = by_label["mean J"]
-        assert x == list(table[:, 0])
-        assert j == list(table[:, 1])
+        assert x == list(table["nodes"])
+        assert j == list(table["mean_j"])
         _, upper = by_label["topology upper"]
         assert all(a <= b for a, b in zip(j, upper))
 
@@ -835,8 +847,8 @@ class TestGeometricSweep:
         assert main([*args, "--out", str(out_b)]) == 0
         assert (out_a / "results.csv").read_bytes() == \
             (out_b / "results.csv").read_bytes()
-        assert (out_a / "geometric_d2_j.dat").read_bytes() == \
-            (out_b / "geometric_d2_j.dat").read_bytes()
+        assert (out_a / "geometric_d2.dat").read_bytes() == \
+            (out_b / "geometric_d2.dat").read_bytes()
         assert strip_wall_time((out_a / "audit.txt").read_text()) == \
             strip_wall_time((out_b / "audit.txt").read_text())
 
@@ -1250,9 +1262,94 @@ class TestSweepTables:
         ([7.0],),
     ])
     def test_dat_bytes_are_those_of_savetxt(self, tmp_path, capsys, columns):
+        names = [f"column_{i}" for i in range(len(columns))]
         _write_sweep(tmp_path / "run", "tables", 0, {}, [], [], time.perf_counter(),
-                     tables={"table": columns}, chart=None, svg=False)
+                     figure=("table", dict(zip(names, columns)), [], {}), svg=False)
         capsys.readouterr()
-        np.savetxt(tmp_path / "reference.dat", np.column_stack(columns), fmt="%.17g")
+        np.savetxt(tmp_path / "reference.dat", np.column_stack(columns), fmt="%.17g",
+                   header=" ".join(names))
         assert ((tmp_path / "run" / "table.dat").read_bytes()
                 == (tmp_path / "reference.dat").read_bytes())
+
+
+class TestSweepFigure:
+    """Each sweep writes one figure: its chart's data as one `.dat` table
+    with named columns, x first, and with --svg the chart of those columns."""
+
+    FIGURES = {
+        "epsilon": (["epsilon-sweep", "-p", "points=12"], "epsilon_sweep",
+                    {"J": "j", "resistance upper": "res_j_upper",
+                     "resistance lower": "res_j_lower",
+                     "topology upper": "topo_j_upper",
+                     "topology lower": "topo_j_lower"}),
+        "cayley": (["cayley", "-p", "d=2", "-p", "n_list=3,4", "-p", "instances=2"],
+                   "cayley_case1_d2",
+                   {"mean J": "mean_j", "corollary upper": "mean_norm_j_upper",
+                    "corollary lower": "mean_norm_j_lower"}),
+        "geometric": (["geometric", "-p", "d=2", "-p", "n_list=20,25",
+                       "-p", "instances=1", "--seed", "3"], "geometric_d2",
+                      {"mean J": "mean_j", "topology upper": "mean_topo_j_upper",
+                       "topology lower": "mean_topo_j_lower"}),
+    }
+    COLUMNS = {
+        "epsilon": ["epsilon", "j", "res_j_upper", "res_j_lower", "topo_j_upper",
+                    "topo_j_lower"],
+        "cayley": ["nodes", "mean_j", "mean_j_normalized", "mean_norm_j_upper",
+                   "mean_norm_j_lower"],
+        "geometric": ["nodes", "mean_j", "mean_j_normalized", "mean_topo_j_upper",
+                      "mean_topo_j_lower"],
+    }
+
+    @pytest.mark.parametrize("svg", [False, True])
+    @pytest.mark.parametrize("sweep", ["epsilon", "cayley", "geometric"])
+    def test_writes_one_table_and_one_chart(self, tmp_path, capsys, sweep, svg):
+        argv, stem, _ = self.FIGURES[sweep]
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out), *(["--svg"] if svg else [])]) == 0
+        capsys.readouterr()
+        expected = {"results.csv", "audit.txt", f"{stem}.dat"}
+        if svg:
+            expected.add(f"{stem}.svg")
+        assert {path.name for path in out.iterdir()} == expected
+        header = (out / f"{stem}.dat").read_text().partition("\n")[0]
+        assert header == "# " + " ".join(self.COLUMNS[sweep])
+
+    @pytest.mark.parametrize("sweep", ["epsilon", "cayley", "geometric"])
+    def test_chart_curves_are_table_columns(self, tmp_path, capsys, monkeypatch,
+                                            sweep):
+        charts = []
+        monkeypatch.setattr(
+            experiments_cli, "_emit_svg",
+            lambda path, curves, **kw: charts.append((path.name, curves, kw)))
+        argv, stem, columns_of = self.FIGURES[sweep]
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out), "--svg"]) == 0
+        capsys.readouterr()
+        ((name, curves, axes),) = charts
+        assert name == f"{stem}.svg"
+        table = read_table(out / f"{stem}.dat")
+        x_name = self.COLUMNS[sweep][0]
+        assert axes["xlabel"] == x_name
+        assert [label for label, _, _ in curves] == list(columns_of)
+        for label, x, y in curves:
+            assert [float(v) for v in x] == list(table[x_name])
+            assert [float(v) for v in y] == list(table[columns_of[label]]), label
+
+    def test_epsilon_columns_are_the_rows_fields(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["epsilon-sweep", "-p", "points=12", "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, _, rows = read_results(out / "results.csv")
+        table = read_table(out / "epsilon_sweep.dat")
+        assert list(table["epsilon"]) == [float(row["epsilon"]) for row in rows]
+        for name in self.COLUMNS["epsilon"][1:]:
+            assert list(table[name]) == [float(row[name]) for row in rows], name
+
+    def test_sweep_without_rows_writes_the_header_alone(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["geometric", "--out", str(out), "-p", "d=2", "-p", "n_list=15",
+                     "-p", "instances=1", "-p", "rho=10.0",
+                     "-p", "max_attempts=2"]) == 0
+        capsys.readouterr()
+        assert (out / "geometric_d2.dat").read_text() == \
+            "# " + " ".join(self.COLUMNS["geometric"]) + "\n"

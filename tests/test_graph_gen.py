@@ -15,7 +15,6 @@ from lqconsensus import (
     InvalidWeights,
     OutOfRange,
     RejectionExhausted,
-    audit_block,
     cayley_case1,
     cayley_case1_generator,
     cayley_case2,
@@ -25,13 +24,10 @@ from lqconsensus import (
     classify,
     commuting_example,
     gamma_check,
-    load_edge_list,
     lq_cost_exact,
     p_epsilon,
     rho_check,
     sample_geometric,
-    save_coordinates_csv,
-    save_edge_list,
 )
 from lqconsensus import graph_gen
 from helpers import rho_n_floyd_warshall
@@ -625,67 +621,3 @@ class TestSampleGeometric:
         with pytest.raises(OutOfRange):
             sample_geometric(GeometricParams(), n=10, d=4, seed=0)
 
-
-class TestGeometricFiles:
-    def test_coordinate_and_edge_round_trip(self, tmp_path):
-        inst = sample_geometric(GeometricParams(), n=20, d=2, seed=3)
-        cpath = tmp_path / "coords.csv"
-        epath = tmp_path / "edges.txt"
-        save_coordinates_csv(inst, cpath)
-        save_edge_list(inst, epath)
-        coords = np.loadtxt(cpath, delimiter=",")
-        assert np.abs(coords - inst.coordinates).max() <= 1e-15
-        adj = load_edge_list(epath, n=20)
-        np.testing.assert_array_equal(adj > 0, inst.graph)
-
-    def test_edge_list_round_trip_infers_n(self, tmp_path):
-        # An accepted graph is connected, so every node appears in some edge.
-        inst = sample_geometric(GeometricParams(), n=25, d=2, seed=5)
-        path = tmp_path / "edges.txt"
-        save_edge_list(inst, path)
-        for line in path.read_text().splitlines():
-            u, v = map(int, line.split())
-            assert 0 <= u < v < 25
-        np.testing.assert_array_equal(load_edge_list(path), inst.graph.astype(float))
-
-    def test_edge_list_weights(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        path.write_text("0 1 0.5\n\n1 2\n")
-        np.testing.assert_array_equal(load_edge_list(path, n=4), [
-            [0.0, 0.5, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-
-    @pytest.mark.parametrize("text,n,lineno", [
-        # negative indexing would wrap -1 to the last node
-        pytest.param("0 1\n-1 2\n", None, 2, id="negative"),
-        pytest.param("0 1\n2 -1\n", 3, 2, id="negative-given-n"),
-        pytest.param("0 1\n1 3\n", 3, 2, id="equal-to-n"),
-        pytest.param("\n0 7\n", 5, 2, id="after-blank-line"),
-    ])
-    def test_edge_list_id_out_of_range(self, tmp_path, text, n, lineno):
-        path = tmp_path / "edges.txt"
-        path.write_text(text)
-        with pytest.raises(OutOfRange, match=f"edges.txt:{lineno}: "):
-            load_edge_list(path, n=n)
-
-    @pytest.mark.parametrize("text,lineno", [
-        pytest.param("0\n", 1, id="one-field"),
-        pytest.param("0 1\n\n2\n", 3, id="blank-lines-count"),
-        pytest.param("0 1 0.5 9\n", 1, id="four-fields"),
-        pytest.param("0 one\n", 1, id="word-id"),
-        pytest.param("0 1.5\n", 1, id="float-id"),
-        pytest.param("0 1 heavy\n", 1, id="word-weight"),
-    ])
-    def test_edge_list_malformed_line(self, tmp_path, text, lineno):
-        path = tmp_path / "edges.txt"
-        path.write_text(text)
-        message = rf"edges.txt:{lineno}: expected 'u v \[weight\]'"
-        with pytest.raises(ValueError, match=message):
-            load_edge_list(path)
-
-    def test_audit_block_lists_measurements(self):
-        inst = sample_geometric(GeometricParams(), n=15, d=2, seed=4)
-        block = audit_block(inst)
-        for key in ["s_n=", "r_n=", "rho_n=", "gamma_ok=", "attempts=",
-                    "pi_check=symmetric"]:
-            assert key in block

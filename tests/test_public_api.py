@@ -17,20 +17,20 @@ PUBLIC_NAMES = [
     "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
     "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
     "ResistanceMatrix", "SandwichMargins", "SolveFailure",
-    "SteinDivergence", "SupportGraphs", "ZeroDiagonal", "audit_block",
+    "SteinDivergence", "SupportGraphs", "ZeroDiagonal",
     "average_resistance", "case1_range", "cayley_case1",
     "cayley_case1_generator", "cayley_case2", "cayley_case2_generator",
     "cayley_matrix", "circle_matrix", "classify", "commuting_example",
     "conductance_matrix", "corollary_normal_bounds",
     "effective_resistance", "f_delta", "gamma_check", "green_matrix",
-    "hypothetical_lower_violation", "laplacian", "load_edge_list",
+    "hypothetical_lower_violation", "laplacian",
     "load_matrix_csv", "lq_cost_exact", "lq_cost_truncated",
     "multiplicative_reversiblization", "noisy_consensus_estimate",
     "normal_corollary", "p_epsilon", "phi_map", "psi_map",
     "resistance_sandwich_check", "resistance_theorem",
     "reversiblization_conductance", "reversiblization_support",
-    "rho_check", "sample_geometric", "save_coordinates_csv",
-    "save_edge_list", "save_matrix_csv", "theorem_resistance_bounds",
+    "rho_check", "sample_geometric", "save_matrix_csv",
+    "theorem_resistance_bounds",
     "theorem_topology_bounds", "topology_theorem", "trace_pair",
     "unit_conductance", "validate_consensus", "weighted_average_resistance",
 ]
@@ -46,7 +46,6 @@ DEFAULTED_PARAMETERS = {
     "case1_range": ["p_min", "p_max"],
     "cayley_case1": ["p_min", "p_max", "seed"],
     "cayley_case1_generator": ["p_min", "p_max", "seed"],
-    "load_edge_list": ["n"],
     "noisy_consensus_estimate": ["chunk"],
     "phi_map": ["alpha"],
     "rho_check": ["distances"],
