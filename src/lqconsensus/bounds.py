@@ -229,7 +229,8 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     """Evaluate (1/(4 delta - 2)) R_uv(G(P)) <= R_uv(G(P*P)) <= R_uv(G(P)).
 
     delta is delta_in when `classify(P).commuting`, delta_out otherwise.
-    The only caller of `effective_resistance`, on G(P) and G(P*P).
+    The one bound that needs all-pairs `effective_resistance`, on G(P) and
+    G(P*P); the validate battery's Green-identity suite also calls it.
     """
     graphs = P.graphs
     fuzz = reversiblization_support(P)

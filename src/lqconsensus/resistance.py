@@ -2,10 +2,15 @@
 
 A conductance matrix is symmetric, nonnegative and irreducible; its Laplacian
 is L(C) = diag(C 1) - C, so diagonal entries of C never matter.  The effective
-resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b), with the
-pseudoinverse L(C)^+ taken from one symmetric eigendecomposition; the average
-R_bar = tr(L(C)^+)/n needs only the eigenvalues.  One null-space rule,
-`_nonzero_spectrum`, reads every Laplacian spectrum, the torus symbols too.
+resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b).  Both
+it and the average R_bar = tr(L(C)^+)/n come from one Cholesky factor
+M = U^T U of M = L(C) + 11^T/n, whose inverse is L(C)^+ + 11^T/n on a
+connected network: the added term cancels in every resistance and adds 1 to
+the trace.  One null-space rule decides connectivity: Laplacian eigenvalues
+at most CONNECTIVITY_RTOL times the largest diagonal entry are null.  The
+factor certifies the spectral gap above that threshold at no extra cost
+(`_cholesky_inverse`); only when it cannot does `_nonzero_spectrum` read the
+eigenvalues, as it reads the torus symbols.
 
 Connectivity of a network is exact reachability from node 0 on the support
 C > 0 (`stochastic_core.reach`); self loops cannot change it.
@@ -23,6 +28,7 @@ from .errors import (
     NegativeEntry,
     NotReversible,
     NotSymmetric,
+    SolveFailure,
     ZeroDiagonal,
 )
 from .stochastic_core import (
@@ -104,6 +110,8 @@ def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     Eigenvalues at most CONNECTIVITY_RTOL times `scale`, the Laplacian's
     largest diagonal entry, are null; a null space of dimension above one
     raises Disconnected naming the spectral gap (second smallest eigenvalue).
+    It reads the torus symbols, and decides a dense network whose Cholesky
+    factor cannot certify the gap (`_cholesky_inverse`).
     """
     threshold = CONNECTIVITY_RTOL * scale
     null = w <= threshold
@@ -115,36 +123,64 @@ def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     return w[~null]
 
 
-def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
-    """All-pairs effective resistance of the network, from the Laplacian
-    pseudoinverse: it inverts the eigenvalues that `_nonzero_spectrum` keeps.
-    Only the resistance sandwich needs all pairs; the bounds read R_bar from
-    `average_resistance`.
+def _cholesky_inverse(C: ConductanceMatrix, full: bool) -> tuple[np.ndarray, float]:
+    """(X, tr H) from the Cholesky factor M = U^T U of M = L(C) + 11^T/n,
+    where H = M^{-1} = L(C)^+ + 11^T/n and tr H = ||U^{-1}||_F^2.
+
+    X is the upper triangle of H when `full`, otherwise U^{-1}.  The
+    null-space rule refuses iff lambda_2 <= tau = CONNECTIVITY_RTOL * max
+    diag L.  Since lambda_min(M) = min(lambda_2, 1) and ||H||_2 <= tr H,
+    tr H * tau < 1 certifies lambda_2 > tau.  Only when that certificate or
+    the factorization fails do the eigenvalues decide, through
+    `_nonzero_spectrum`; a failed factorization of a network they accept
+    raises SolveFailure.
     """
+    from scipy.linalg import lapack
+
     L = laplacian(C)
-    w, v = np.linalg.eigh(L)
-    nonzero = _nonzero_spectrum(w, float(np.diagonal(L).max()))
-    # w ascends, so the null space is its leading block.
-    inv_w = np.zeros_like(w)
-    inv_w[len(w) - len(nonzero):] = 1.0 / nonzero
-    h = (v * inv_w[None, :]) @ v.T
+    scale = float(np.diagonal(L).max())
+    u, info = lapack.dpotrf(L + 1.0 / C.n)
+    trace = np.inf
+    if info == 0:
+        if full:
+            x, info = lapack.dpotri(u)
+            trace = float(np.trace(x))
+        else:
+            x, info = lapack.dtrtri(u)
+            trace = float(np.vdot(x, x))
+    if info != 0 or not trace * CONNECTIVITY_RTOL * scale < 1.0:
+        _nonzero_spectrum(np.linalg.eigvalsh(L), scale)
+        if info != 0:
+            raise SolveFailure(
+                f"Cholesky inverse of L + 11^T/n failed (LAPACK info {info}) "
+                f"on a network whose spectrum passes the null-space rule")
+    return x, trace
+
+
+def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
+    """All-pairs effective resistance of the network, R_uv = H_uu + H_vv -
+    2 H_uv with H = L(C)^+ + 11^T/n from one Cholesky inverse
+    (`_cholesky_inverse`, which applies the null-space rule).  The resistance
+    sandwich and the validate battery's Green-identity suite need all pairs;
+    the bounds read R_bar from `average_resistance`.
+    """
+    h, _ = _cholesky_inverse(C, full=True)
     d = np.diagonal(h)
-    r = d[:, None] + d[None, :] - 2.0 * h
-    r = (r + r.T) / 2.0
-    np.fill_diagonal(r, 0.0)
+    r = np.triu(d[:, None] + d[None, :] - 2.0 * h, 1)
+    r = r + r.T
     r[r < 0.0] = 0.0
     r.setflags(write=False)
     return ResistanceMatrix(values=r)
 
 
 def average_resistance(C: ConductanceMatrix) -> float:
-    """R_bar = (1/2n^2) sum_{u,v} R_uv = tr(L(C)^+)/n: (1/n) sum 1/lambda
-    over the Laplacian eigenvalues that `_nonzero_spectrum` keeps, with no
-    n x n resistance matrix built.
+    """R_bar = (1/2n^2) sum_{u,v} R_uv = tr(L(C)^+)/n = (||U^{-1}||_F^2 - 1)/n,
+    from the triangular inverse of the Cholesky factor U of L(C) + 11^T/n
+    (`_cholesky_inverse`, which applies the null-space rule), with no n x n
+    resistance matrix built.
     """
-    L = laplacian(C)
-    w = _nonzero_spectrum(np.linalg.eigvalsh(L), float(np.diagonal(L).max()))
-    return float(np.sum(1.0 / w) / C.n)
+    _, trace = _cholesky_inverse(C, full=False)
+    return (trace - 1.0) / C.n
 
 
 def weighted_average_resistance(R: ResistanceMatrix, pi) -> float:

@@ -32,6 +32,8 @@ VALIDATION_TOL = 1e-9
 CLASSIFICATION_TOL = 1e-9
 INVARIANT_RESIDUAL_TOL = 1e-10
 SUPPORT_THRESHOLD = 1e-14
+# Rows of an adjacency that `reach` copies and packs at a time.
+PACK_BAND = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +179,19 @@ def reach(adjacency) -> int:
     Bit i is set iff node i is reachable (node 0 included).  Each row is packed
     into one int and a breadth-first search ORs each reached node's row once.
     """
-    # Packing a transposed view is far slower than packing a contiguous copy.
-    a = np.ascontiguousarray(adjacency, dtype=bool)
+    a = np.asarray(adjacency, dtype=bool)
     width = (a.shape[1] + 7) // 8
-    packed = np.packbits(a, axis=1, bitorder="little").tobytes()
+    bands = []
+    for start in range(0, a.shape[0], PACK_BAND):
+        band = a[start:start + PACK_BAND]
+        if not band.flags.c_contiguous:
+            # Packing a strided view is far slower than packing a contiguous
+            # copy, and one copy of a whole transposed view misses the cache
+            # and the TLB on nearly every entry.  A band is first copied in
+            # the original's memory order, then transposed while it is small.
+            band = np.ascontiguousarray(band.copy(order="K"))
+        bands.append(np.packbits(band, axis=1, bitorder="little").tobytes())
+    packed = b"".join(bands)
     rows = [int.from_bytes(packed[i:i + width], "little")
             for i in range(0, len(packed), width)]
     seen = frontier = 1

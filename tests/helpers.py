@@ -177,3 +177,25 @@ def grounded_resistance(C):
     h[1:, 1:] = np.linalg.solve(L[1:, 1:], np.eye(n - 1))
     d = np.diagonal(h)
     return d[:, None] + d[None, :] - 2.0 * h
+
+
+def spectral_resistance(C):
+    """All-pairs effective resistance from the pseudoinverse of one symmetric
+    eigendecomposition of L(C), dropping its smallest eigenvalue: an oracle
+    for effective_resistance's Cholesky route.  Assumes C is connected."""
+    w, v = np.linalg.eigh(laplacian(C))
+    inv_w = np.zeros_like(w)
+    inv_w[1:] = 1.0 / w[1:]
+    h = (v * inv_w[None, :]) @ v.T
+    d = np.diagonal(h)
+    r = d[:, None] + d[None, :] - 2.0 * h
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+def spectral_rbar(C):
+    """R_bar = tr(L(C)^+)/n as the sum of 1/lambda over the eigenvalues of
+    L(C) less the smallest: an oracle for average_resistance's Cholesky
+    route.  Assumes C is connected."""
+    w = np.linalg.eigvalsh(laplacian(C))
+    return float(np.sum(1.0 / w[1:]) / C.n)

@@ -26,6 +26,7 @@ from lqconsensus import (
     save_matrix_csv,
     validate_consensus,
 )
+from lqconsensus import stochastic_core
 from lqconsensus.stochastic_core import (
     SUPPORT_THRESHOLD,
     reach,
@@ -395,6 +396,28 @@ class TestReach:
         gen = cayley_case1_generator(2, seed=[1, 1, 2, 24, 0])
         support = cayley_matrix(24, gen).support
         assert reach_verdicts(support) == scipy_verdicts(support) == (True, True)
+
+    @pytest.mark.parametrize("n", [13, 257, 515, 1001])
+    def test_banded_transpose_packs_like_one_copy(self, n, monkeypatch):
+        # n is a multiple of neither PACK_BAND (256) nor 8.  These sparse
+        # random digraphs (about 2.5 arcs per node) have a strong component
+        # of node 0 that is neither one node nor all.  The reference packs
+        # every row in one band, as one copy of the whole transpose did.
+        support = random_support(n, n, 2.5 / n, symmetric=False)
+        masks = [strong_component(support), reach(support.T)]
+        assert 1 < masks[0].bit_count() < n
+        monkeypatch.setattr(stochastic_core, "PACK_BAND", n)
+        assert masks == [strong_component(support), reach(support.T)]
+        monkeypatch.setattr(stochastic_core, "PACK_BAND", 7)
+        assert masks == [strong_component(support), reach(support.T)]
+        labels = scipy_components(support, True)[1]
+        assert masks[0] == sum(1 << int(i) for i in np.flatnonzero(labels == labels[0]))
+
+    def test_4000_node_ring_transpose(self):
+        n = 4000
+        support = np.zeros((n, n), dtype=bool)
+        support[np.arange(n), (np.arange(n) + 1) % n] = True
+        assert reach(support.T) == strong_component(support) == (1 << n) - 1
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_two_cliques_joined_by_one_arc(self, n):
