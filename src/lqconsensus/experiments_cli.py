@@ -705,7 +705,7 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     goes through `_evaluate`; those with n <= EXACT_CHECK_MAX_N also run the
     truncated series as a cross-check, whose relative error is the row's
     j_exact_rel_err.  Each audit detail line gives the sampler's attempts and
-    rejections, rho_n, and the `_evaluate` detail.
+    rejections, the measured s_n, r_n and rho_n, and the `_evaluate` detail.
     """
     d, seed, instances = config["d"], config["seed"], config["instances"]
     if d not in (2, 3):
@@ -742,6 +742,8 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
                 f" rejected_rho={audit['rejected_rho']}"
                 f" rejected_reducible={audit['rejected_reducible']}"
                 f" rejected_pi_range={audit['rejected_pi_range']}"
+                f" s_n={_fmt(inst.measured['s_n'])}"
+                f" r_n={_fmt(inst.measured['r_n'])}"
                 f" rho_n={_fmt(inst.measured['rho_n'])} {detail}")
         if per_n:
             sizes.append(n)

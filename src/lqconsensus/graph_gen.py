@@ -17,7 +17,6 @@ construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,7 +275,10 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     Tests a grid of (GAMMA_GRID_DIVISIONS + 1)^d points with spacing
     step = l / GAMMA_GRID_DIVISIONS; every grid point must lie within
     gamma - step sqrt(d)/2 of some node.  A pass guarantees coverage; a fail
-    may be spurious (never the reverse).
+    may be spurious (never the reverse).  The points on the faces of the box,
+    where a hole is likeliest, are queried first and the interior only if
+    they pass; each point's nearest-node distance does not depend on the
+    other points queried, so the verdict is that of one query of the grid.
     """
     from scipy.spatial import cKDTree
 
@@ -286,11 +288,14 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     margin = gamma - step * np.sqrt(d) / 2.0
     if margin < 0:
         return False
-    axes = [np.arange(GAMMA_GRID_DIVISIONS + 1) * step for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    dist, _ = cKDTree(coords).query(grid)
-    return bool(dist.max() <= margin)
+    ticks = np.indices((GAMMA_GRID_DIVISIONS + 1,) * d).reshape(d, -1).T
+    face = ((ticks == 0) | (ticks == GAMMA_GRID_DIVISIONS)).any(axis=1)
+    tree = cKDTree(coords)
+    for part in (face, ~face):
+        dist, _ = tree.query(ticks[part] * step)
+        if not dist.max() <= margin:
+            return False
+    return True
 
 
 def _hop_distances(graph) -> np.ndarray:
@@ -354,20 +359,22 @@ def rho_check(graph, coordinates, rho: float, distances=None):
     Graph distances count unit-length edges (`_hop_distances`, a bit-parallel
     breadth-first search from every node); a pair with no path raises
     Disconnected.  `distances`, the Euclidean distance matrix of
-    `coordinates`, is computed when the caller does not pass it.
+    `coordinates`, is computed when the caller does not pass it.  Both
+    matrices are read once, through one boolean mask of the pairs u < v.
     """
     coords = np.asarray(coordinates, dtype=float)
     n = coords.shape[0]
     if n < 2:
         return True, float("inf")
-    dg = _hop_distances(graph)
-    iu = np.triu_indices(n, 1)
-    if np.isinf(dg[iu]).any():
+    index = np.arange(n)
+    upper = index[:, None] < index
+    hops = _hop_distances(graph)[upper]
+    if np.isinf(hops).any():
         raise Disconnected("graph distances are infinite for some pair")
     if distances is None:
         from scipy.spatial.distance import cdist
         distances = cdist(coords, coords)
-    rho_n = float((distances[iu] / dg[iu]).min())
+    rho_n = float((distances[upper] / hops).min())
     return rho_n >= rho, rho_n
 
 
@@ -378,54 +385,57 @@ def _place_nodes(rng, n, d, l, s, audit):
     per node.  They are drawn n - placed at a time: a block holds no more
     candidates than nodes left to place, so the last node takes the last
     candidate drawn and the stream ends where one draw per candidate would.
-    Space is cut into cells of side 2s, keyed by one integer, and each
-    placed node is listed in the 3^d cells around its own.  A candidate is
-    tested against the list of its cell: every node outside it is at least
-    2s away along some axis, far beyond the rounding of a cell index.  A gap is the square root of the squared
-    differences summed axis by axis in index order, which is
-    np.linalg.norm's arithmetic.
+    A block is tested at once, against the placed nodes and against its own
+    earlier candidates.  A pair closer than s is closer than s along the
+    first axis, so one search of the points sorted along it, in a band of
+    1.5 s that leaves room for rounding, finds every near pair.  A gap is
+    the square root of the squared differences summed axis by axis in index
+    order, which is np.linalg.norm's arithmetic.  Only a clash between two
+    candidates of the block is settled in candidate order: the later one is
+    refused unless the earlier one was.
     """
-    side = 2.0 * s
-    # Cell indices run from 1 to int(l / side) + 1, so a neighbour's index
-    # stays in [0, stride) and no two cells share a key.
-    stride = int(l / side) + 3
-    scales = [stride ** k for k in range(d)]
-    around = [sum(o * m for o, m in zip(offset, scales))
-              for offset in itertools.product((-1, 0, 1), repeat=d)]
-    near = {}
-    coords = []
-    rejected = 0
+    pts = np.empty((d, n))
+    index = np.arange(n + 1)
+    placed = rejected = 0
     while True:
-        for candidate in (rng.random((n - len(coords), d)) * l).tolist():
-            key = 0
-            for x, m in zip(candidate, scales):
-                key += (int(x / side) + 1) * m
-            if _closer_than(s, candidate, near.get(key, ())):
-                rejected += 1
-                audit["nodes_rejected"] += 1
-                if rejected == NODE_ATTEMPT_CAP:
-                    raise InfeasibleDensity(
-                        f"could not place node {len(coords)} of {n} at spacing {s} "
-                        f"in [0, {l}]^{d} within {NODE_ATTEMPT_CAP} attempts")
-                continue
+        pts[:, placed:] = (rng.random((n - placed, d)) * l).T
+        order = pts[0].argsort()
+        x = pts[0].take(order)
+        ends = x.searchsorted(x + 1.5 * s, "right")
+        # Sorted position p pairs with positions p + 1 to ends[p] - 1.
+        width = int((ends - index[:n]).max())
+        later = index[:n, None] + index[1:width]
+        pairs = (later < ends[:, None]).ravel().nonzero()[0]
+        first = order.take(pairs // (width - 1))
+        second = order.take(later.ravel().take(pairs))
+        diff = pts.take(first, axis=1) - pts.take(second, axis=1)
+        diff *= diff
+        near = (np.sqrt(diff.sum(axis=0)) < s).nonzero()[0]
+        # Placed nodes are s apart, so a near pair holds a candidate.
+        refused = set()
+        for t, u in sorted(zip(np.maximum(first, second).take(near).tolist(),
+                               np.minimum(first, second).take(near).tolist())):
+            if u < placed or u not in refused:
+                refused.add(t)
+        # `rejected` counts the refusals since the last placed node.
+        last = placed - 1
+        for count, t in enumerate(sorted(refused)):
+            rejected = rejected + 1 if t == last + 1 else 1
+            last = t
+            if rejected == NODE_ATTEMPT_CAP:
+                audit["nodes_rejected"] += count + 1
+                raise InfeasibleDensity(
+                    f"could not place node {t - count} of {n} at spacing {s} "
+                    f"in [0, {l}]^{d} within {NODE_ATTEMPT_CAP} attempts")
+        audit["nodes_rejected"] += len(refused)
+        if not refused:
+            return pts.T.copy()
+        if last < n - 1:
             rejected = 0
-            coords.append(candidate)
-            if len(coords) == n:
-                return np.array(coords)
-            for k in around:
-                near.setdefault(key + k, []).append(candidate)
-
-
-def _closer_than(s, candidate, nodes) -> bool:
-    """Whether some node lies less than s from the candidate."""
-    for node in nodes:
-        sq = 0.0
-        for a, b in zip(node, candidate):
-            diff = a - b
-            sq += diff * diff
-        if math.sqrt(sq) < s:
-            return True
-    return False
+        kept = np.ones(n, dtype=bool)
+        kept[list(refused)] = False
+        placed = n - len(refused)
+        pts[:, :placed] = pts[:, kept]
 
 
 def sample_geometric(params: GeometricParams, n: int, d: int, seed,
@@ -436,7 +446,10 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
     matrix, invariant-measure range) restarts the construction from node
     placement; `max_attempts` bounds the restarts.  Each node gets
     NODE_ATTEMPT_CAP candidate positions before InfeasibleDensity, and the
-    coverage screen is `gamma_check` on its fixed grid.  The invariant-measure
+    coverage screen is `gamma_check` on its fixed grid.  Every step of an
+    attempt runs on arrays; the edge draws read the distances through one
+    boolean mask of the pairs u < v, in the row-major order of
+    np.triu_indices.  The invariant-measure
     screen is the one symmetric band: it rejects when n pi_min < pi_bar_min
     or n pi_max > pi_bar_max, and the audit's `pi_check=symmetric` names it.
     """
@@ -459,15 +472,16 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         "seed": str(seed),
         "pi_check": "symmetric",
     }
-    iu = np.triu_indices(n, 1)
+    index = np.arange(n)
+    upper = index[:, None] < index
     full = (1 << n) - 1
     for _ in range(max_attempts):
         audit["attempts"] += 1
         coords = _place_nodes(rng, n, d, l, params.s, audit)
         de = cdist(coords, coords)
-        keep = (de[iu] <= params.r) & (rng.random(iu[0].size) < params.p_e)
+        pairs = de[upper]
         adj = np.zeros((n, n), dtype=bool)
-        adj[iu] = keep
+        adj[upper] = (pairs <= params.r) & (rng.random(pairs.size) < params.p_e)
         adj |= adj.T
         if reach(adj) != full:
             audit["rejected_disconnected"] += 1
@@ -500,8 +514,8 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         coords.setflags(write=False)
         adj.setflags(write=False)
         measured = {
-            "s_n": float(de[iu].min()),
-            "r_n": float(de[iu][adj[iu]].max()) if adj[iu].any() else 0.0,
+            "s_n": float(pairs.min()),
+            "r_n": float(pairs[adj[upper]].max()) if adj.any() else 0.0,
             "gamma_ok": True,
             "rho_n": rho_n,
         }

@@ -44,12 +44,13 @@ class GreenMatrix:
 class LqReport:
     """J and J_w with how they were computed, named by `method`.
 
-    An "exact" report gives the number of Stein doublings in `steps_used` and
-    the relative Stein residual in `stein_residual`; a "truncated" report
-    gives the number of series terms in `steps_used`, under the fixed
-    stopping rule of `lq_cost_truncated`; an "fft" report (a Cayley torus in
-    closed form, from `experiments_cli.torus_fields`) gives the smallest
-    1 - |lambda_k|^2 over the nonzero frequencies in `spectral_gap`.
+    An "exact" report gives the number of Stein doublings whose update was
+    added in `steps_used` and the relative Stein residual in
+    `stein_residual`; a "truncated" report gives the number of series terms
+    in `steps_used`, under the fixed stopping rule of `lq_cost_truncated`;
+    an "fft" report (a Cayley torus in closed form, from
+    `experiments_cli.torus_fields`) gives the smallest 1 - |lambda_k|^2 over
+    the nonzero frequencies in `spectral_gap`.
     """
 
     j: float
@@ -102,14 +103,23 @@ def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
 
 
 def _solve_dual_stein(abar: np.ndarray, max_doublings: int = 100):
-    """Y = Abar Y Abar^T + I by doubling; returns (Y, number of doublings).
+    """Y = Abar Y Abar^T + I by doubling; returns (Y, number of doublings
+    whose update was added).
 
-    After k doublings Y holds sum_{t < 2^k} Abar^t (Abar^t)^T.
+    After k doublings Y holds sum_{t < 2^k} Abar^t (Abar^t)^T.  The first
+    update, Abar Abar^T, takes one product.  The loop stops once an update
+    is below 1e-16 entrywise.  Once one is below 1e-8 (testing sooner costs
+    more than it saves on small matrices), it also stops before computing
+    an update that could not change Y: Y is positive semidefinite, so
+    |a_i| |a_j| tr(Y) bounds entry (i, j) of the next update A Y A^T, and
+    one below 1e-16 and below 2^-55 |y_ij|, half of half an ulp, would be
+    added without changing a bit, and the loop would stop after it.
     """
     y = np.eye(abar.shape[0])
     a = abar.copy()
+    # a @ a.T would go to syrk, which rounds differently from a @ y @ a.T.
+    update = abar @ a.T
     for doublings in range(1, max_doublings + 1):
-        update = a @ y @ a.T
         step = float(np.abs(update).max())
         if not np.isfinite(step):
             raise SteinDivergence("Stein doubling produced non-finite values")
@@ -117,6 +127,15 @@ def _solve_dual_stein(abar: np.ndarray, max_doublings: int = 100):
         if step < 1e-16:
             return y, doublings
         a = a @ a
+        if step < 1e-8:
+            rows = np.sqrt((a * a).sum(axis=1))
+            # Written over the added update: the test needs no new n x n array.
+            bound = np.multiply.outer(rows, rows * y.trace(), out=update)
+            if bound.max() < 1e-16:
+                bound *= 2.0 ** 55
+                if (bound < np.abs(y)).all():
+                    return y, doublings
+        update = a @ y @ a.T
     raise SteinDivergence(f"Stein doubling did not converge in {max_doublings} steps")
 
 
@@ -125,8 +144,9 @@ def lq_cost_exact(P: ConsensusMatrix) -> LqReport:
 
     The t = 0 contribution to J is tr((I - pi 1^T)(I - 1 pi^T)) / n, which
     expands to (n - 2 + n sum(pi^2)) / n; for J_w it is 1 - sum(pi^2).
-    `steps_used` is the number of doublings and `stein_residual` the relative
-    backward error max|Abar Y Abar^T + I - Y| / max|Y|, which must not exceed
+    `steps_used` is the number of doublings whose update was added and
+    `stein_residual` the relative backward error
+    max|Abar Y Abar^T + I - Y| / max|Y|, which must not exceed
     STEIN_RESIDUAL_TOL.
     """
     pi = P.invariant.pi

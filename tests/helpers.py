@@ -15,7 +15,7 @@ from lqconsensus import (
     laplacian,
     validate_consensus,
 )
-from lqconsensus import lqcost
+from lqconsensus import graph_gen, lqcost
 
 
 def uniform(n):
@@ -199,3 +199,40 @@ def spectral_rbar(C):
     route.  Assumes C is connected."""
     w = np.linalg.eigvalsh(laplacian(C))
     return float(np.sum(1.0 / w[1:]) / C.n)
+
+
+def stein_by_doubling(abar, max_doublings=100):
+    """(Y, doublings) of Y = Abar Y Abar^T + I by plain doubling: every
+    update A Y A^T takes two products, and the loop stops only once an
+    added update is below 1e-16 entrywise.  A reference for
+    `lqcost._solve_dual_stein`'s cheaper first update and earlier stop."""
+    y = np.eye(abar.shape[0])
+    a = abar.copy()
+    for doublings in range(1, max_doublings + 1):
+        update = a @ y @ a.T
+        step = float(np.abs(update).max())
+        y += update
+        if step < 1e-16:
+            return y, doublings
+        a = a @ a
+    raise AssertionError(f"no convergence in {max_doublings} doublings")
+
+
+def gamma_check_full_grid(coordinates, l, gamma):
+    """The coverage certificate by one query of the whole grid of
+    (GAMMA_GRID_DIVISIONS + 1)^d points: a reference for `gamma_check`,
+    which queries the points on the box faces first."""
+    from scipy.spatial import cKDTree
+
+    divisions = graph_gen.GAMMA_GRID_DIVISIONS
+    coords = np.asarray(coordinates, dtype=float)
+    d = coords.shape[1]
+    step = l / divisions
+    margin = gamma - step * np.sqrt(d) / 2.0
+    if margin < 0:
+        return False
+    axes = [np.arange(divisions + 1) * step for _ in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    dist, _ = cKDTree(coords).query(grid)
+    return bool(dist.max() <= margin)

@@ -812,6 +812,23 @@ class TestGeometricSweep:
                 assert row["j_exact_rel_err"] == ""
                 assert "truncated_steps=" not in line
 
+    def test_detail_reads_back_the_measured_parameters(self, tmp_path):
+        # s_n, r_n and rho_n are printed with 17 significant digits, so each
+        # reads back bit for bit as the sampler measured it.
+        out = tmp_path / "run"
+        assert main(["geometric", "--out", str(out), "-p", "d=3",
+                     "-p", "n_list=30,60", "-p", "instances=2",
+                     "--seed", "5"]) == 0
+        audit = (out / "audit.txt").read_text()
+        for n, i in itertools.product((30, 60), range(2)):
+            measured = sample_geometric(GeometricParams(), n, 3,
+                                        seed=[5, 3, n, i]).measured
+            line = next(line for line in audit.splitlines()
+                        if line.startswith(f"n={n} instance={i} "))
+            fields = dict(item.split("=", 1) for item in line.split())
+            for key in ("s_n", "r_n", "rho_n"):
+                assert float(fields[key]) == measured[key]
+
     def test_svg_plots_mean_j_against_its_bounds(self, tmp_path, monkeypatch):
         charts = []
         monkeypatch.setattr(experiments_cli, "_emit_svg",

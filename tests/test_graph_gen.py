@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -30,7 +31,7 @@ from lqconsensus import (
     sample_geometric,
 )
 from lqconsensus import graph_gen
-from helpers import rho_n_floyd_warshall
+from helpers import gamma_check_full_grid, rho_n_floyd_warshall
 
 
 class TestCayleyGenerator:
@@ -339,6 +340,77 @@ class TestGammaCheck:
         assert passes > 0
 
 
+def lattice_with_hole(d, hole):
+    """Nodes every 0.5 on [0, 2]^d, less those within 0.6 of the hole's
+    centre: none, the box's centre, or the centre of the face x_d = 0."""
+    nodes = np.array(list(itertools.product(np.arange(5) * 0.5, repeat=d)))
+    if hole == "none":
+        return nodes
+    centre = np.ones(d)
+    if hole == "face":
+        centre[-1] = 0.0
+    return nodes[np.linalg.norm(nodes - centre, axis=1) >= 0.6]
+
+
+def face_coverage(coords, l):
+    """The largest nearest-node distance over the grid points on the faces
+    of [0, l]^d."""
+    divisions = graph_gen.GAMMA_GRID_DIVISIONS
+    d = coords.shape[1]
+    ticks = np.array(list(itertools.product(range(divisions + 1), repeat=d)))
+    face = ticks[((ticks == 0) | (ticks == divisions)).any(axis=1)] * (l / divisions)
+    return np.linalg.norm(face[:, None, :] - coords[None], axis=2).min(axis=1).max()
+
+
+class TestGammaFacesFirst:
+    """`gamma_check` queries the face points first and the interior only if
+    they pass; its verdict is that of one query of the whole grid."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hole_on_a_face_or_inside(self, d):
+        l, gamma = 2.0, 0.6
+        margin = gamma - l / graph_gen.GAMMA_GRID_DIVISIONS * np.sqrt(d) / 2
+        whole = lattice_with_hole(d, "none")
+        assert gamma_check(whole, l, gamma) and gamma_check_full_grid(whole, l, gamma)
+        inside = lattice_with_hole(d, "interior")
+        assert face_coverage(inside, l) <= margin
+        assert not gamma_check(inside, l, gamma)
+        assert not gamma_check_full_grid(inside, l, gamma)
+        face = lattice_with_hole(d, "face")
+        assert face_coverage(face, l) > margin
+        assert not gamma_check(face, l, gamma)
+        assert not gamma_check_full_grid(face, l, gamma)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(d=st.sampled_from([1, 2, 3]),
+           layout=st.sampled_from(["none", "interior", "face", "uniform"]),
+           jitter=st.floats(0.0, 0.15), gamma=st.floats(0.05, 1.5),
+           count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_one_query_of_the_grid(self, d, layout, jitter, gamma,
+                                               count, seed):
+        rng = np.random.default_rng(seed)
+        l = 2.0
+        if layout == "uniform":
+            coords = rng.random((count, d)) * l
+        else:
+            coords = lattice_with_hole(d, layout)
+            coords = coords + rng.uniform(-jitter, jitter, coords.shape)
+        assert gamma_check(coords, l, gamma) == gamma_check_full_grid(coords, l, gamma)
+
+    def test_agrees_on_placed_nodes(self):
+        params = GeometricParams()
+        verdicts = []
+        for n, d in [(100, 2), (300, 2), (60, 3), (200, 1)]:
+            l = params.c * n ** (1.0 / d)
+            for seed in range(10):
+                coords = graph_gen._place_nodes(np.random.default_rng([seed, n, d]),
+                                                n, d, l, params.s,
+                                                {"nodes_rejected": 0})
+                verdicts.append(gamma_check(coords, l, params.gamma))
+                assert verdicts[-1] == gamma_check_full_grid(coords, l, params.gamma)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
 class TestRhoCheck:
     def test_two_nodes(self):
         coords = np.array([[0.0, 0.0], [0.7, 0.0]])
@@ -621,3 +693,31 @@ class TestSampleGeometric:
         with pytest.raises(OutOfRange):
             sample_geometric(GeometricParams(), n=10, d=4, seed=0)
 
+
+def instance_digest(inst):
+    """SHA-256 of an instance's coordinates, graph, entries and audit."""
+    h = hashlib.sha256()
+    for array in (inst.coordinates, inst.graph, inst.matrix.entries):
+        h.update(array.tobytes())
+    h.update(repr(sorted(inst.audit.items())).encode())
+    return h.hexdigest()
+
+
+class TestSamplerDigests:
+    """Instances drawn before placement, the pair draws and the screens ran
+    on arrays, pinned bit for bit; d = 1 runs at c = 0.2, where placement
+    refuses hundreds of candidates and every screen refuses some attempt."""
+
+    @pytest.mark.parametrize("n, d, c, seed, digest", [
+        (25, 2, 0.5, 0, "40264246d4cb3e06241be17764ab328f70c53971066a3cb3df6c7283fdd25961"),
+        (25, 2, 0.5, 1, "39ccd56bad76280f3187db2b64816c270a8dc5f51cd8e96a6e60bcc16b73559f"),
+        (300, 2, 0.5, 0, "93b9ddd1574d9a29064b369f01881c62545ff977576662c5aac86aec17c37e69"),
+        (300, 2, 0.5, 1, "dc2e244e4dccf8105681bf4c5c31457ef15a39647a5f327f026459d433957a51"),
+        (60, 3, 0.5, 0, "cfbbc746e9b0d7226dcf4692a1ca24cc711212554be1afcc19113145ee37ccf6"),
+        (60, 3, 0.5, 1, "2a19f2bfc5003014b0ff48bd85c4147d3ad704668f345f95b3ff3ea4f12b0eac"),
+        (200, 1, 0.2, 0, "262d833fec7956df3322884aa3b4e2ea629422d388c3f0eb184cd4060c80b6a6"),
+        (200, 1, 0.2, 1, "4543002c56dba91dffe4bad1527c42d7bcb22bccfddca6d52b496f029851b69b"),
+    ])
+    def test_instance_is_unchanged(self, n, d, c, seed, digest):
+        inst = sample_geometric(GeometricParams(c=c), n, d, seed=[seed, d, n])
+        assert instance_digest(inst) == digest

@@ -25,6 +25,7 @@ from helpers import (
     random_consensus,
     random_reversible,
     sparse_consensus,
+    stein_by_doubling,
     truncated_series_dense,
     two_cliques,
     uniform,
@@ -198,6 +199,42 @@ class TestExactCost:
         monkeypatch.setattr(lqcost, "_solve_dual_stein", off_by_1e6)
         with pytest.raises(SteinDivergence):
             lq_cost_exact(p_epsilon(0.1))
+
+
+class TestSteinStoppingRule:
+    """The one-product first update and the stop on the entrywise bound
+    |a_i| |a_j| tr(Y) leave J, J_w and the Stein residual bit for bit those
+    of plain doubling, and save at most the last doubling."""
+
+    @staticmethod
+    def assert_same_bits(P):
+        report = lq_cost_exact(P)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lqcost, "_solve_dual_stein", stein_by_doubling)
+            reference = lq_cost_exact(P)
+        assert report.j == reference.j
+        assert report.j_weighted == reference.j_weighted
+        assert report.stein_residual == reference.stein_residual
+        assert report.steps_used in (reference.steps_used,
+                                     reference.steps_used - 1)
+        return report, reference
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(n=st.integers(2, 40), kind=st.sampled_from(
+               ["dense", "reversible", "sparse", "circulant"]),
+           density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_consensus_matrices(self, n, kind, density, seed):
+        rng = np.random.default_rng(seed)
+        P = {"dense": lambda: random_consensus(rng, n, max(density, 0.1)),
+             "reversible": lambda: random_reversible(rng, n, max(density, 0.1)),
+             "sparse": lambda: sparse_consensus(rng, n, density),
+             "circulant": lambda: random_circulant(rng, n)}[kind]()
+        self.assert_same_bits(P)
+
+    def test_workload_graph(self):
+        P = sample_geometric(GeometricParams(), 300, 2, seed=[1, 2, 300, 0]).matrix
+        report, reference = self.assert_same_bits(P)
+        assert report.steps_used == reference.steps_used - 1
 
 
 class TestTruncatedCost:
