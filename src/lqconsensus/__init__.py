@@ -7,8 +7,9 @@ effective resistance, the Phi/Psi correspondences), `lqcost` (the exact dual
 Stein solve, truncated series, Green matrix, noisy Monte Carlo), `bounds`
 (the two bound theorems, the normal-matrix corollary, support oracles and the
 resistance sandwich), `graph_gen` (Cayley tori, named example matrices, the
-random-geometric pipeline) and `experiments_cli` (CSV/plot experiment
-drivers behind the `lqconsensus` command).
+random-geometric pipeline), `pipeline` (the gated costs and bounds of one
+matrix, and of a Cayley torus in closed form) and `experiments_cli`
+(CSV/plot experiment drivers behind the `lqconsensus` command).
 """
 
 from .bounds import (
@@ -73,6 +74,7 @@ from .lqcost import (
     noisy_consensus_estimate,
     trace_pair,
 )
+from .pipeline import ResultRow, evaluate, torus_fields
 from .resistance import (
     ConductanceMatrix,
     ResistanceMatrix,
@@ -107,12 +109,12 @@ __all__ = [
     "InvariantMeasure", "LqConsensusError", "LqReport", "MatrixClass",
     "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
     "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
-    "ResistanceMatrix", "SandwichMargins", "SolveFailure", "SteinDivergence",
-    "SupportGraphs", "ZeroDiagonal", "average_resistance",
+    "ResistanceMatrix", "ResultRow", "SandwichMargins", "SolveFailure",
+    "SteinDivergence", "SupportGraphs", "ZeroDiagonal", "average_resistance",
     "case1_range", "cayley_case1", "cayley_case1_generator", "cayley_case2",
     "cayley_case2_generator", "cayley_matrix", "circle_matrix",
     "classify", "commuting_example", "conductance_matrix",
-    "corollary_normal_bounds", "effective_resistance", "f_delta",
+    "corollary_normal_bounds", "effective_resistance", "evaluate", "f_delta",
     "gamma_check", "green_matrix", "hypothetical_lower_violation",
     "laplacian", "load_matrix_csv",
     "lq_cost_exact", "lq_cost_truncated", "multiplicative_reversiblization",
@@ -121,6 +123,6 @@ __all__ = [
     "reversiblization_conductance", "reversiblization_support", "rho_check",
     "sample_geometric", "save_matrix_csv",
     "theorem_resistance_bounds", "theorem_topology_bounds",
-    "topology_theorem", "trace_pair", "unit_conductance", "validate_consensus",
-    "weighted_average_resistance",
+    "topology_theorem", "torus_fields", "trace_pair", "unit_conductance",
+    "validate_consensus", "weighted_average_resistance",
 ]

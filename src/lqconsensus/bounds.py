@@ -11,7 +11,7 @@ the hypothetical values are always reported so the failure region of the
 lower bound can be mapped.  Each theorem's arithmetic is written once, in a
 function of its constants (`resistance_theorem`, `topology_theorem`,
 `normal_corollary`); the `*_bounds` functions take those constants from a
-dense matrix, and the cayley sweep from the FFT of a torus generator.
+dense matrix, and `pipeline.torus_fields` from the FFT of a torus generator.
 """
 
 from __future__ import annotations
@@ -207,17 +207,14 @@ def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
 
 @dataclass(frozen=True, eq=False)
 class SandwichMargins:
-    """Per-pair slack of the resistance sandwich between G(P) and G(P*P).
+    """Least per-pair slack of the resistance sandwich between G(P) and G(P*P).
 
-    upper_margins = R(G(P)) - R(G(P*P)) and
-    lower_margins = R(G(P*P)) - R(G(P)) / (4 delta - 2), both expected
-    nonnegative; `variant` records whether delta_in (commuting case) or
-    delta_out was used, and `support` is the G(P*P) edge set the margins
-    were computed on.
+    min_upper_margin = min R(G(P)) - R(G(P*P)) and min_lower_margin =
+    min R(G(P*P)) - R(G(P)) / (4 delta - 2), both expected nonnegative;
+    `variant` records whether delta_in (commuting case) or delta_out was
+    used, and `support` is the G(P*P) edge set the margins were computed on.
     """
 
-    upper_margins: np.ndarray
-    lower_margins: np.ndarray
     min_upper_margin: float
     min_lower_margin: float
     delta_used: int
@@ -237,7 +234,7 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     adj = np.zeros((P.n, P.n), dtype=bool)
     u, v = np.array(list(fuzz.edges), dtype=int).reshape(-1, 2).T
     adj[u, v] = adj[v, u] = True
-    r_base = effective_resistance(unit_conductance(graphs.undirected)).values
+    r_base = effective_resistance(P.support_network).values
     r_fuzz = effective_resistance(unit_conductance(adj)).values
     if classify(P).commuting:
         delta, variant = graphs.delta_in, "in"
@@ -246,8 +243,6 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     upper = r_base - r_fuzz
     lower = r_fuzz - r_base / (4.0 * delta - 2.0)
     return SandwichMargins(
-        upper_margins=upper,
-        lower_margins=lower,
         min_upper_margin=float(upper.min()),
         min_lower_margin=float(lower.min()),
         delta_used=delta,

@@ -20,32 +20,19 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    corollary_normal_bounds,
-    normal_corollary,
-    resistance_sandwich_check,
-    resistance_theorem,
-    reversiblization_support,
-    theorem_resistance_bounds,
-    theorem_topology_bounds,
-    topology_theorem,
-)
+from .bounds import resistance_sandwich_check, reversiblization_support
 from .errors import (
     ConfigError,
-    Disconnected,
     InfeasibleDensity,
-    InvalidGenerator,
     LqConsensusError,
     NotIrreducible,
     RejectionExhausted,
 )
 from .graph_gen import (
-    CayleyGenerator,
     GeometricParams,
     case1_range,
     cayley_case1_generator,
@@ -57,13 +44,9 @@ from .graph_gen import (
     p_epsilon,
     sample_geometric,
 )
-from .lqcost import LqReport, green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
-from .resistance import (
-    _nonzero_spectrum,
-    effective_resistance,
-    phi_map,
-    weighted_average_resistance,
-)
+from .lqcost import green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
+from .pipeline import CSV_COLUMNS, ResultRow, evaluate, growth_fit, torus_fields
+from .resistance import effective_resistance, phi_map, weighted_average_resistance
 from .stochastic_core import (
     CLASSIFICATION_TOL,
     INVARIANT_RESIDUAL_TOL,
@@ -79,11 +62,14 @@ GEOMETRIC_N_DEFAULT = {
     3: (50, 150, 250, 343),
 }
 
-BOUND_SLACK_REL = 1e-9
-BOUND_SLACK_ABS = 1e-12
 # Geometric instances of at most this many nodes also run the truncated
 # series as a cross-check of the exact cost.
 EXACT_CHECK_MAX_N = 200
+# The bound columns in the order `analyze` prints them; a row has the norm_*
+# pair only for a normal matrix.
+ANALYZE_BOUND_COLUMNS = (
+    *(name for name in CSV_COLUMNS if name.startswith(("res_", "topo_"))),
+    "lower_applicable", "norm_j_upper", "norm_j_lower")
 
 
 def _fmt(value) -> str:
@@ -96,90 +82,15 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One experiment data point; its fields, in order, are the CSV columns
-    (CSV_COLUMNS), and nothing run-dependent is among them, so reruns with
-    the same master seed are byte-identical.
-
-    j_exact_rel_err is |J_trunc - J_exact| / J_exact, the relative error of
-    the truncated series against the exact cost, on geometric rows where that
-    cross-check ran; it is empty elsewhere.
-
-    Construction is the gate that every sweep row, `analyze` report and bound
-    suite of `validate` passes.  Its inequalities are listed once, as (smaller
-    field, larger field, bound name) in GATED and CERTIFIED_LOWER: the costs
-    below every upper bound and above norm_j_lower, and above the theorems'
-    lower bounds only when lower_applicable certifies them.  Each one whose
-    two fields are populated (`gated`) must have a `margin` of at least 0,
-    that is, hold up to BOUND_SLACK_REL relative plus BOUND_SLACK_ABS
-    absolute slack; otherwise LqConsensusError names the bound.
-    """
-
-    GATED = (
-        ("j", "res_j_upper", "the resistance-theorem J upper bound"),
-        ("j", "topo_j_upper", "the topology-theorem J upper bound"),
-        ("j", "norm_j_upper", "the normal-corollary J upper bound"),
-        ("j_weighted", "res_jw_upper", "the resistance-theorem weighted upper bound"),
-        ("j_weighted", "topo_jw_upper", "the topology-theorem weighted upper bound"),
-        ("norm_j_lower", "j", "the normal-corollary J lower bound"),
-    )
-    CERTIFIED_LOWER = (
-        ("res_j_lower", "j", "the resistance-theorem J lower bound"),
-        ("topo_j_lower", "j", "the topology-theorem J lower bound"),
-        ("res_jw_lower", "j_weighted", "the resistance-theorem weighted lower bound"),
-        ("topo_jw_lower", "j_weighted", "the topology-theorem weighted lower bound"),
-    )
-
-    experiment: str
-    n: int
-    d: int | None
-    case: int | None
-    instance: int
-    epsilon: float | None
-    j: float
-    j_weighted: float
-    j_exact_rel_err: float | None
-    res_rbar: float
-    res_j_upper: float
-    res_j_lower: float
-    res_jw_upper: float
-    res_jw_lower: float
-    topo_rbar: float
-    topo_j_upper: float
-    topo_j_lower: float
-    topo_jw_upper: float
-    topo_jw_lower: float
-    norm_j_upper: float | None
-    norm_j_lower: float | None
-    lower_applicable: bool
-    j_normalized: float | None
-
-    def gated(self) -> list:
-        """The entries of GATED, and of CERTIFIED_LOWER when lower_applicable,
-        whose two fields are both populated."""
-        table = self.GATED + (self.CERTIFIED_LOWER if self.lower_applicable else ())
-        return [(smaller, larger, name) for smaller, larger, name in table
-                if getattr(self, smaller) is not None and getattr(self, larger) is not None]
-
-    def margin(self, smaller: str, larger: str) -> float:
-        """larger (1 + BOUND_SLACK_REL) + BOUND_SLACK_ABS - smaller, for two
-        field names: negative exactly when the gate refuses the pair."""
-        return (getattr(self, larger) * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
-                - getattr(self, smaller))
-
-    def __post_init__(self):
-        for smaller, larger, name in self.gated():
-            if self.margin(smaller, larger) < 0:
-                raise LqConsensusError(
-                    f"result row violates {name}:"
-                    f" {getattr(self, smaller)} > {getattr(self, larger)}")
-
-    def to_cells(self) -> list:
-        return [self.experiment] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
+def _cells(row: ResultRow) -> list:
+    """The CSV cells of a row, in CSV_COLUMNS order."""
+    return [row.experiment] + [_fmt(getattr(row, c)) for c in CSV_COLUMNS[1:]]
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
+def _kv(fields: dict, sep: str = " ", fmt=_fmt) -> str:
+    """key=value pairs joined by `sep`, non-string values through `fmt`."""
+    return sep.join(f"{key}={value if isinstance(value, str) else fmt(value)}"
+                    for key, value in fields.items())
 
 
 def _to_int(key: str, text: str) -> int:
@@ -369,142 +280,6 @@ def _emit_svg(path, curves, xlabel: str, ylabel: str, logx=False, logy=False):
         fh.write("\n".join(out) + "\n")
 
 
-# The growth law g(N) of J on N nodes in dimension d, by name: the paper's
-# rates on Z_n^d, which j_normalized = J / g(N) and the cayley audit's fit use.
-GROWTH_LAWS = {1: "N", 2: "log(N)", 3: "1"}
-
-
-def _growth(d: int, nodes):
-    """g(N): N in d=1, log N in d=2, 1 in d=3 (see GROWTH_LAWS)."""
-    if d == 1:
-        return nodes
-    if d == 2:
-        return np.log(nodes)
-    return 1.0
-
-
-def _bound_columns(res, topo, norm) -> dict:
-    """The res_*, topo_* and lower_applicable columns from the two theorems'
-    reports, then the norm_* columns from the corollary's unless it is None."""
-    fields = {}
-    for name, bounds in (("res", res), ("topo", topo)):
-        fields[f"{name}_rbar"] = bounds.constants["r_bar"]
-        fields[f"{name}_j_upper"] = bounds.j_upper
-        fields[f"{name}_j_lower"] = bounds.j_lower
-        fields[f"{name}_jw_upper"] = bounds.jw_upper
-        fields[f"{name}_jw_lower"] = bounds.jw_lower
-    fields["lower_applicable"] = res.lower_applicable
-    if norm is not None:
-        fields["norm_j_upper"] = norm.j_upper
-        fields["norm_j_lower"] = norm.j_lower
-    return fields
-
-
-def bound_fields(matrix) -> dict:
-    """The res_*, topo_* and lower_applicable columns of a result, then the
-    norm_* columns if `classify(matrix).normal`, in `analyze` order."""
-    res = theorem_resistance_bounds(matrix)
-    topo = theorem_topology_bounds(matrix)
-    norm = corollary_normal_bounds(matrix) if classify(matrix).normal else None
-    return _bound_columns(res, topo, norm)
-
-
-def torus_fields(gen: CayleyGenerator, side: int):
-    """J, J_w and the bound columns of the Cayley matrix P_uv = g(u - v mod
-    side) on Z_side^d in closed form, without building P.
-
-    P is circulant: its eigenvalues are lambda = fftn(g), it is normal (so
-    commuting and doubly stochastic) and pi = 1/N exactly, N = side^d.  Both
-    R_bar are tr(L^+)/N, with the dense route's null-space rule
-    (`resistance._nonzero_spectrum`) applied to the Laplacian's symbol:
-    - J = J_w = (1/N) sum 1 / (1 - |lambda_k|^2) over k != 0 is the
-      resistance theorem's R_bar: C_{P*P} = P^T P has Laplacian I - P^T P,
-      with diagonal 1 - sum_h g_h^2.
-    - The topology theorem's and the corollary's R_bar is (1/N) sum 1 / mu_k,
-      with mu the symbol of the unit Laplacian of G(P), whose edges are the
-      nonzero offsets and their negatives, and whose diagonal is the degree.
-    - p_min and p_max are the weights of g, and delta_in = delta_out is its
-      number of nonzero offsets.
-    An offset of weight at most SUPPORT_THRESHOLD is no edge, as in G(P).
-    The bounds come from the theorem functions the dense route uses.
-
-    Returns the LqReport (method "fft", spectral_gap the smallest
-    1 - |lambda_k|^2) and the bound columns as `bound_fields` gives them.
-    Raises InvalidGenerator for side < 3, and NotIrreducible where the rule
-    finds either Laplacian disconnected, as the dense route raises
-    Disconnected on the Cayley matrix.
-    """
-    if side < 3:
-        raise InvalidGenerator(f"torus side {side} must be at least 3")
-    d = gen.d
-    g = np.zeros((side,) * d)
-    for h in gen.offsets:
-        g[tuple(x % side for x in h)] += gen.weights[h]
-    n = g.size
-    support = g > SUPPORT_THRESHOLD
-    weights = g[support]
-    support.flat[0] = False
-    # Index -h mod side of every axis: reverse, then shift by one.
-    edges = support | np.roll(np.flip(support), 1, axis=tuple(range(d)))
-    degree = int(edges.sum())
-    lam = np.fft.fftn(g).ravel()
-    gaps = 1.0 - (lam.real ** 2 + lam.imag ** 2)
-    gaps[0] = 0.0  # lambda_0 = sum g = 1: the constant mode is the null vector
-    mu = degree - np.fft.fftn(edges.astype(float)).real.ravel()
-    try:
-        gaps = _nonzero_spectrum(gaps, 1.0 - float(np.sum(g ** 2)))
-        mu = _nonzero_spectrum(mu, degree)
-    except Disconnected as exc:
-        raise NotIrreducible(
-            f"the torus Z_{side}^{d} is reducible or numerically so: {exc}") from exc
-    j = float(np.sum(1.0 / gaps) / n)
-    support_rbar = float(np.sum(1.0 / mu) / n)
-    pi = 1.0 / n
-    p_min, p_max = float(weights.min()), float(weights.max())
-    delta = int(support.sum())
-    bounds = _bound_columns(
-        resistance_theorem(n, pi, pi, j, True),
-        topology_theorem(n, pi, pi, p_min, p_max, delta, delta, support_rbar, True),
-        normal_corollary(n, p_min, p_max, delta, support_rbar))
-    report = LqReport(j=j, j_weighted=j, t0_term=(n - 1) / n, method="fft",
-                      spectral_gap=float(gaps.min()))
-    return report, bounds
-
-
-def _evaluate(matrix, bounds=None, cross_check: bool = False, nodes=None,
-              report=None, **labels):
-    """One matrix through the pipeline every sweep and `analyze` share.
-
-    Computes J and J_w with `lq_cost_exact` and the bound block (by default
-    `bound_fields(matrix)`), and with `cross_check` the truncated series,
-    whose relative error against J becomes j_exact_rel_err.  A caller that
-    holds J, J_w and the bounds in closed form (the cayley sweep, from
-    `torus_fields`) passes them as `report` and `bounds`, with no matrix.
-    `nodes` is the node count N that j_normalized = J / g(N) uses (in
-    dimension `labels["d"]`); without it that column is empty, as is every
-    column that neither the cost, the bounds nor `labels` give.  Returns the
-    gated ResultRow, the LqReport and the row's audit detail: the method and
-    whichever of the report's doublings (steps_used), relative Stein
-    residual and spectral gap it has, plus the number of series terms
-    (truncated_steps) where the cross-check ran.
-    """
-    report = lq_cost_exact(matrix) if report is None else report
-    bounds = bound_fields(matrix) if bounds is None else bounds
-    detail = f"method={report.method}" + "".join(
-        f" {key}={_fmt(getattr(report, key))}"
-        for key in ("steps_used", "stein_residual", "spectral_gap")
-        if getattr(report, key) is not None)
-    if cross_check:
-        check = lq_cost_truncated(matrix)
-        labels["j_exact_rel_err"] = abs(check.j - report.j) / report.j
-        detail += f" truncated_steps={check.steps_used}"
-    if nodes is not None:
-        labels["j_normalized"] = report.j / _growth(labels["d"], nodes)
-    row = ResultRow(**{**dict.fromkeys(CSV_COLUMNS), **labels, **bounds,
-                       "j": report.j, "j_weighted": report.j_weighted})
-    return row, report, detail
-
-
 def _size_means(stem: str, x, per_size, family: str, label: str, logy: bool):
     """Per-size means of one sweep as its `_write_sweep` figure: the columns
     nodes (x), mean_j, mean_j_normalized, mean_<family>_j_upper and
@@ -542,7 +317,7 @@ def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
         fh.write(f"# master_seed={seed}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(row.to_cells()) + "\n")
+            fh.write(",".join(_cells(row)) + "\n")
     stem, columns, curves, axes = figure
     x_name = next(iter(columns))
     line = " ".join(["%.17g"] * len(columns)) + "\n"
@@ -553,13 +328,11 @@ def _write_sweep(out_dir: Path, experiment: str, seed: int, settings: dict,
         _emit_svg(out_dir / f"{stem}.svg",
                   [(label, columns[x_name], columns[name]) for label, name in curves],
                   xlabel=x_name, ylabel="cost", **axes)
-    lines = [f"experiment={experiment}", f"master_seed={seed}"]
-    lines += [f"{key}={value}" for key, value in settings.items()]
-    lines.append(f"rows={len(rows)}")
+    head = {"experiment": experiment, "master_seed": seed, **settings, "rows": len(rows)}
     if skipped is not None:
-        lines.append(f"skipped={skipped}")
-    lines += [*summary, *details,
-              f"total_wall_time_s={time.perf_counter() - start:.3f}"]
+        head["skipped"] = skipped
+    lines = [_kv(head, "\n"), *summary, *details,
+             f"total_wall_time_s={time.perf_counter() - start:.3f}"]
     (out_dir / "audit.txt").write_text("\n".join(lines) + "\n")
     counts = f"{len(rows)} rows" + (f", {skipped} skipped" if skipped is not None else "")
     print(f"wrote {out_dir / 'results.csv'} ({counts})")
@@ -589,10 +362,10 @@ def run_epsilon_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     rows, details = [], []
     for i, eps in enumerate(grid):
         matrix = p_epsilon(float(eps))
-        row, _, detail = _evaluate(matrix, experiment="epsilon-sweep",
-                                   n=matrix.n, instance=i, epsilon=float(eps))
+        row, _, detail = evaluate(matrix, experiment="epsilon-sweep",
+                                  n=matrix.n, instance=i, epsilon=float(eps))
         rows.append(row)
-        details.append(f"instance={i} epsilon={_fmt(eps)} {detail}")
+        details.append(_kv({"instance": i, "epsilon": eps, **detail}))
     columns = {"epsilon": grid, **{field: [getattr(row, field) for row in rows]
                                    for _, field in EPSILON_CURVES}}
     hyp = [row for row in rows if not row.lower_applicable and row.res_j_lower > row.j]
@@ -615,33 +388,17 @@ def run_epsilon_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
         rows, details, start, figure=figure, svg=svg, summary=summary)
 
 
-def _growth_fit(d: int, nodes, mean_j) -> list:
-    """Audit lines of the least-squares fit mean J ~ a g(N) + b over the
-    sizes, with g = GROWTH_LAWS[d]; in d = 3, where g is constant, b alone
-    is fitted and growth_a is empty.  growth_rel_residual is
-    ||mean J - fit|| / ||mean J|| (2-norms)."""
-    x = np.asarray(nodes, dtype=float)
-    y = np.asarray(mean_j, dtype=float)
-    columns = [np.ones_like(x)] if d == 3 else [_growth(d, x), np.ones_like(x)]
-    design = np.column_stack(columns)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    a, b = (None, coef[0]) if d == 3 else coef
-    residual = np.linalg.norm(y - design @ coef) / np.linalg.norm(y)
-    return [f"growth_g={GROWTH_LAWS[d]}", f"growth_a={_fmt(a)}",
-            f"growth_b={_fmt(b)}", f"growth_rel_residual={_fmt(residual)}"]
-
-
 def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     """Torus-graph scaling: J and the normal-matrix bounds over an n grid.
 
     Each instance samples only its generator (case 1: banded weights drawn
     per (seed, case, d, n, instance); case 2: the fixed one-sided
     generator), and `torus_fields` gives its J, J_w and bounds from one FFT,
-    so no n^d x n^d matrix is built.  The rows pass the `_evaluate` gate;
-    each audit detail line gives method=fft and the spectral gap.  p_min and
-    p_max set the case-1 band (the audit records the band used) and are
-    refused in case 2.  With at least 3 sizes the audit also fits the
-    per-size mean J to a g(N) + b (`_growth_fit`).
+    so no n^d x n^d matrix is built.  The rows pass the `evaluate` gate;
+    each audit detail line gives its detail: the closed-form method and the
+    spectral gap.  p_min and p_max set the case-1 band (the audit records
+    the band used) and are refused in case 2.  With at least 3 sizes the
+    audit also fits the per-size mean J to a g(N) + b (`growth_fit`).
     """
     case, d, seed = config["case"], config["d"], config["seed"]
     if case not in (1, 2):
@@ -673,13 +430,12 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
                                              seed=[seed, case, d, n, i])
             else:
                 gen = cayley_case2_generator(d)
-            report, bounds = torus_fields(gen, n)
-            row, _, detail = _evaluate(None, bounds, nodes=n ** d, report=report,
-                                       experiment="cayley", n=n, d=d, case=case,
-                                       instance=i)
+            row, _, detail = evaluate(torus_fields(gen, n), nodes=n ** d,
+                                      experiment="cayley", n=n, d=d, case=case,
+                                      instance=i)
             rows.append(row)
             per_n.append(row)
-            details.append(f"n={n} instance={i} {detail}")
+            details.append(_kv({"n": n, "instance": i, **detail}))
         per_size.append(per_n)
     nodes = [n ** d for n in n_list]
     figure = _size_means(f"cayley_case{case}_d{d}", nodes, per_size, "norm",
@@ -687,7 +443,7 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     mean_j, normalized = figure[1]["mean_j"], figure[1]["mean_j_normalized"]
     summary = [f"normalized_j_max_over_min={_fmt(max(normalized) / min(normalized))}"]
     if len(n_list) >= 3:
-        summary += _growth_fit(d, nodes, mean_j)
+        summary.append(_kv(growth_fit(d, nodes, mean_j), "\n"))
     summary += [
         f"n={n} nodes={n ** d} mean_j={_fmt(j)} mean_j_normalized={_fmt(jn)}"
         for n, j, jn in zip(n_list, mean_j, normalized)
@@ -702,10 +458,10 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     The config sets the sampler's GeometricParams and max_attempts; its other
     settings are `graph_gen` constants.  Instances that the sampler cannot
     draw within max_attempts are skipped and audited.  Every other instance
-    goes through `_evaluate`; those with n <= EXACT_CHECK_MAX_N also run the
+    goes through `evaluate`; those with n <= EXACT_CHECK_MAX_N also run the
     truncated series as a cross-check, whose relative error is the row's
     j_exact_rel_err.  Each audit detail line gives the sampler's attempts and
-    rejections, the measured s_n, r_n and rho_n, and the `_evaluate` detail.
+    rejections, the measured s_n, r_n and rho_n, and the `evaluate` detail.
     """
     d, seed, instances = config["d"], config["seed"], config["instances"]
     if d not in (2, 3):
@@ -726,25 +482,19 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
                                         max_attempts=config["max_attempts"])
             except (RejectionExhausted, InfeasibleDensity) as exc:
                 skipped += 1
-                details.append(f"n={n} instance={i} skipped={type(exc).__name__}")
+                details.append(_kv({"n": n, "instance": i,
+                                    "skipped": type(exc).__name__}))
                 continue
-            row, _, detail = _evaluate(
+            row, _, detail = evaluate(
                 inst.matrix, cross_check=n <= EXACT_CHECK_MAX_N, nodes=n,
                 experiment="geometric", n=n, d=d, instance=i)
             rows.append(row)
             per_n.append(row)
-            audit = inst.audit
-            details.append(
-                f"n={n} instance={i} attempts={audit['attempts']}"
-                f" nodes_rejected={audit['nodes_rejected']}"
-                f" rejected_disconnected={audit['rejected_disconnected']}"
-                f" rejected_gamma={audit['rejected_gamma']}"
-                f" rejected_rho={audit['rejected_rho']}"
-                f" rejected_reducible={audit['rejected_reducible']}"
-                f" rejected_pi_range={audit['rejected_pi_range']}"
-                f" s_n={_fmt(inst.measured['s_n'])}"
-                f" r_n={_fmt(inst.measured['r_n'])}"
-                f" rho_n={_fmt(inst.measured['rho_n'])} {detail}")
+            counts = {key: value for key, value in inst.audit.items()
+                      if key not in ("seed", "pi_check")}
+            measured = {key: inst.measured[key] for key in ("s_n", "r_n", "rho_n")}
+            details.append(_kv({"n": n, "instance": i, **counts, **measured,
+                                **detail}))
         if per_n:
             sizes.append(n)
             per_size.append(per_n)
@@ -766,42 +516,35 @@ def analyze_matrix(path, truncated: bool = False) -> int:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     cls = classify(matrix)
     inv = matrix.invariant
-    bounds = bound_fields(matrix)
     # The sweep rows' gate: J and J_w outside a printed certified bound raise.
-    _, report, _ = _evaluate(matrix, bounds, experiment="analyze", n=matrix.n,
-                             instance=0)
+    row, report, detail = evaluate(matrix, experiment="analyze", n=matrix.n,
+                                   instance=0)
     green = green_matrix(matrix)
     sandwich = resistance_sandwich_check(matrix)
-    lines = [
-        f"n={matrix.n}",
-        f"reversible={_fmt(cls.reversible)}",
-        f"normal={_fmt(cls.normal)}",
-        f"commuting={_fmt(cls.commuting)}",
-        f"doubly_stochastic={_fmt(cls.doubly_stochastic)}",
-        f"classification_tol={_fmt(CLASSIFICATION_TOL)}",
-        f"pi_min={_fmt(inv.pi_min)}",
-        f"pi_max={_fmt(inv.pi_max)}",
-        f"invariant_residual={_fmt(inv.residual)}",
-        f"invariant_route={inv.route}",
-        report.to_kv(),
-        f"green_trace={_fmt(green.trace)}",
-    ]
-    lines += [f"{key}={_fmt(value)}" for key, value in bounds.items()]
-    lines += [
-        f"sandwich_variant={sandwich.variant}",
-        f"sandwich_min_upper_margin={_fmt(sandwich.min_upper_margin)}",
-        f"sandwich_min_lower_margin={_fmt(sandwich.min_lower_margin)}",
-        f"fuzz_edges={len(sandwich.support.edges)}",
-        f"fuzz_new_edges={len(sandwich.support.new_edges)}",
+    blocks = [
+        _kv({"n": matrix.n, "reversible": cls.reversible, "normal": cls.normal,
+             "commuting": cls.commuting, "doubly_stochastic": cls.doubly_stochastic,
+             "classification_tol": CLASSIFICATION_TOL, "pi_min": inv.pi_min,
+             "pi_max": inv.pi_max, "invariant_residual": inv.residual,
+             "invariant_route": inv.route}, "\n"),
+        # The report block prints its numbers as repr, not as 17 digits.
+        _kv({"j": report.j, "j_weighted": report.j_weighted,
+             "t0_term": report.t0_term, **detail}, "\n", repr),
+        _kv({"green_trace": green.trace,
+             **{key: getattr(row, key) for key in ANALYZE_BOUND_COLUMNS
+                if getattr(row, key) is not None},
+             "sandwich_variant": sandwich.variant,
+             "sandwich_min_upper_margin": sandwich.min_upper_margin,
+             "sandwich_min_lower_margin": sandwich.min_lower_margin,
+             "fuzz_edges": len(sandwich.support.edges),
+             "fuzz_new_edges": len(sandwich.support.new_edges)}, "\n"),
     ]
     if truncated:
         trunc = lq_cost_truncated(matrix)
-        lines += [
-            f"truncated_j={_fmt(trunc.j)}",
-            f"truncated_steps={trunc.steps_used}",
-            f"truncated_rel_err={_fmt(abs(trunc.j - report.j) / report.j)}",
-        ]
-    print("\n".join(lines))
+        blocks.append(_kv({"truncated_j": trunc.j, "truncated_steps": trunc.steps_used,
+                           "truncated_rel_err": abs(trunc.j - report.j) / report.j},
+                          "\n"))
+    print("\n".join(blocks))
     return 0
 
 
@@ -878,17 +621,17 @@ def _gate_margins(row):
 
 
 def _suite_upper_bounds(rng):
-    """Random consensus matrices through `_evaluate`, the sweeps' pipeline:
+    """Random consensus matrices through `evaluate`, the sweeps' pipeline:
     J and J_w against every bound of the row gate, which raises on a
     violation (the certified lower bounds too, for a commuting draw)."""
     for i in range(30):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)))
-        row, _, _ = _evaluate(matrix, experiment="validate", n=matrix.n, instance=i)
+        row, _, _ = evaluate(matrix, experiment="validate", n=matrix.n, instance=i)
         yield from _gate_margins(row)
 
 
 def _suite_lower_bounds_commuting(rng):
-    """Commuting matrices through `_evaluate`, as `_suite_upper_bounds`;
+    """Commuting matrices through `evaluate`, as `_suite_upper_bounds`;
     each must be classified as commuting, so that the row gate also holds
     its costs above the theorems' lower bounds."""
     matrices = [commuting_example(), p_epsilon(0.5), cayley_case2(4, 2),
@@ -896,7 +639,7 @@ def _suite_lower_bounds_commuting(rng):
     matrices += [_random_circulant(rng, int(rng.integers(3, 9)))
                  for _ in range(16)]
     for i, matrix in enumerate(matrices):
-        row, _, _ = _evaluate(matrix, experiment="validate", n=matrix.n, instance=i)
+        row, _, _ = evaluate(matrix, experiment="validate", n=matrix.n, instance=i)
         if not row.lower_applicable:
             raise LqConsensusError(
                 "a commuting test matrix was not classified as commuting")

@@ -20,6 +20,7 @@ from .errors import SolveFailure, SteinDivergence
 from .stochastic_core import ConsensusMatrix
 
 STEIN_RESIDUAL_TOL = 1e-11
+STEIN_MAX_DOUBLINGS = 100
 GREEN_IDENTITY_TOL = 1e-9
 # Trials per Monte Carlo block: each block draws from its own generator.
 MC_BLOCK = 1024
@@ -49,7 +50,7 @@ class LqReport:
     `stein_residual`; a "truncated" report gives the number of series terms
     in `steps_used`, under the fixed stopping rule of `lq_cost_truncated`;
     an "fft" report (a Cayley torus in closed form, from
-    `experiments_cli.torus_fields`) gives the smallest 1 - |lambda_k|^2 over
+    `pipeline.torus_fields`) gives the smallest 1 - |lambda_k|^2 over
     the nonzero frequencies in `spectral_gap`.
     """
 
@@ -60,22 +61,6 @@ class LqReport:
     steps_used: int | None = None
     stein_residual: float | None = None
     spectral_gap: float | None = None
-
-    def to_kv(self) -> str:
-        """Flat key=value block, one line per field."""
-        lines = [
-            f"j={self.j!r}",
-            f"j_weighted={self.j_weighted!r}",
-            f"t0_term={self.t0_term!r}",
-            f"method={self.method}",
-        ]
-        if self.steps_used is not None:
-            lines.append(f"steps_used={self.steps_used}")
-        if self.stein_residual is not None:
-            lines.append(f"stein_residual={self.stein_residual!r}")
-        if self.spectral_gap is not None:
-            lines.append(f"spectral_gap={self.spectral_gap!r}")
-        return "\n".join(lines)
 
 
 def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
@@ -102,7 +87,7 @@ def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
     return GreenMatrix(values=g)
 
 
-def _solve_dual_stein(abar: np.ndarray, max_doublings: int = 100):
+def _solve_dual_stein(abar: np.ndarray):
     """Y = Abar Y Abar^T + I by doubling; returns (Y, number of doublings
     whose update was added).
 
@@ -119,7 +104,7 @@ def _solve_dual_stein(abar: np.ndarray, max_doublings: int = 100):
     a = abar.copy()
     # a @ a.T would go to syrk, which rounds differently from a @ y @ a.T.
     update = abar @ a.T
-    for doublings in range(1, max_doublings + 1):
+    for doublings in range(1, STEIN_MAX_DOUBLINGS + 1):
         step = float(np.abs(update).max())
         if not np.isfinite(step):
             raise SteinDivergence("Stein doubling produced non-finite values")
@@ -136,7 +121,7 @@ def _solve_dual_stein(abar: np.ndarray, max_doublings: int = 100):
                 if (bound < np.abs(y)).all():
                     return y, doublings
         update = a @ y @ a.T
-    raise SteinDivergence(f"Stein doubling did not converge in {max_doublings} steps")
+    raise SteinDivergence(f"Stein doubling did not converge in {STEIN_MAX_DOUBLINGS} steps")
 
 
 def lq_cost_exact(P: ConsensusMatrix) -> LqReport:

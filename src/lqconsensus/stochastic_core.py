@@ -31,6 +31,7 @@ from .errors import (
 VALIDATION_TOL = 1e-9
 CLASSIFICATION_TOL = 1e-9
 INVARIANT_RESIDUAL_TOL = 1e-10
+POWER_ITERATION_MAX_STEPS = 200_000
 SUPPORT_THRESHOLD = 1e-14
 # Rows of an adjacency that `reach` copies and packs at a time.
 PACK_BAND = 256
@@ -125,11 +126,18 @@ class ConsensusMatrix:
         return _classification_residuals(self)
 
     @cached_property
+    def support_network(self):
+        """The unit-conductance network of G(P), which `support_rbar` and the
+        resistance sandwich share."""
+        from .resistance import unit_conductance
+        return unit_conductance(self.graphs.undirected)
+
+    @cached_property
     def support_rbar(self) -> float:
         """Average unit-conductance resistance R_bar = tr(L^+)/n of G(P),
         which the topology theorem and the normal corollary share."""
-        from .resistance import average_resistance, unit_conductance
-        return average_resistance(unit_conductance(self.graphs.undirected))
+        from .resistance import average_resistance
+        return average_resistance(self.support_network)
 
 
 def validate_consensus(entries) -> ConsensusMatrix:
@@ -240,12 +248,12 @@ def _solve_invariant(P: ConsensusMatrix) -> InvariantMeasure:
     return InvariantMeasure(pi=pi, residual=residual, route=route)
 
 
-def _power_iteration(a: np.ndarray, max_iter: int = 200_000):
+def _power_iteration(a: np.ndarray):
     # Stop when every entry changes by at most 1e-15 of itself, so entries
     # far below the largest one converge as well.
     n = a.shape[0]
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(POWER_ITERATION_MAX_STEPS):
         nxt = pi @ a
         nxt /= nxt.sum()
         if (np.abs(nxt - pi) <= 1e-15 * nxt).all():

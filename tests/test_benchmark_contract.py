@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lqconsensus
-from lqconsensus import SteinDivergence, experiments_cli, graph_gen, lqcost
+from lqconsensus import SteinDivergence, experiments_cli, graph_gen, lqcost, pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -86,7 +86,8 @@ def test_validate_output_parses(checks, capsys, monkeypatch, fault):
     if fault:
         def diverges(matrix):
             raise SteinDivergence("no convergence (injected)")
-        monkeypatch.setattr(experiments_cli, "lq_cost_exact", diverges)
+        for module in (pipeline, experiments_cli):
+            monkeypatch.setattr(module, "lq_cost_exact", diverges)
     assert experiments_cli.main(["validate", "--seed", "0"]) == (2 if fault else 0)
     out = capsys.readouterr().out
     parse_kv = checks["parse_kv"]

@@ -30,6 +30,7 @@ from lqconsensus import (
     cayley_matrix,
     classify,
     commuting_example,
+    conductance_matrix,
     corollary_normal_bounds,
     effective_resistance,
     lq_cost_exact,
@@ -43,20 +44,17 @@ from lqconsensus import (
     theorem_resistance_bounds,
     theorem_topology_bounds,
     topology_theorem,
+    unit_conductance,
     validate_consensus,
 )
-from lqconsensus import experiments_cli, stochastic_core
-from lqconsensus.experiments_cli import (
+from lqconsensus import experiments_cli, pipeline, stochastic_core
+from lqconsensus.experiments_cli import _emit_svg, _write_sweep, build_config, main
+from lqconsensus.pipeline import (
     BOUND_SLACK_ABS,
     BOUND_SLACK_REL,
     CSV_COLUMNS,
     ResultRow,
-    _emit_svg,
-    _evaluate,
-    _write_sweep,
-    bound_fields,
-    build_config,
-    main,
+    evaluate,
     torus_fields,
 )
 from helpers import two_cliques
@@ -144,8 +142,8 @@ TORUS_BOUND_RTOL = 1e-10
 
 
 def assert_torus_matches_dense(report, bounds, matrix):
-    """`torus_fields` output (report, bounds) against lq_cost_exact and
-    bound_fields on the Cayley matrix.
+    """`torus_fields` output (report, bounds) against the dense route,
+    lq_cost_exact and the theorem functions, on the Cayley matrix.
 
     The Stein doubling's J has a forward error of up to a few N max|Y| eps,
     with max|Y| = J + 1/N the diagonal of its solution Y.  On 1,500 random
@@ -154,12 +152,11 @@ def assert_torus_matches_dense(report, bounds, matrix):
     form stayed within 6e-13 of `cancellation_free_sums`.  So the cost
     tolerance is 1e-12 or ten times that estimate, whichever is larger.
     """
-    exact = lq_cost_exact(matrix)
+    exact, dense = pipeline._dense_fields(matrix)
     n = matrix.n
     rtol = max(TORUS_COST_RTOL, 10 * n * (report.j + 1 / n) * np.finfo(float).eps)
     assert report.j == pytest.approx(exact.j, rel=rtol)
     assert report.j_weighted == pytest.approx(exact.j_weighted, rel=rtol)
-    dense = bound_fields(matrix)
     assert list(bounds) == list(dense)
     assert bounds["lower_applicable"] is dense["lower_applicable"] is True
     for key in ("res_rbar", "topo_rbar"):
@@ -189,8 +186,8 @@ def count_calls(monkeypatch, func):
 class TestResultRowGate:
     @pytest.fixture
     def row(self):
-        row, _, _ = _evaluate(p_epsilon(0.2), experiment="epsilon-sweep", n=3,
-                              instance=0, epsilon=0.2)
+        row, _, _ = evaluate(p_epsilon(0.2), experiment="epsilon-sweep", n=3,
+                             instance=0, epsilon=0.2)
         return row
 
     def test_in_bounds_row_constructs(self, row):
@@ -236,8 +233,8 @@ class TestResultRowGate:
 
     def test_theorem_lower_bounds_are_gated_only_when_certified(self):
         # A normal commuting torus populates every bound column.
-        row, _, _ = _evaluate(cayley_case2(4, 2), experiment="cayley", n=4,
-                              instance=0)
+        row, _, _ = evaluate(cayley_case2(4, 2), experiment="cayley", n=4,
+                             instance=0)
         assert row.lower_applicable
         lower = {smaller for smaller, _, _ in ResultRow.CERTIFIED_LOWER}
         for certified in (True, False):
@@ -245,6 +242,37 @@ class TestResultRowGate:
                      dataclasses.replace(row, lower_applicable=certified).gated()}
             assert "norm_j_lower" in gated
             assert gated & lower == (lower if certified else set())
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("argv, source, kwargs", [
+        (["epsilon-sweep", "-p", "eps_min=0.1", "-p", "eps_max=0.1", "-p", "points=1"],
+         lambda: p_epsilon(0.1),
+         {"experiment": "epsilon-sweep", "n": 3, "instance": 0, "epsilon": 0.1}),
+        (["cayley", "-p", "case=1", "-p", "d=2", "-p", "n_list=8", "-p", "instances=1",
+          "--seed", "2"],
+         lambda: torus_fields(cayley_case1_generator(2, seed=[2, 1, 2, 8, 0]), 8),
+         {"nodes": 64, "experiment": "cayley", "n": 8, "d": 2, "case": 1, "instance": 0}),
+        (["geometric", "-p", "n_list=300", "-p", "instances=1", "--seed", "1"],
+         lambda: sample_geometric(GeometricParams(), 300, 2, seed=[1, 2, 300, 0]).matrix,
+         {"nodes": 300, "experiment": "geometric", "n": 300, "d": 2, "instance": 0}),
+    ], ids=["epsilon", "cayley", "geometric"])
+    def test_same_cells_and_detail_as_the_cli(self, tmp_path, capsys, argv, source,
+                                              kwargs):
+        # The library entry point gives, for one instance, the CSV cells and
+        # the detail that the CLI writes for it.
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+        row, report, detail = evaluate(source(), **kwargs)
+        assert (report.j, report.j_weighted) == (row.j, row.j_weighted)
+        cells = experiments_cli._cells(row)
+        assert (out / "results.csv").read_text().splitlines()[2] == ",".join(cells)
+        (line,) = [line for line in (out / "audit.txt").read_text().splitlines()
+                   if " method=" in line]
+        assert line.startswith(f"instance=0 epsilon={cells[5]} " if kwargs["n"] == 3
+                               else f"n={kwargs['n']} instance=0 ")
+        assert line.endswith(" " + experiments_cli._kv(detail))
+        assert list(detail)[0] == "method"
 
 
 class TestBuildConfig:
@@ -748,7 +776,7 @@ class TestGeometricSweep:
         matrix = sample_geometric(GeometricParams(), 25, 2, seed=[1, 2, 25, 0]).matrix
         averages = count_calls(monkeypatch, average_resistance)
         resistances = count_calls(monkeypatch, effective_resistance)
-        fields = bound_fields(matrix)
+        _, fields = pipeline._dense_fields(matrix)
         assert theorem_topology_bounds(matrix).constants["r_bar"] == fields["topo_rbar"]
         assert len(averages) == 2
         assert len(resistances) == 0
@@ -966,6 +994,19 @@ class TestAnalyze:
         assert len(resistances) == 2
         assert len(supports) == 1
 
+    def test_report_builds_the_support_network_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # G(P)'s unit-conductance network serves both R_bar(G(P)) and the
+        # sandwich; C_{P*P} and G(P*P) are the other two networks.
+        path = tmp_path / "geometric.csv"
+        save_matrix_csv(sample_geometric(GeometricParams(), 100, 2,
+                                         seed=[1, 2, 100, 0]).matrix, path)
+        networks = count_calls(monkeypatch, conductance_matrix)
+        units = count_calls(monkeypatch, unit_conductance)
+        assert main(["analyze", str(path)]) == 0
+        assert self.kv(capsys)["n"] == "100"
+        assert (len(networks), len(units)) == (3, 2)
+
     def test_near_reducible_two_cliques(self, tmp_path, capsys):
         # validate_consensus accepts this matrix; its Green matrix has
         # max|G| ~ 2.5e5 and |G 1| ~ 2.6e-9, which an absolute 1e-9 gate refused.
@@ -1003,7 +1044,7 @@ class TestAnalyze:
             report = lq_cost_exact(matrix)
             return dataclasses.replace(report, j=1.01 * report.j)
 
-        monkeypatch.setattr(experiments_cli, "lq_cost_exact", inflated)
+        monkeypatch.setattr(pipeline, "lq_cost_exact", inflated)
         assert main(["analyze", str(path)]) == 1
         captured = capsys.readouterr()
         assert "resistance-theorem J upper bound" in captured.err
@@ -1020,7 +1061,7 @@ class TestAnalyze:
             report = lq_cost_exact(matrix)
             return dataclasses.replace(report, j=0.99 * report.j)
 
-        monkeypatch.setattr(experiments_cli, "lq_cost_exact", deflated)
+        monkeypatch.setattr(pipeline, "lq_cost_exact", deflated)
         assert main(["analyze", str(path)]) == 1
         captured = capsys.readouterr()
         assert "resistance-theorem J lower bound" in captured.err
@@ -1077,7 +1118,7 @@ class TestValidate:
             bounds = theorem_resistance_bounds(matrix)
             return dataclasses.replace(bounds, j_upper=bounds.j_upper / 2)
 
-        monkeypatch.setattr(experiments_cli, "theorem_resistance_bounds", halved)
+        monkeypatch.setattr(pipeline, "theorem_resistance_bounds", halved)
         # At seed 1 a draw of the upper-bounds suite has J above half its bound.
         assert main(["validate", "--seed", "1"]) == 2
         out = capsys.readouterr().out
@@ -1097,7 +1138,10 @@ class TestValidate:
         def diverges(matrix):
             raise SteinDivergence("no convergence (injected)")
 
-        monkeypatch.setattr(experiments_cli, "lq_cost_exact", diverges)
+        # The bound suites reach lq_cost_exact through the pipeline, the
+        # exact-versus-truncated suite directly.
+        for module in (pipeline, experiments_cli):
+            monkeypatch.setattr(module, "lq_cost_exact", diverges)
         assert main(["validate", "--seed", "0"]) == 2
         out = capsys.readouterr().out
         lines = suite_lines(out)

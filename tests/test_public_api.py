@@ -16,14 +16,14 @@ PUBLIC_NAMES = [
     "InvariantMeasure", "LqConsensusError", "LqReport", "MatrixClass",
     "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
     "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
-    "ResistanceMatrix", "SandwichMargins", "SolveFailure",
+    "ResistanceMatrix", "ResultRow", "SandwichMargins", "SolveFailure",
     "SteinDivergence", "SupportGraphs", "ZeroDiagonal",
     "average_resistance", "case1_range", "cayley_case1",
     "cayley_case1_generator", "cayley_case2", "cayley_case2_generator",
     "cayley_matrix", "circle_matrix", "classify", "commuting_example",
     "conductance_matrix", "corollary_normal_bounds",
-    "effective_resistance", "f_delta", "gamma_check", "green_matrix",
-    "hypothetical_lower_violation", "laplacian",
+    "effective_resistance", "evaluate", "f_delta", "gamma_check",
+    "green_matrix", "hypothetical_lower_violation", "laplacian",
     "load_matrix_csv", "lq_cost_exact", "lq_cost_truncated",
     "multiplicative_reversiblization", "noisy_consensus_estimate",
     "normal_corollary", "p_epsilon", "phi_map", "psi_map",
@@ -31,8 +31,9 @@ PUBLIC_NAMES = [
     "reversiblization_conductance", "reversiblization_support",
     "rho_check", "sample_geometric", "save_matrix_csv",
     "theorem_resistance_bounds",
-    "theorem_topology_bounds", "topology_theorem", "trace_pair",
-    "unit_conductance", "validate_consensus", "weighted_average_resistance",
+    "theorem_topology_bounds", "topology_theorem", "torus_fields",
+    "trace_pair", "unit_conductance", "validate_consensus",
+    "weighted_average_resistance",
 ]
 
 # Every parameter with a default in the public API.  A setting that every
@@ -46,6 +47,7 @@ DEFAULTED_PARAMETERS = {
     "case1_range": ["p_min", "p_max"],
     "cayley_case1": ["p_min", "p_max", "seed"],
     "cayley_case1_generator": ["p_min", "p_max", "seed"],
+    "evaluate": ["cross_check", "nodes"],
     "noisy_consensus_estimate": ["chunk"],
     "phi_map": ["alpha"],
     "rho_check": ["distances"],
@@ -125,6 +127,20 @@ def test_import_loads_no_scipy():
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, lqconsensus, lqconsensus.experiments_cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_pipeline_loads_no_cli():
+    # The evaluation pipeline is a library module: importing it loads
+    # neither the command-line module, argparse nor scipy.
+    src = str(Path(lqconsensus.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, lqconsensus.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('argparse', 'scipy') or m == 'lqconsensus.experiments_cli'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
