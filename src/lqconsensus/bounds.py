@@ -162,7 +162,8 @@ def theorem_topology_bounds(P: ConsensusMatrix) -> BoundsReport:
     graphs = P.graphs
     return topology_theorem(P.n, inv.pi_min, inv.pi_max, graphs.p_min,
                             graphs.p_max, graphs.delta_in, graphs.delta_out,
-                            P.support_rbar, classify(P).commuting)
+                            average_resistance(P.support_network),
+                            classify(P).commuting)
 
 
 def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
@@ -175,7 +176,7 @@ def corollary_normal_bounds(P: ConsensusMatrix) -> BoundsReport:
         raise NotNormal("the corollary applies to normal consensus matrices only")
     graphs = P.graphs
     return normal_corollary(P.n, graphs.p_min, graphs.p_max, graphs.delta_in,
-                            P.support_rbar)
+                            average_resistance(P.support_network))
 
 
 def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
@@ -227,7 +228,8 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
 
     delta is delta_in when `classify(P).commuting`, delta_out otherwise.
     The one bound that needs all-pairs `effective_resistance`, on G(P) and
-    G(P*P); the validate battery's Green-identity suite also calls it.
+    G(P*P); the validate battery's sandwich suite (`_suite_sandwich`) and
+    `analyze` call it.
     """
     graphs = P.graphs
     fuzz = reversiblization_support(P)

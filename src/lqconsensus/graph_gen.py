@@ -457,6 +457,8 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         raise OutOfRange(f"need at least 2 nodes, got {n}")
     if d not in (1, 2, 3):
         raise OutOfRange(f"dimension {d} must be 1, 2 or 3")
+    if max_attempts < 1:
+        raise OutOfRange(f"max_attempts={max_attempts} must be at least 1")
     from scipy.spatial.distance import cdist
 
     rng = np.random.default_rng(seed)

@@ -2,15 +2,18 @@
 
 A conductance matrix is symmetric, nonnegative and irreducible; its Laplacian
 is L(C) = diag(C 1) - C, so diagonal entries of C never matter.  The effective
-resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b).  Both
-it and the average R_bar = tr(L(C)^+)/n come from one Cholesky factor
-M = U^T U of M = L(C) + 11^T/n, whose inverse is L(C)^+ + 11^T/n on a
-connected network: the added term cancels in every resistance and adds 1 to
-the trace.  One null-space rule decides connectivity: Laplacian eigenvalues
-at most CONNECTIVITY_RTOL times the largest diagonal entry are null.  The
-factor certifies the spectral gap above that threshold at no extra cost
-(`_cholesky_inverse`); only when it cannot does `_nonzero_spectrum` read the
-eigenvalues, as it reads the torus symbols.
+resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b).  Each
+network caches one certified factor: the inverse U^{-1} of the Cholesky
+factor of M = U^T U = L(C) + 11^T/n, whose inverse H = U^{-1} U^{-T} is
+L(C)^+ + 11^T/n on a connected network: the added term cancels in every
+resistance and adds 1 to the trace.  The average R_bar = tr(L(C)^+)/n reads
+||U^{-1}||_F^2 and all-pairs R reads H, so a network is factored once
+however many of the two are asked for.  One null-space rule decides
+connectivity: Laplacian eigenvalues at most CONNECTIVITY_RTOL times the
+largest diagonal entry are null.  The factor certifies the spectral gap
+above that threshold at no extra cost (`ConductanceMatrix._cholesky_inverse`);
+only when it cannot does `_nonzero_spectrum` read the eigenvalues, as it
+reads the torus symbols.
 
 Connectivity of a network is exact reachability from node 0 on the support
 C > 0 (`stochastic_core.reach`); self loops cannot change it.
@@ -19,6 +22,7 @@ C > 0 (`stochastic_core.reach`); self loops cannot change it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +52,40 @@ CONNECTIVITY_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ConductanceMatrix:
+    """Validated conductance matrix; its certified Cholesky inverse is cached."""
+
     n: int
     entries: np.ndarray
+
+    @cached_property
+    def _cholesky_inverse(self) -> tuple[np.ndarray, float]:
+        """(U^{-1}, tr H) for the Cholesky factor M = U^T U of M = L(C) +
+        11^T/n, where H = M^{-1} = L(C)^+ + 11^T/n and tr H = ||U^{-1}||_F^2.
+
+        The null-space rule refuses iff lambda_2 <= tau = CONNECTIVITY_RTOL *
+        max diag L.  Since lambda_min(M) = min(lambda_2, 1) and ||H||_2 <=
+        tr H, tr H * tau < 1 certifies lambda_2 > tau.  Only when that
+        certificate or the factorization fails do the eigenvalues decide,
+        through `_nonzero_spectrum`; a failed factorization of a network they
+        accept raises SolveFailure.  A refusal is not cached.
+        """
+        from scipy.linalg import lapack
+
+        L = laplacian(self)
+        scale = float(np.diagonal(L).max())
+        u, info = lapack.dpotrf(L + 1.0 / self.n)
+        trace = np.inf
+        if info == 0:
+            u, info = lapack.dtrtri(u, overwrite_c=1)
+            trace = float(np.vdot(u, u))
+        if info != 0 or not trace * CONNECTIVITY_RTOL * scale < 1.0:
+            _nonzero_spectrum(np.linalg.eigvalsh(L), scale)
+            if info != 0:
+                raise SolveFailure(
+                    f"Cholesky inverse of L + 11^T/n failed (LAPACK info {info}) "
+                    f"on a network whose spectrum passes the null-space rule")
+        u.setflags(write=False)
+        return u, trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +147,7 @@ def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     largest diagonal entry, are null; a null space of dimension above one
     raises Disconnected naming the spectral gap (second smallest eigenvalue).
     It reads the torus symbols, and decides a dense network whose Cholesky
-    factor cannot certify the gap (`_cholesky_inverse`).
+    factor cannot certify the gap (`ConductanceMatrix._cholesky_inverse`).
     """
     threshold = CONNECTIVITY_RTOL * scale
     null = w <= threshold
@@ -123,48 +159,17 @@ def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     return w[~null]
 
 
-def _cholesky_inverse(C: ConductanceMatrix, full: bool) -> tuple[np.ndarray, float]:
-    """(X, tr H) from the Cholesky factor M = U^T U of M = L(C) + 11^T/n,
-    where H = M^{-1} = L(C)^+ + 11^T/n and tr H = ||U^{-1}||_F^2.
-
-    X is the upper triangle of H when `full`, otherwise U^{-1}.  The
-    null-space rule refuses iff lambda_2 <= tau = CONNECTIVITY_RTOL * max
-    diag L.  Since lambda_min(M) = min(lambda_2, 1) and ||H||_2 <= tr H,
-    tr H * tau < 1 certifies lambda_2 > tau.  Only when that certificate or
-    the factorization fails do the eigenvalues decide, through
-    `_nonzero_spectrum`; a failed factorization of a network they accept
-    raises SolveFailure.
-    """
-    from scipy.linalg import lapack
-
-    L = laplacian(C)
-    scale = float(np.diagonal(L).max())
-    u, info = lapack.dpotrf(L + 1.0 / C.n)
-    trace = np.inf
-    if info == 0:
-        if full:
-            x, info = lapack.dpotri(u)
-            trace = float(np.trace(x))
-        else:
-            x, info = lapack.dtrtri(u)
-            trace = float(np.vdot(x, x))
-    if info != 0 or not trace * CONNECTIVITY_RTOL * scale < 1.0:
-        _nonzero_spectrum(np.linalg.eigvalsh(L), scale)
-        if info != 0:
-            raise SolveFailure(
-                f"Cholesky inverse of L + 11^T/n failed (LAPACK info {info}) "
-                f"on a network whose spectrum passes the null-space rule")
-    return x, trace
-
-
 def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
     """All-pairs effective resistance of the network, R_uv = H_uu + H_vv -
-    2 H_uv with H = L(C)^+ + 11^T/n from one Cholesky inverse
-    (`_cholesky_inverse`, which applies the null-space rule).  The resistance
+    2 H_uv with H = U^{-1} U^{-T} = L(C)^+ + 11^T/n, formed by LAPACK
+    `dlauum` from the network's cached factor (`_cholesky_inverse`, which
+    applies the null-space rule): the product `dpotri` forms.  The resistance
     sandwich and the validate battery's Green-identity suite need all pairs;
     the bounds read R_bar from `average_resistance`.
     """
-    h, _ = _cholesky_inverse(C, full=True)
+    from scipy.linalg import lapack
+
+    h, _ = lapack.dlauum(C._cholesky_inverse[0])
     d = np.diagonal(h)
     r = np.triu(d[:, None] + d[None, :] - 2.0 * h, 1)
     r = r + r.T
@@ -175,12 +180,10 @@ def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
 
 def average_resistance(C: ConductanceMatrix) -> float:
     """R_bar = (1/2n^2) sum_{u,v} R_uv = tr(L(C)^+)/n = (||U^{-1}||_F^2 - 1)/n,
-    from the triangular inverse of the Cholesky factor U of L(C) + 11^T/n
-    (`_cholesky_inverse`, which applies the null-space rule), with no n x n
-    resistance matrix built.
+    from the network's cached factor (`_cholesky_inverse`, which applies the
+    null-space rule), with no n x n resistance matrix built.
     """
-    _, trace = _cholesky_inverse(C, full=False)
-    return (trace - 1.0) / C.n
+    return (C._cholesky_inverse[1] - 1.0) / C.n
 
 
 def weighted_average_resistance(R: ResistanceMatrix, pi) -> float:

@@ -127,17 +127,11 @@ class ConsensusMatrix:
 
     @cached_property
     def support_network(self):
-        """The unit-conductance network of G(P), which `support_rbar` and the
-        resistance sandwich share."""
+        """The unit-conductance network of G(P), which the topology theorem,
+        the normal corollary and the resistance sandwich share, and with it
+        its cached Cholesky factor."""
         from .resistance import unit_conductance
         return unit_conductance(self.graphs.undirected)
-
-    @cached_property
-    def support_rbar(self) -> float:
-        """Average unit-conductance resistance R_bar = tr(L^+)/n of G(P),
-        which the topology theorem and the normal corollary share."""
-        from .resistance import average_resistance
-        return average_resistance(self.support_network)
 
 
 def validate_consensus(entries) -> ConsensusMatrix:

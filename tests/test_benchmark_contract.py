@@ -3,7 +3,9 @@ function or parameter breaks it without failing any other test.  These tests
 read perfbench/ (nothing there is changed or imported as a package) and check
 that its span targets resolve, that the calls its workloads make still bind,
 that its count hooks still find their arguments, and that its parser reads
-`validate` output, passing or failing.
+`validate` output, passing or failing, and the epsilon audit, the geometric
+audit's detail lines and the `analyze` report, so that a changed key or
+number format fails here before the benchmark reads it.
 """
 import importlib
 import inspect
@@ -100,3 +102,54 @@ def test_validate_output_parses(checks, capsys, monkeypatch, fault):
     for line in suite_lines:
         count = int(parse_kv(line.replace(" ", "\n")).get("checks", 0))
         assert f" checks={count} " in line
+
+
+def test_epsilon_audit_states_certified_lower_valid(checks, tmp_path, capsys):
+    # The `small` workload fails a run whose audit lacks this line.
+    out = tmp_path / "eps"
+    assert experiments_cli.main(["epsilon-sweep", "-p", "points=2",
+                                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert checks["parse_kv"]((out / "audit.txt").read_text())[
+        "certified_lower_valid"] is True
+
+
+def test_geometric_detail_counts_are_integers(checks, tmp_path, capsys):
+    # The `geometric` workload sums these fields of each detail line with int().
+    out = tmp_path / "geo"
+    assert experiments_cli.main(["geometric", "-p", "n_list=25", "-p", "instances=1",
+                                 "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = [line for line in (out / "audit.txt").read_text().splitlines()
+             if line.startswith("n=") and " attempts=" in line]
+    assert len(lines) == 1
+    for line in lines:
+        fields = checks["parse_kv"](line.replace(" ", "\n"))
+        rejected = [key for key in fields if key.startswith("rejected_")]
+        assert rejected
+        for key in ["attempts", "steps_used", *rejected]:
+            assert f"{key}={int(fields[key])}" in line.split()
+
+
+# The report keys that `Analyze._report_checks` (with checks.bounds) and
+# `Analyze.counts` in perfbench/workload.py read as numbers.
+ANALYZE_NUMBER_KEYS = (
+    "n", "j", "j_weighted", "pi_min", "pi_max", "green_trace", "stein_residual",
+    "res_j_upper", "res_j_lower", "res_jw_upper", "res_jw_lower",
+    "topo_j_upper", "topo_j_lower", "topo_jw_upper", "topo_jw_lower",
+    "norm_j_upper", "norm_j_lower",
+    "sandwich_min_upper_margin", "sandwich_min_lower_margin",
+    "fuzz_edges", "fuzz_new_edges",
+)
+
+
+def test_analyze_report_parses(checks, tmp_path, capsys):
+    # A normal, commuting 16-node torus prints every key, the norm_* and the
+    # certified lower bounds included.
+    path = tmp_path / "torus.csv"
+    lqconsensus.save_matrix_csv(graph_gen.cayley_case1(4, 2, seed=1)[1], path)
+    assert experiments_cli.main(["analyze", str(path)]) == 0
+    report = checks["parse_kv"](capsys.readouterr().out)
+    assert report["lower_applicable"] is True
+    for key in ANALYZE_NUMBER_KEYS:
+        assert isinstance(report.get(key), float), key

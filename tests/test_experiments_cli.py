@@ -12,6 +12,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.sparse import csgraph
 
 from lqconsensus import (
@@ -22,7 +23,6 @@ from lqconsensus import (
     LqConsensusError,
     NotIrreducible,
     SteinDivergence,
-    average_resistance,
     cayley_case1,
     cayley_case1_generator,
     cayley_case2,
@@ -180,6 +180,20 @@ def count_calls(monkeypatch, func):
             for key, value in list(vars(module).items()):
                 if value is func:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def count_factorizations(monkeypatch):
+    """Count LAPACK `dpotrf` calls: one per resistor network whose Cholesky
+    factor is computed."""
+    calls = []
+    dpotrf = lapack.dpotrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counted)
     return calls
 
 
@@ -771,14 +785,15 @@ class TestTorusFields:
 
 class TestGeometricSweep:
     def test_bounds_build_no_all_pairs_resistance(self, monkeypatch):
-        # The bound block reads R_bar of C_{P*P} and of G(P) once each, from
-        # Laplacian eigenvalues; no all-pairs resistance matrix is built.
+        # The bound block factors C_{P*P} and G(P) once each, and a second
+        # topology bound reads G(P)'s cached factor; no all-pairs resistance
+        # matrix is built.
         matrix = sample_geometric(GeometricParams(), 25, 2, seed=[1, 2, 25, 0]).matrix
-        averages = count_calls(monkeypatch, average_resistance)
+        factorizations = count_factorizations(monkeypatch)
         resistances = count_calls(monkeypatch, effective_resistance)
         _, fields = pipeline._dense_fields(matrix)
         assert theorem_topology_bounds(matrix).constants["r_bar"] == fields["topo_rbar"]
-        assert len(averages) == 2
+        assert len(factorizations) == 2
         assert len(resistances) == 0
 
     def test_rows_and_cross_check(self, tmp_path):
@@ -915,6 +930,15 @@ class TestGeometricSweep:
                      "-p", "d=1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("max_attempts", ["0", "-1"])
+    def test_attempt_gate(self, tmp_path, capsys, max_attempts):
+        # No attempt at all is a refused setting, not a sweep of skips.
+        out = tmp_path / "run"
+        assert main(["geometric", "--out", str(out), "-p", "n_list=25",
+                     "-p", "instances=2", "-p", f"max_attempts={max_attempts}"]) == 1
+        assert f"max_attempts={max_attempts} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def kv(self, capsys):
@@ -977,20 +1001,20 @@ class TestAnalyze:
 
     def test_report_computes_each_derived_quantity_once(self, tmp_path, capsys,
                                                         monkeypatch):
-        # Average resistances of C_{P*P} and G(P) (shared by the topology
-        # theorem and the normal corollary); all-pairs resistances of G(P)
-        # and G(P*P) for the sandwich only; one G(P*P) support, shared by the
-        # sandwich and the fuzz_* lines.
+        # One Cholesky factor each for C_{P*P}, G(P) (shared by the topology
+        # theorem, the normal corollary and the sandwich) and G(P*P);
+        # all-pairs resistances of G(P) and G(P*P) for the sandwich only; one
+        # G(P*P) support, shared by the sandwich and the fuzz_* lines.
         path = tmp_path / "torus.csv"
         save_matrix_csv(cayley_case1(4, 2, seed=1)[1], path)
-        averages = count_calls(monkeypatch, average_resistance)
+        factorizations = count_factorizations(monkeypatch)
         resistances = count_calls(monkeypatch, effective_resistance)
         supports = count_calls(monkeypatch, reversiblization_support)
         assert main(["analyze", str(path)]) == 0
         kv = self.kv(capsys)
         assert kv["normal"] == "true"
         assert "norm_j_upper" in kv and "fuzz_edges" in kv
-        assert len(averages) == 2
+        assert len(factorizations) == 3
         assert len(resistances) == 2
         assert len(supports) == 1
 

@@ -692,6 +692,10 @@ class TestSampleGeometric:
             sample_geometric(GeometricParams(), n=1, d=2, seed=0)
         with pytest.raises(OutOfRange):
             sample_geometric(GeometricParams(), n=10, d=4, seed=0)
+        for max_attempts in (0, -1):
+            with pytest.raises(OutOfRange, match="must be at least 1"):
+                sample_geometric(GeometricParams(), n=10, d=2, seed=0,
+                                 max_attempts=max_attempts)
 
 
 def instance_digest(inst):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.sparse import csgraph, csr_matrix
 
+import lqconsensus
 from lqconsensus import (
     Disconnected,
     DimensionMismatch,
@@ -288,6 +294,32 @@ def networks(P):
     return unit_conductance(P.graphs.undirected), reversiblization_conductance(P)
 
 
+# Prints the sizes n at which effective_resistance differs in any bit from R
+# built from LAPACK dpotri's H = M^{-1}, on chord networks of n nodes.
+DPOTRI_PIN = """
+import numpy as np
+from scipy.linalg import lapack
+from lqconsensus import conductance_matrix, effective_resistance, laplacian
+differ = []
+for n in (3, 64, 300, 1000):
+    rng = np.random.default_rng(n)
+    chords = np.triu(rng.random((n, n)) < 0.1, 1)
+    order = rng.permutation(n)
+    chords[order[:-1], order[1:]] = True
+    c = np.where(chords | chords.T, 10.0 ** rng.uniform(-1, 1, (n, n)), 0.0)
+    C = conductance_matrix(np.triu(c, 1) + np.triu(c, 1).T)
+    h, info = lapack.dpotri(lapack.dpotrf(laplacian(C) + 1.0 / n)[0])
+    assert info == 0
+    d = np.diagonal(h)
+    r = np.triu(d[:, None] + d[None, :] - 2.0 * h, 1)
+    r = r + r.T
+    r[r < 0.0] = 0.0
+    if r.tobytes() != effective_resistance(C).values.tobytes():
+        differ.append(n)
+print(differ)
+"""
+
+
 class TestCholeskyRoute:
     """The Cholesky route against the eigendecomposition formulas it
     replaced, which are kept as oracles in tests/helpers.py."""
@@ -308,6 +340,21 @@ class TestCholeskyRoute:
             np.testing.assert_allclose(effective_resistance(C).values,
                                        spectral_resistance(C), rtol=1e-12, atol=0)
             assert average_resistance(C) == pytest.approx(spectral_rbar(C), rel=1e-12)
+
+    @pytest.mark.parametrize("threads", ["1", None],
+                             ids=["one_blas_thread", "default_blas_threads"])
+    def test_all_pairs_bits_are_dpotri_bits(self, threads):
+        # dlauum of the cached U^{-1} is the product dpotri forms after its
+        # own dtrtri, so R keeps the bits of the dpotri route it replaced.
+        src = str(Path(lqconsensus.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run([sys.executable, "-c", DPOTRI_PIN], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_verdict_is_the_spectral_rule(self):
         # Two 20-cliques joined by couplings from 1e-12 to 1e-8: their
@@ -338,7 +385,8 @@ class TestCholeskyRoute:
         # connected, yet tr(H) tau > 1.  The eigenvalues accept it, and the
         # Cholesky values stand.  The network is a tree, so R_uv is the sum
         # of the edge resistances 1/c on the path; the Cholesky route was
-        # within 7e-8 of it, the spectral oracle 2.9e-6.
+        # within 7e-8 of it, the spectral oracle 2.9e-6.  The network caches
+        # its factor, so the eigenvalues decide once for both routes.
         k, w = 10, 6e-10
         c = np.zeros((2 * k + 1, 2 * k + 1))
         pairs = np.arange(1, 2 * k + 1, 2)
@@ -356,7 +404,7 @@ class TestCholeskyRoute:
                                    rtol=1e-6, atol=0)
         assert average_resistance(C) == pytest.approx(exact.sum() / (2 * C.n ** 2),
                                                       rel=1e-6)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_failed_factorization_is_a_solve_failure(self, monkeypatch):
         # A factorization that fails on a network the eigenvalues accept is
