@@ -189,6 +189,13 @@ def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
     pivots from one argmax per PIVOT_CHUNK edges over the rows of the
     transposed support, so the boolean temporary is PIVOT_CHUNK x n.
     """
+    return _reversiblization_edges(P)[2]
+
+
+def _reversiblization_edges(P: ConsensusMatrix):
+    """(u, v, support): the edges u < v of G(P*P) as index arrays, in
+    row-major order, and the FuzzSupport built from them
+    (`reversiblization_support`)."""
     s = P.support
     indicator = s.astype(float)
     u, v = np.nonzero(np.triu(indicator.T @ indicator > 0, 1))
@@ -199,11 +206,12 @@ def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
         pivots[chunk] = np.argmax(columns[u[chunk]] & columns[v[chunk]], axis=1)
     new = ~(s | s.T)[u, v]
     edges = list(zip(u.tolist(), v.tolist()))
-    return FuzzSupport(
+    support = FuzzSupport(
         edges=frozenset(edges),
         pivots=dict(zip(edges, pivots.tolist())),
         new_edges=frozenset(zip(u[new].tolist(), v[new].tolist())),
     )
+    return u, v, support
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +240,8 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     `analyze` call it.
     """
     graphs = P.graphs
-    fuzz = reversiblization_support(P)
+    u, v, fuzz = _reversiblization_edges(P)
     adj = np.zeros((P.n, P.n), dtype=bool)
-    u, v = np.array(list(fuzz.edges), dtype=int).reshape(-1, 2).T
     adj[u, v] = adj[v, u] = True
     r_base = effective_resistance(P.support_network).values
     r_fuzz = effective_resistance(unit_conductance(adj)).values

@@ -17,6 +17,7 @@ construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,33 +270,202 @@ class GeometricInstance:
     audit: dict
 
 
+def _pair_distances(coordinates, later) -> np.ndarray:
+    """Euclidean distances of the pairs u < v of the rows of `coordinates`,
+    in the row-major order of np.triu_indices; `later` holds each pair's v.
+
+    The squared differences are summed axis by axis in index order and the
+    square root taken last, which is the arithmetic of
+    scipy.spatial.distance.cdist, so the two agree bit for bit.  Row u's
+    pairs are a run of n - 1 - u, so each axis takes one repeat and one
+    gather.
+    """
+    coords = np.asarray(coordinates, dtype=float)
+    runs = np.arange(coords.shape[0] - 1, -1, -1)
+    total = None
+    for column in coords.T:
+        diff = np.repeat(column, runs)
+        diff -= column.take(later)
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return np.sqrt(total, out=total)
+
+
+def _line_pairs(coords, lo, hi, step, limit):
+    """The (node, line) pairs within reach, for the grid lines along the
+    last axis: each line's index, the node's squared distance to it summed
+    over the other axes in index order (the sum to which a nearest-node
+    query adds the last axis's term), and the node's last coordinate.
+
+    lo and hi bound each node's ticks within reach along each axis.  The
+    pairs are read off a dense array of each node's ticks from lo on the
+    other axes, in which a tick past hi has an infinite term.
+    """
+    divisions = GAMMA_GRID_DIVISIONS
+    n, d = coords.shape
+    if not n:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
+    shape = [n] + [1] * (d - 1)
+    rest = np.zeros(shape)
+    first = np.zeros(n, dtype=np.intp)
+    offset = np.zeros((), dtype=np.intp)
+    for k in range(d - 1):
+        tick = lo[:, k, None] + np.arange(int((hi[:, k] - lo[:, k]).max()) + 1)
+        term = np.square(tick * step - coords[:, k, None])
+        term[tick > hi[:, k, None]] = np.inf
+        shape[k + 1] = tick.shape[1]
+        rest = rest + term.reshape(shape)
+        shape[k + 1] = 1
+        first = first * (divisions + 1) + lo[:, k]
+        offset = np.add.outer(offset * (divisions + 1), np.arange(tick.shape[1]))
+    pair = np.flatnonzero(rest <= limit)
+    node = pair // offset.size
+    line = first.take(node)
+    line += offset.ravel().take(pair - node * offset.size)
+    return line, rest.ravel().take(pair), coords[:, -1].take(node)
+
+
+def _covers(tick, step, centre, rest, limit, out=None):
+    """Whether the grid point at `tick` of a line along the last axis lies
+    within the margin of a node, in the arithmetic of a nearest-node query:
+    rest, the node's squared differences on the other axes summed in index
+    order, plus the square of the last one, at most `limit`."""
+    total = np.multiply(tick, step, out=out)
+    total -= centre
+    total *= total
+    total += rest
+    return total <= limit
+
+
+def _line_depth(step, limit, d, line, rest, centre) -> np.ndarray:
+    """How many nodes cover each point of the grid, an array with one axis
+    per axis of the box, from (node, line) pairs of `_line_pairs`.
+
+    A node's squared distance to the points of a line falls and then rises
+    along it, so the node covers one interval of ticks (`_covers`).  Its
+    ends are estimated as the ticks within sqrt(limit - rest) of the node
+    and then settled by `_covers`, and the intervals are added up with
+    bincount and cumsum.  Large arrays are named and updated in place: a
+    fresh temporary of this size costs more than the arithmetic on it.
+    """
+    divisions = GAMMA_GRID_DIVISIONS
+
+    def covers(tick, pick):
+        return _covers(tick, step, centre[pick], rest[pick], limit)
+
+    # ends[0] is the last tick of each interval and ends[1] the first, as
+    # floats; way points away from the interval, and edge is the last tick
+    # that way.
+    half = np.subtract(limit, rest)
+    np.maximum(half, 0.0, out=half)
+    np.sqrt(half, out=half)
+    ends = np.empty((2, centre.size))
+    np.add(centre, half, out=ends[0])
+    np.subtract(centre, half, out=ends[1])
+    ends /= step
+    np.clip(np.floor(ends[0], out=ends[0]), -1, divisions, out=ends[0])
+    np.clip(np.ceil(ends[1], out=ends[1]), 0, divisions + 1, out=ends[1])
+    way = np.array([[1.0], [-1.0]])
+    edge = np.array([[divisions], [0.0]])
+    # Each end moves outward while the next tick is covered, and otherwise
+    # inward while its own tick is not.
+    scratch = np.empty_like(ends)
+    ends += way
+    outward = _covers(ends, step, centre, rest, limit, out=scratch)
+    ends -= way
+    outward &= ends != edge
+    inward = _covers(ends, step, centre, rest, limit, out=scratch)
+    inward |= outward
+    np.logical_not(inward, out=inward)
+    for end, out, last, moved in zip(ends, way[:, 0], edge[:, 0], outward):
+        pick = moved.nonzero()[0]
+        while pick.size:
+            end[pick] += out
+            pick = pick[(end[pick] != last) & covers(end[pick] + out, pick)]
+    for end, out, moved in zip(ends, way[:, 0], inward):
+        moved &= ends[1] <= ends[0]
+        pick = moved.nonzero()[0]
+        while pick.size:
+            end[pick] -= out
+            pick = pick[(ends[1, pick] <= ends[0, pick]) & ~covers(end[pick], pick)]
+    # A node covers ticks ends[1] to ends[0]; an empty interval starts and
+    # stops at one place, so it adds nothing.
+    ends[0] += 1
+    np.minimum(ends[1], ends[0], out=ends[1])
+    ends += np.multiply(line, divisions + 2, out=scratch[0])
+    ends = ends.astype(np.intp)
+    size = (divisions + 1) ** (d - 1) * (divisions + 2)
+    depth = np.bincount(ends[1], minlength=size)
+    depth -= np.bincount(ends[0], minlength=size)
+    np.cumsum(depth, out=depth)
+    return depth.reshape((divisions + 1,) * (d - 1) + (divisions + 2,))[..., :-1]
+
+
 def gamma_check(coordinates, l: float, gamma: float) -> bool:
     """One-sided coverage certificate: gamma_n <= gamma if this passes.
 
     Tests a grid of (GAMMA_GRID_DIVISIONS + 1)^d points with spacing
     step = l / GAMMA_GRID_DIVISIONS; every grid point must lie within
     gamma - step sqrt(d)/2 of some node.  A pass guarantees coverage; a fail
-    may be spurious (never the reverse).  The points on the faces of the box,
-    where a hole is likeliest, are queried first and the interior only if
-    they pass; each point's nearest-node distance does not depend on the
-    other points queried, so the verdict is that of one query of the grid.
-    """
-    from scipy.spatial import cKDTree
+    may be spurious (never the reverse).
 
+    The verdict is that of one nearest-node query of the whole grid (the
+    square root of the squared differences summed axis by axis, compared
+    with the margin), but no point is queried.  The grid is read as lines
+    along the last axis; on each line a node covers one interval of
+    points, whose ends are settled in the query's arithmetic
+    (`_line_depth`).  The faces of the box, where a hole is likeliest, are
+    tested first, each with the nodes within reach of it: the two faces
+    across each axis but the last by their lines, then the two across the
+    last axis, which hold the ends of every line, point by point.  The
+    whole grid is tested only if every face point is covered.
+    """
     coords = np.asarray(coordinates, dtype=float)
-    d = coords.shape[1]
-    step = l / GAMMA_GRID_DIVISIONS
-    margin = gamma - step * np.sqrt(d) / 2.0
-    if margin < 0:
+    n, d = coords.shape
+    divisions = GAMMA_GRID_DIVISIONS
+    step = l / divisions
+    margin = gamma - step * math.sqrt(d) / 2.0
+    if margin < 0 or not n:
         return False
-    ticks = np.indices((GAMMA_GRID_DIVISIONS + 1,) * d).reshape(d, -1).T
-    face = ((ticks == 0) | (ticks == GAMMA_GRID_DIVISIONS)).any(axis=1)
-    tree = cKDTree(coords)
-    for part in (face, ~face):
-        dist, _ = tree.query(ticks[part] * step)
-        if not dist.max() <= margin:
+    # The largest float whose square root is at most margin; sqrt is
+    # monotone, so sqrt(x) <= margin iff x <= limit.
+    limit = margin * margin
+    while math.sqrt(math.nextafter(limit, math.inf)) <= margin:
+        limit = math.nextafter(limit, math.inf)
+    while math.sqrt(limit) > margin:
+        limit = math.nextafter(limit, -math.inf)
+    # Each node's ticks within margin of it along each axis, with one tick of
+    # slack each way for rounding.  A node that can cover a point of a face
+    # has the face's tick in range.
+    lo = np.maximum(np.ceil((coords - margin) / step).astype(np.intp) - 1, 0)
+    hi = np.minimum(np.floor((coords + margin) / step).astype(np.intp) + 1,
+                    divisions)
+    # The two faces across the last axis hold the ends of every line, and
+    # only a node with tick 0 or the last tick in range can cover them.
+    nodes = ((lo[:, -1] == 0) | (hi[:, -1] == divisions)).nonzero()[0]
+    line, rest, centre = _line_pairs(coords[nodes], lo[nodes], hi[nodes], step,
+                                     limit)
+    for tick in (0, divisions):
+        ends = line[_covers(tick, step, centre, rest, limit)]
+        if not np.bincount(ends, minlength=(divisions + 1) ** (d - 1)).all():
             return False
-    return True
+    # The other faces are whole lines, settled before the rest of the grid.
+    line, rest, centre = _line_pairs(coords, lo, hi, step, limit)
+    face = np.zeros((divisions + 1,) * (d - 1), dtype=bool)
+    for k in range(d - 1):
+        face[(slice(None),) * k + ([0, -1],)] = True
+    on_face = face.ravel().take(line)
+    depth = _line_depth(step, limit, d, line[on_face], rest[on_face],
+                        centre[on_face])
+    if not depth[face].all():
+        return False
+    inside = ~on_face
+    depth += _line_depth(step, limit, d, line[inside], rest[inside],
+                         centre[inside])
+    return bool(depth.all())
 
 
 def _hop_distances(graph) -> np.ndarray:
@@ -358,9 +528,10 @@ def rho_check(graph, coordinates, rho: float, distances=None):
 
     Graph distances count unit-length edges (`_hop_distances`, a bit-parallel
     breadth-first search from every node); a pair with no path raises
-    Disconnected.  `distances`, the Euclidean distance matrix of
-    `coordinates`, is computed when the caller does not pass it.  Both
-    matrices are read once, through one boolean mask of the pairs u < v.
+    Disconnected.  `distances`, the Euclidean distances of the pairs u < v
+    in the row-major order of np.triu_indices (`_pair_distances`), are
+    computed when the caller does not pass them.  The hop distances are
+    read through one boolean mask of the same pairs.
     """
     coords = np.asarray(coordinates, dtype=float)
     n = coords.shape[0]
@@ -372,9 +543,8 @@ def rho_check(graph, coordinates, rho: float, distances=None):
     if np.isinf(hops).any():
         raise Disconnected("graph distances are infinite for some pair")
     if distances is None:
-        from scipy.spatial.distance import cdist
-        distances = cdist(coords, coords)
-    rho_n = float((distances[upper] / hops).min())
+        distances = _pair_distances(coords, upper.nonzero()[1])
+    rho_n = float((distances / hops).min())
     return rho_n >= rho, rho_n
 
 
@@ -447,11 +617,12 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
     placement; `max_attempts` bounds the restarts.  Each node gets
     NODE_ATTEMPT_CAP candidate positions before InfeasibleDensity, and the
     coverage screen is `gamma_check` on its fixed grid.  Every step of an
-    attempt runs on arrays; the edge draws read the distances through one
-    boolean mask of the pairs u < v, in the row-major order of
-    np.triu_indices.  The invariant-measure
-    screen is the one symmetric band: it rejects when n pi_min < pi_bar_min
-    or n pi_max > pi_bar_max, and the audit's `pi_check=symmetric` names it.
+    attempt runs on arrays, with numpy alone; the edge draws and the
+    distance-ratio screen read one vector of the distances of the pairs
+    u < v (`_pair_distances`), in the row-major order of np.triu_indices.
+    The invariant-measure screen is the one symmetric band: it rejects when
+    n pi_min < pi_bar_min or n pi_max > pi_bar_max, and the audit's
+    `pi_check=symmetric` names it.
     """
     if n < 2:
         raise OutOfRange(f"need at least 2 nodes, got {n}")
@@ -459,8 +630,6 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         raise OutOfRange(f"dimension {d} must be 1, 2 or 3")
     if max_attempts < 1:
         raise OutOfRange(f"max_attempts={max_attempts} must be at least 1")
-    from scipy.spatial.distance import cdist
-
     rng = np.random.default_rng(seed)
     l = params.c * n ** (1.0 / d)
     audit = {
@@ -476,12 +645,12 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
     }
     index = np.arange(n)
     upper = index[:, None] < index
+    later = upper.nonzero()[1]
     full = (1 << n) - 1
     for _ in range(max_attempts):
         audit["attempts"] += 1
         coords = _place_nodes(rng, n, d, l, params.s, audit)
-        de = cdist(coords, coords)
-        pairs = de[upper]
+        pairs = _pair_distances(coords, later)
         adj = np.zeros((n, n), dtype=bool)
         adj[upper] = (pairs <= params.r) & (rng.random(pairs.size) < params.p_e)
         adj |= adj.T
@@ -491,7 +660,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         if not gamma_check(coords, l, params.gamma):
             audit["rejected_gamma"] += 1
             continue
-        rho_ok, rho_n = rho_check(adj, coords, params.rho, distances=de)
+        rho_ok, rho_n = rho_check(adj, coords, params.rho, distances=pairs)
         if not rho_ok:
             audit["rejected_rho"] += 1
             continue

@@ -38,7 +38,6 @@ from lqconsensus import (
     normal_corollary,
     p_epsilon,
     resistance_theorem,
-    reversiblization_support,
     sample_geometric,
     save_matrix_csv,
     theorem_resistance_bounds,
@@ -47,7 +46,7 @@ from lqconsensus import (
     unit_conductance,
     validate_consensus,
 )
-from lqconsensus import experiments_cli, pipeline, stochastic_core
+from lqconsensus import bounds, experiments_cli, pipeline, stochastic_core
 from lqconsensus.experiments_cli import _emit_svg, _write_sweep, build_config, main
 from lqconsensus.pipeline import (
     BOUND_SLACK_ABS,
@@ -1004,12 +1003,13 @@ class TestAnalyze:
         # One Cholesky factor each for C_{P*P}, G(P) (shared by the topology
         # theorem, the normal corollary and the sandwich) and G(P*P);
         # all-pairs resistances of G(P) and G(P*P) for the sandwich only; one
-        # G(P*P) support, shared by the sandwich and the fuzz_* lines.
+        # G(P*P) support search, whose edge arrays the sandwich reads and
+        # whose FuzzSupport the fuzz_* lines read.
         path = tmp_path / "torus.csv"
         save_matrix_csv(cayley_case1(4, 2, seed=1)[1], path)
         factorizations = count_factorizations(monkeypatch)
         resistances = count_calls(monkeypatch, effective_resistance)
-        supports = count_calls(monkeypatch, reversiblization_support)
+        supports = count_calls(monkeypatch, bounds._reversiblization_edges)
         assert main(["analyze", str(path)]) == 0
         kv = self.kv(capsys)
         assert kv["normal"] == "true"

@@ -362,8 +362,28 @@ def face_coverage(coords, l):
     return np.linalg.norm(face[:, None, :] - coords[None], axis=2).min(axis=1).max()
 
 
+def margin_ties(coords, l):
+    """The least gamma whose margin gamma - step sqrt(d)/2 reaches the
+    largest nearest-node distance over the grid, and its two neighbouring
+    floats: the verdict turns between the first and the second."""
+    from scipy.spatial import cKDTree
+
+    divisions = graph_gen.GAMMA_GRID_DIVISIONS
+    d = coords.shape[1]
+    step = l / divisions
+    ticks = np.indices((divisions + 1,) * d).reshape(d, -1).T
+    covering = float(cKDTree(coords).query(ticks * step)[0].max())
+    half = step * np.sqrt(d) / 2.0
+    gamma = covering + half
+    while gamma - half < covering:
+        gamma = np.nextafter(gamma, np.inf)
+    while np.nextafter(gamma, -np.inf) - half >= covering:
+        gamma = np.nextafter(gamma, -np.inf)
+    return [np.nextafter(gamma, -np.inf), gamma, np.nextafter(gamma, np.inf)]
+
+
 class TestGammaFacesFirst:
-    """`gamma_check` queries the face points first and the interior only if
+    """`gamma_check` tests the face points first and the interior only if
     they pass; its verdict is that of one query of the whole grid."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -400,7 +420,7 @@ class TestGammaFacesFirst:
     def test_agrees_on_placed_nodes(self):
         params = GeometricParams()
         verdicts = []
-        for n, d in [(100, 2), (300, 2), (60, 3), (200, 1)]:
+        for n, d in [(100, 2), (300, 2), (60, 3), (200, 1), (343, 3), (1500, 3)]:
             l = params.c * n ** (1.0 / d)
             for seed in range(10):
                 coords = graph_gen._place_nodes(np.random.default_rng([seed, n, d]),
@@ -409,6 +429,72 @@ class TestGammaFacesFirst:
                 verdicts.append(gamma_check(coords, l, params.gamma))
                 assert verdicts[-1] == gamma_check_full_grid(coords, l, params.gamma)
         assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["none", "interior", "face"])
+    def test_agrees_on_exact_lattices(self, d, layout):
+        # Nodes on the lattice itself (no jitter), so grid points sit at
+        # equal distances from several nodes.  After a sweep of gamma come
+        # the gammas whose margin meets the grid's covering distance to the
+        # last bit, and the floats on either side of them, in boxes of
+        # several sizes: in some the covering point's squared distance is
+        # the largest float the margin admits.
+        coords = lattice_with_hole(d, layout)
+        cases = [(2.0, gamma) for gamma in np.linspace(0.2, 1.2, 41)]
+        for l in (2.0, 2.2, 2.3, 2.4):
+            cases += [(l, gamma) for gamma in margin_ties(coords, l)]
+        for l, gamma in cases:
+            assert gamma_check(coords, l, gamma) == gamma_check_full_grid(coords, l, gamma)
+
+
+class TestLineDepth:
+    """`_line_depth` settles each interval's ends in the reference
+    arithmetic, so its counts equal a test of every (pair, tick)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_every_point_near_ties(self, seed):
+        # Each pair's rest is set so that one tick's sum lands within a few
+        # ulps of the limit, where the estimated ends are most often off.
+        rng = np.random.default_rng(seed)
+        divisions = graph_gen.GAMMA_GRID_DIVISIONS
+        step, limit, d = 0.1, 0.49, 2
+        size = 4000
+        centre = rng.uniform(-0.5, divisions * step + 0.5, size)
+        boundary = rng.integers(0, divisions + 1, size)
+        term = np.square(boundary * step - centre)
+        rest = np.maximum(limit - term, 0.0)
+        for _ in range(3):
+            nudge = rng.integers(-1, 2, size)
+            rest = np.where(nudge > 0, np.nextafter(rest, np.inf),
+                            np.where(nudge < 0, np.nextafter(rest, -np.inf), rest))
+        rest = np.maximum(rest, 0.0)
+        line = rng.integers(0, divisions + 1, size)
+        depth = graph_gen._line_depth(step, limit, d, line, rest, centre)
+        ticks = np.arange(divisions + 1)
+        covered = (np.square(ticks * step - centre[:, None]) + rest[:, None]) <= limit
+        expected = np.zeros((divisions + 1, divisions + 1), dtype=np.intp)
+        np.add.at(expected, line, covered.astype(np.intp))
+        assert np.array_equal(depth, expected)
+
+
+class TestPairDistances:
+    """`_pair_distances` has cdist's arithmetic, so the distances of the
+    pairs u < v equal cdist's to the bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_equals_cdist(self, n, d):
+        from scipy.spatial.distance import cdist
+
+        l = GeometricParams().c * n ** (1.0 / d)
+        placed = graph_gen._place_nodes(np.random.default_rng([n, d]), n, d, l,
+                                        GeometricParams().s, {"nodes_rejected": 0})
+        uniform = np.random.default_rng([d, n]).random((n, d)) * l
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        for coords in (placed, uniform):
+            distances = graph_gen._pair_distances(coords, upper.nonzero()[1])
+            expected = cdist(coords, coords)[upper]
+            assert distances.tobytes() == expected.tobytes()
 
 
 class TestRhoCheck:

@@ -119,9 +119,9 @@ def test_config_keys_are_pinned():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported inside the functions that use it (the sampler's
-    # distance and coverage screens and the truncated series), so importing
-    # the package, or its CLI module, does not pay for it.
+    # scipy is imported inside the functions that use it (the network
+    # factors and the truncated series), so importing the package, or its
+    # CLI module, does not pay for it.
     src = str(Path(lqconsensus.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -130,6 +130,30 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sampler_and_validate_load_no_scipy_spatial():
+    # The geometric sampler's distance and coverage screens run on numpy
+    # alone, so neither sampling in any dimension nor the validate battery,
+    # whose gamma suite calls the coverage screen, loads scipy.spatial.
+    src = str(Path(lqconsensus.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import contextlib, io, sys\n"
+            "from lqconsensus import GeometricParams, sample_geometric\n"
+            "from lqconsensus.experiments_cli import main\n"
+            "def spatial():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy.spatial'))\n"
+            "sample_geometric(GeometricParams(c=0.2), 200, 1, seed=[0, 1, 200])\n"
+            "sample_geometric(GeometricParams(), 25, 2, seed=[0, 2, 25])\n"
+            "sample_geometric(GeometricParams(), 60, 3, seed=[0, 3, 60])\n"
+            "print(spatial())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['validate', '--seed', '0'])\n"
+            "print(status, spatial())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "0 []"]
 
 
 def test_pipeline_loads_no_cli():
