@@ -73,10 +73,9 @@ def f_delta(delta: int) -> float:
 
 
 def reversiblization_conductance(P: ConsensusMatrix):
-    """C_{P*P} = Phi(P*P) = n P^T Pi P, formed without building P*P."""
-    pi = P.invariant.pi
-    a = P.entries
-    c = P.n * (a.T @ (pi[:, None] * a))
+    """C_{P*P} = Phi(P*P) = n P^T Pi P, formed from the cached flow
+    (`ConsensusMatrix.reversiblization_flow`) without building P*P."""
+    c = P.n * P.reversiblization_flow
     c = (c + c.T) / 2.0
     return conductance_matrix(c)
 

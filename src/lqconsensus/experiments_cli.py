@@ -493,6 +493,9 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
             measured = {key: inst.measured[key] for key in ("s_n", "r_n", "rho_n")}
             details.append(_kv({"n": n, "instance": i, **counts, **measured,
                                 **detail}))
+            # The matrix caches several n x n arrays; without this they
+            # would stay alive through the next instance's sampling.
+            del inst
         if per_n:
             sizes.append(n)
             per_size.append(per_n)

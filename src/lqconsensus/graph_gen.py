@@ -306,8 +306,6 @@ def _line_pairs(coords, lo, hi, step, limit):
     """
     divisions = GAMMA_GRID_DIVISIONS
     n, d = coords.shape
-    if not n:
-        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
     shape = [n] + [1] * (d - 1)
     rest = np.zeros(shape)
     first = np.zeros(n, dtype=np.intp)
@@ -417,11 +415,7 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     with the margin), but no point is queried.  The grid is read as lines
     along the last axis; on each line a node covers one interval of
     points, whose ends are settled in the query's arithmetic
-    (`_line_depth`).  The faces of the box, where a hole is likeliest, are
-    tested first, each with the nodes within reach of it: the two faces
-    across each axis but the last by their lines, then the two across the
-    last axis, which hold the ends of every line, point by point.  The
-    whole grid is tested only if every face point is covered.
+    (`_line_depth`), and the grid passes if every point has a node.
     """
     coords = np.asarray(coordinates, dtype=float)
     n, d = coords.shape
@@ -438,34 +432,12 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     while math.sqrt(limit) > margin:
         limit = math.nextafter(limit, -math.inf)
     # Each node's ticks within margin of it along each axis, with one tick of
-    # slack each way for rounding.  A node that can cover a point of a face
-    # has the face's tick in range.
+    # slack each way for rounding.
     lo = np.maximum(np.ceil((coords - margin) / step).astype(np.intp) - 1, 0)
     hi = np.minimum(np.floor((coords + margin) / step).astype(np.intp) + 1,
                     divisions)
-    # The two faces across the last axis hold the ends of every line, and
-    # only a node with tick 0 or the last tick in range can cover them.
-    nodes = ((lo[:, -1] == 0) | (hi[:, -1] == divisions)).nonzero()[0]
-    line, rest, centre = _line_pairs(coords[nodes], lo[nodes], hi[nodes], step,
-                                     limit)
-    for tick in (0, divisions):
-        ends = line[_covers(tick, step, centre, rest, limit)]
-        if not np.bincount(ends, minlength=(divisions + 1) ** (d - 1)).all():
-            return False
-    # The other faces are whole lines, settled before the rest of the grid.
     line, rest, centre = _line_pairs(coords, lo, hi, step, limit)
-    face = np.zeros((divisions + 1,) * (d - 1), dtype=bool)
-    for k in range(d - 1):
-        face[(slice(None),) * k + ([0, -1],)] = True
-    on_face = face.ravel().take(line)
-    depth = _line_depth(step, limit, d, line[on_face], rest[on_face],
-                        centre[on_face])
-    if not depth[face].all():
-        return False
-    inside = ~on_face
-    depth += _line_depth(step, limit, d, line[inside], rest[inside],
-                         centre[inside])
-    return bool(depth.all())
+    return bool(_line_depth(step, limit, d, line, rest, centre).all())
 
 
 def _hop_distances(graph) -> np.ndarray:

@@ -117,6 +117,16 @@ class ConsensusMatrix:
         return star
 
     @cached_property
+    def reversiblization_flow(self) -> np.ndarray:
+        """Q = P^T (Pi P) = Pi (P* P), the probability flow of the
+        multiplicative reversiblization: its network C_{P*P} is n Q
+        symmetrized, and P* P itself is Pi^{-1} Q."""
+        a = self.entries
+        flow = a.T @ (self.invariant.pi[:, None] * a)
+        flow.setflags(write=False)
+        return flow
+
+    @cached_property
     def graphs(self) -> SupportGraphs:
         return _build_support_graphs(self)
 
@@ -259,7 +269,7 @@ def _power_iteration(a: np.ndarray):
 
 def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:
     """P* P: reversible, same invariant measure, strictly positive diagonal."""
-    return validate_consensus(P.reversal @ P.entries)
+    return validate_consensus(P.reversiblization_flow / P.invariant.pi[:, None])
 
 
 def classify(P: ConsensusMatrix) -> MatrixClass:
@@ -287,7 +297,8 @@ def _classification_residuals(P: ConsensusMatrix) -> dict:
     return {
         "reversible": float(np.abs(pip - pip.T).max()),
         "normal": float(np.abs(a.T @ a - a @ a.T).max()),
-        "commuting": float(np.abs(P.reversal @ a - a @ P.reversal).max()),
+        "commuting": float(np.abs(P.reversiblization_flow / pi[:, None]
+                                  - a @ P.reversal).max()),
         "doubly_stochastic": float(np.abs(a.sum(axis=0) - 1.0).max()),
     }
 

@@ -70,6 +70,16 @@ class TestReversiblizationConductance:
         c = reversiblization_conductance(uniform(3))
         np.testing.assert_allclose(c.entries, 1.0 / 3, atol=1e-12)
 
+    def test_bits_of_n_pt_pi_p_symmetrized(self, rng):
+        # Read from the cached flow, the network keeps the bits of
+        # n P^T (Pi P) symmetrized.
+        for _ in range(5):
+            P = random_consensus(rng, int(rng.integers(3, 12)))
+            a, pi = P.entries, P.invariant.pi
+            c = P.n * (a.T @ (pi[:, None] * a))
+            np.testing.assert_array_equal(reversiblization_conductance(P).entries,
+                                          (c + c.T) / 2.0)
+
 
 class TestResistanceTheorem:
     def test_uniform_three_is_tight(self):

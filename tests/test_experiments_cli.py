@@ -1283,6 +1283,24 @@ class TestArgumentHandling:
                      "-p", "nope=1"]) == 1
         assert "known keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["epsilon-sweep", "-p", "eps_min=abc"], "eps_min='abc' is not a number"),
+        (["epsilon-sweep", "-p", "eps_min=inf"], "eps_min='inf' is not finite"),
+        (["epsilon-sweep", "-p", "points=0"], "points=0 must be at least 1"),
+        (["epsilon-sweep", "-p", "seed"],
+         "override 'seed' is not of the form key=value"),
+        (["cayley", "-p", "n_list=8,x"],
+         "n_list='8,x' is not a comma-separated integer list"),
+        (["cayley", "-p", "instances=0"], "instances=0 must be at least 1"),
+        (["cayley", "-p", "case=2", "-p", "d=4"], "d=4 must be 1, 2 or 3"),
+        (["geometric", "-p", "instances=0"], "instances=0 must be at least 1"),
+    ])
+    def test_refused_value_names_its_key(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSharedParser:
     def test_import_builds_no_parser(self):

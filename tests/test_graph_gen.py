@@ -16,6 +16,7 @@ from lqconsensus import (
     InvalidWeights,
     OutOfRange,
     RejectionExhausted,
+    case1_range,
     cayley_case1,
     cayley_case1_generator,
     cayley_case2,
@@ -58,6 +59,14 @@ class TestCayleyGenerator:
     def test_weights_sum_to_one(self):
         with pytest.raises(InvalidGenerator):
             CayleyGenerator(d=1, weights={(0,): 0.5, (1,): 0.4})
+
+    def test_dimension_at_least_one(self):
+        with pytest.raises(InvalidGenerator, match="dimension 0 must be at least 1"):
+            CayleyGenerator(d=0, weights={(): 1.0})
+
+    def test_offsets_required(self):
+        with pytest.raises(InvalidGenerator, match="no offsets"):
+            CayleyGenerator(d=2, weights={})
 
 
 class TestCayleyMatrix:
@@ -106,6 +115,10 @@ class TestCayleyCase1:
         assert len(gen.weights) == 3**d
         assert (w >= lo).all() and (w <= hi).all()
         assert P.n == 3**d
+
+    def test_reversed_band_refused(self):
+        with pytest.raises(OutOfRange, match="need 0 < p_min < p_max, got 0.2, 0.1"):
+            case1_range(2, 0.2, 0.1)
 
     def test_matrix_matches_generator(self):
         gen, P = cayley_case1(4, 2, seed=2)
@@ -383,8 +396,8 @@ def margin_ties(coords, l):
 
 
 class TestGammaFacesFirst:
-    """`gamma_check` tests the face points first and the interior only if
-    they pass; its verdict is that of one query of the whole grid."""
+    """`gamma_check`'s verdict is that of one query of the whole grid,
+    whether the hole lies on a face of the box or inside it."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_hole_on_a_face_or_inside(self, d):

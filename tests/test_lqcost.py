@@ -101,6 +101,14 @@ class TestGreenMatrix:
         with pytest.raises(SolveFailure, match="Green matrix identities"):
             green_matrix(P)
 
+    def test_singular_inverse_is_a_solve_failure(self, monkeypatch):
+        def singular(m):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SolveFailure, match="inverse failed: Singular matrix"):
+            green_matrix(uniform(3))
+
 
 class TestExactCost:
     @pytest.mark.parametrize("n", range(3, 11))
@@ -199,6 +207,24 @@ class TestExactCost:
         monkeypatch.setattr(lqcost, "_solve_dual_stein", off_by_1e6)
         with pytest.raises(SteinDivergence):
             lq_cost_exact(p_epsilon(0.1))
+
+
+class TestSteinDivergence:
+    """`_solve_dual_stein` refuses a matrix whose series does not converge:
+    at once when an update overflows, otherwise after STEIN_MAX_DOUBLINGS."""
+
+    def test_overflow_is_refused(self):
+        # Abar = 2 I: the updates grow as 2^(2^k) and overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SteinDivergence, match="non-finite values"):
+                lqcost._solve_dual_stein(2.0 * np.eye(2))
+
+    def test_no_convergence_is_refused(self):
+        # Abar = I: Y doubles each time and stays finite, but no update
+        # ever falls below the stopping threshold.
+        limit = lqcost.STEIN_MAX_DOUBLINGS
+        with pytest.raises(SteinDivergence, match=f"did not converge in {limit} steps"):
+            lqcost._solve_dual_stein(np.eye(2))
 
 
 class TestSteinStoppingRule:

@@ -100,6 +100,12 @@ class TestConductanceMatrix:
         with pytest.raises(NegativeEntry):
             conductance_matrix([[0.0, -1.0], [-1.0, 0.0]])
 
+    def test_non_finite_rejected(self):
+        # NaN compares false with everything, so it is refused before the
+        # symmetry and sign tests could let it through.
+        with pytest.raises(NotSymmetric, match="non-finite"):
+            conductance_matrix([[0.0, np.nan], [np.nan, 0.0]])
+
     def test_disconnected_rejected(self):
         c = np.zeros((4, 4))
         c[0, 1] = c[1, 0] = 1.0
@@ -505,6 +511,11 @@ class TestNetworkMaps:
     def test_phi_rejects_nonreversible(self):
         with pytest.raises(NotReversible):
             phi_map(p_epsilon(0.1))
+
+    def test_phi_rejects_nonpositive_alpha(self):
+        P = validate_consensus(np.full((3, 3), 1.0 / 3))
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            phi_map(P, alpha=0)
 
     def test_psi_rejects_zero_diagonal(self):
         with pytest.raises(ZeroDiagonal):

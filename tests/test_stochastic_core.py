@@ -12,6 +12,7 @@ from lqconsensus import (
     NegativeEntry,
     NotIrreducible,
     NotStochastic,
+    SolveFailure,
     ZeroDiagonal,
     circle_matrix,
     cayley_case1,
@@ -146,6 +147,22 @@ class TestInvariantMeasure:
         for k in range(n):
             assert pi[k] == pytest.approx(float(r ** k / total), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("pi, residual, message", [
+        ([0.5, 0.5], 1.0, "residual 1.0 exceeds"),
+        ([1.5, -0.5], 0.0, "nonpositive entry"),
+    ])
+    def test_failed_fallback_is_a_solve_failure(self, monkeypatch, pi, residual,
+                                                message):
+        # Least squares is made to look failed, so the fallback runs and its
+        # result meets the same two gates.
+        monkeypatch.setattr(stochastic_core, "_invariant_residual",
+                            lambda *args: 1.0)
+        monkeypatch.setattr(stochastic_core, "_power_iteration",
+                            lambda a: (np.array(pi), residual))
+        P = validate_consensus([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(SolveFailure, match=message):
+            P.invariant
+
     def test_extremes(self):
         inv = p_epsilon(0.25).invariant
         assert inv.pi_min == inv.pi.min()
@@ -206,6 +223,16 @@ class TestMultiplicativeReversiblization:
         P = uniform(4)
         np.testing.assert_allclose(
             multiplicative_reversiblization(P).entries, P.entries, atol=1e-12)
+
+    def test_flow_is_cached_once(self, rng):
+        # Q = P^T (Pi P) is formed once per matrix and read-only; P* P is
+        # Pi^{-1} Q, equal to P.reversal @ P to rounding.
+        P = random_consensus(rng, 7)
+        flow = P.reversiblization_flow
+        assert flow is P.reversiblization_flow
+        assert not flow.flags.writeable
+        np.testing.assert_allclose(multiplicative_reversiblization(P).entries,
+                                   P.reversal @ P.entries, rtol=0, atol=1e-15)
 
 
 class TestClassify:
