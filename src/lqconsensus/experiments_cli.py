@@ -116,6 +116,8 @@ def _to_int_list(key: str, text: str) -> tuple:
         raise ConfigError(f"{key}={text!r} is not a comma-separated integer list") from exc
     if not values:
         raise ConfigError(f"{key}={text!r} is an empty list")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key}={text!r} repeats {max(values, key=values.count)}")
     return values
 
 
@@ -489,9 +491,8 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
             rows.append(row)
             per_n.append(row)
             counts = {key: value for key, value in inst.audit.items()
-                      if key not in ("seed", "pi_check")}
-            measured = {key: inst.measured[key] for key in ("s_n", "r_n", "rho_n")}
-            details.append(_kv({"n": n, "instance": i, **counts, **measured,
+                      if key != "seed"}
+            details.append(_kv({"n": n, "instance": i, **counts, **inst.measured,
                                 **detail}))
             # The matrix caches several n x n arrays; without this they
             # would stay alive through the next instance's sampling.

@@ -592,9 +592,9 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
     attempt runs on arrays, with numpy alone; the edge draws and the
     distance-ratio screen read one vector of the distances of the pairs
     u < v (`_pair_distances`), in the row-major order of np.triu_indices.
-    The invariant-measure screen is the one symmetric band: it rejects when
-    n pi_min < pi_bar_min or n pi_max > pi_bar_max, and the audit's
-    `pi_check=symmetric` names it.
+    The invariant-measure screen rejects when n pi_min < pi_bar_min or
+    n pi_max > pi_bar_max.  `measured` holds s_n, r_n and rho_n, and
+    `audit` the seed and the attempt and rejection counts.
     """
     if n < 2:
         raise OutOfRange(f"need at least 2 nodes, got {n}")
@@ -613,7 +613,6 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         "rejected_reducible": 0,
         "rejected_pi_range": 0,
         "seed": str(seed),
-        "pi_check": "symmetric",
     }
     index = np.arange(n)
     upper = index[:, None] < index
@@ -658,8 +657,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         adj.setflags(write=False)
         measured = {
             "s_n": float(pairs.min()),
-            "r_n": float(pairs[adj[upper]].max()) if adj.any() else 0.0,
-            "gamma_ok": True,
+            "r_n": float(pairs[adj[upper]].max()),
             "rho_n": rho_n,
         }
         return GeometricInstance(coordinates=coords, graph=adj, matrix=matrix,

@@ -74,7 +74,7 @@ class SupportGraphs:
 
 @dataclass(frozen=True)
 class MatrixClass:
-    """Classification flags with the inclusion structure enforced."""
+    """Classification flags, inclusions enforced (`classify` derives `normal`)."""
 
     reversible: bool
     normal: bool
@@ -275,28 +275,28 @@ def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:
 def classify(P: ConsensusMatrix) -> MatrixClass:
     """Flags for reversible, normal, commuting (P*P = PP*) and doubly stochastic.
 
-    Each flag tests the max norm of its defining residual, cached on P,
-    against the fixed CLASSIFICATION_TOL.  The inclusion structure (normal
-    implies doubly stochastic and commuting, reversible implies commuting) is
-    enforced on the result.
+    Three flags test the max norm of a residual cached on P against the
+    fixed CLASSIFICATION_TOL; reversible also sets commuting, since the two
+    residuals scale differently.  An irreducible stochastic P is normal iff
+    it is doubly stochastic and commuting: if P^T P = P P^T, then
+    |P^T 1 - 1|^2 = 1^T P P^T 1 - 2n + n = 1^T P^T P 1 - n = 0, and once
+    P^T 1 = 1, pi is uniform and P* = P^T, so commuting is normality.
     """
     r = P.classification_residuals
     reversible = r["reversible"] <= CLASSIFICATION_TOL
-    normal = r["normal"] <= CLASSIFICATION_TOL
-    commuting = r["commuting"] <= CLASSIFICATION_TOL or reversible or normal
-    doubly = r["doubly_stochastic"] <= CLASSIFICATION_TOL or normal
-    return MatrixClass(reversible=reversible, normal=normal,
+    commuting = r["commuting"] <= CLASSIFICATION_TOL or reversible
+    doubly = r["doubly_stochastic"] <= CLASSIFICATION_TOL
+    return MatrixClass(reversible=reversible, normal=doubly and commuting,
                        commuting=commuting, doubly_stochastic=doubly)
 
 
 def _classification_residuals(P: ConsensusMatrix) -> dict:
-    """|Pi P - P^T Pi|, |P^T P - P P^T|, |P* P - P P*| and |1^T P - 1^T|."""
+    """|Pi P - P^T Pi|, |P* P - P P*| and |1^T P - 1^T|, with P* P read off the flow."""
     a = P.entries
     pi = P.invariant.pi
     pip = pi[:, None] * a
     return {
         "reversible": float(np.abs(pip - pip.T).max()),
-        "normal": float(np.abs(a.T @ a - a @ a.T).max()),
         "commuting": float(np.abs(P.reversiblization_flow / pi[:, None]
                                   - a @ P.reversal).max()),
         "doubly_stochastic": float(np.abs(a.sum(axis=0) - 1.0).max()),

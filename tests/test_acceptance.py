@@ -234,7 +234,6 @@ def test_criterion_09_geometric_instances(record_property):
         npi = n * inst.matrix.invariant.pi
         assert npi.min() >= params.pi_bar_min
         assert npi.max() <= params.pi_bar_max
-        assert inst.measured["gamma_ok"]
         assert gamma_check(coords, l, params.gamma)
         covered, _ = cKDTree(coords).query(grid)
         assert covered.max() <= params.gamma
@@ -242,7 +241,6 @@ def test_criterion_09_geometric_instances(record_property):
         assert flag and rho_n >= params.rho
         assert inst.measured["rho_n"] == pytest.approx(rho_n)
         assert inst.audit["attempts"] >= 1
-        assert inst.audit["pi_check"] == "symmetric"
     budget(record_property, t0, 120.0)
 
 

@@ -12,10 +12,8 @@ from lqconsensus import (
     cayley_case1,
     cayley_case2,
     circle_matrix,
-    classify,
     commuting_example,
     corollary_normal_bounds,
-    effective_resistance,
     f_delta,
     hypothetical_lower_violation,
     lq_cost_exact,
@@ -34,7 +32,6 @@ from lqconsensus import bounds
 from helpers import (
     random_circulant,
     random_consensus,
-    random_reversible,
     random_symmetric_support,
     sparse_circulant,
     sparse_consensus,

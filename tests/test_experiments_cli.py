@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1267,6 +1268,21 @@ class TestArgumentHandling:
                      "-p", f"n_list={text}"]) == 1
         assert "n_list" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["cayley", "geometric"])
+    @pytest.mark.parametrize("text, value", [("25,25", 25), ("4,9,4", 4)])
+    def test_repeated_size_is_rejected(self, tmp_path, capsys, command, text,
+                                       value):
+        # A repeated size would write duplicate (n, instance) rows and fit
+        # the growth law over a repeated x.
+        message = f"n_list={text!r} repeats {value}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_config(command, overrides=[f"n_list={text}"])
+        out = tmp_path / "x"
+        assert main([command, "--out", str(out), "-p", f"n_list={text}",
+                     "-p", "instances=1"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["cayley", "-p", "case=2", "-p", "d=1", "-p", "n_list=0"],

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -168,3 +169,30 @@ def test_pipeline_loads_no_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _unused_imports(path: Path, root: Path) -> list:
+    """Names that a module imports and never reads: an import statement's
+    bound name that appears in no load of a name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, alias.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.relative_to(root)}:{line} {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_unused_imports():
+    # `__init__.py` imports to re-export, so it is exempt.
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(p for folder in ("src", "tests") for p in (root / folder).rglob("*.py")
+                   if p.name != "__init__.py")
+    assert len(files) > 10
+    assert [entry for path in files for entry in _unused_imports(path, root)] == []

@@ -29,14 +29,20 @@ from lqconsensus import (
 )
 from lqconsensus import stochastic_core
 from lqconsensus.stochastic_core import (
+    CLASSIFICATION_TOL,
     SUPPORT_THRESHOLD,
     reach,
     strong_component,
 )
 from helpers import (
+    random_circulant,
     random_consensus,
     random_reversible,
+    random_symmetric_support,
+    sparse_circulant,
+    sparse_consensus,
     two_clique_entries,
+    two_cliques,
     uniform,
 )
 
@@ -276,6 +282,68 @@ class TestClassify:
         with pytest.raises(ValueError):
             MatrixClass(reversible=True, normal=False, commuting=False,
                         doubly_stochastic=False)
+
+
+def normal_by_gram(P):
+    """The normality oracle: max|P^T P - P P^T| within CLASSIFICATION_TOL."""
+    a = P.entries
+    return float(np.abs(a.T @ a - a @ a.T).max()) <= CLASSIFICATION_TOL
+
+
+def permutation_mixture(rng, n):
+    """Mean of the identity and three random permutation matrices: doubly
+    stochastic, and for n >= 3 usually not normal."""
+    while True:
+        a = np.eye(n)
+        for _ in range(3):
+            a[np.arange(n), rng.permutation(n)] += 1.0
+        try:
+            return validate_consensus(a / 4.0)
+        except NotIrreducible:
+            continue
+
+
+class TestNormalIsDoublyStochasticAndCommuting:
+    """`classify` derives `normal` from the doubly-stochastic and commuting
+    residuals; the flag must agree with the Gram-product test it replaces."""
+
+    DRAWS = (
+        lambda rng, n: random_consensus(rng, n, density=rng.uniform(0.2, 0.9)),
+        random_circulant,
+        lambda rng, n: sparse_circulant(rng, n, rng.uniform(0.1, 0.6)),
+        lambda rng, n: random_reversible(rng, n, density=rng.uniform(0.2, 0.9)),
+        lambda rng, n: sparse_consensus(rng, n, rng.uniform(0.05, 0.4)),
+        lambda rng, n: random_symmetric_support(rng, n, rng.uniform(0.2, 0.9)),
+        permutation_mixture,
+    )
+
+    def test_keys(self):
+        assert set(p_epsilon(0.1).classification_residuals) == {
+            "reversible", "commuting", "doubly_stochastic"}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(family=st.integers(0, len(DRAWS) - 1), n=st.integers(2, 24),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_draws(self, family, n, seed):
+        P = self.DRAWS[family](np.random.default_rng(seed), n)
+        assert classify(P).normal == normal_by_gram(P)
+
+    FAMILIES = {
+        "commuting_example": commuting_example,
+        **{f"eps={eps:.3g}": lambda eps=eps: p_epsilon(eps)
+           for eps in np.geomspace(1e-3, 0.5, 100)},
+        **{f"case1_n{n}_d{d}": lambda n=n, d=d: cayley_case1(n, d, seed=n + d)[1]
+           for n, d in [(3, 2), (4, 2), (7, 2), (3, 3), (4, 3)]},
+        **{f"case2_n{n}_d{d}": lambda n=n, d=d: cayley_case2(n, d)
+           for n, d in [(3, 1), (9, 1), (4, 2), (6, 2), (3, 3)]},
+        **{f"two_cliques_c1e-{k}": lambda k=k: two_cliques(40, 10.0 ** -k)
+           for k in range(3, 13)},
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_families(self, name):
+        P = self.FAMILIES[name]()
+        assert classify(P).normal == normal_by_gram(P)
 
 
 class TestSupportGraphs:
