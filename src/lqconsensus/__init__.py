@@ -66,7 +66,6 @@ from .graph_gen import (
     sample_geometric,
 )
 from .lqcost import (
-    GreenMatrix,
     LqReport,
     green_matrix,
     lq_cost_exact,
@@ -77,7 +76,6 @@ from .lqcost import (
 from .pipeline import ResultRow, evaluate, torus_fields
 from .resistance import (
     ConductanceMatrix,
-    ResistanceMatrix,
     average_resistance,
     conductance_matrix,
     effective_resistance,
@@ -104,13 +102,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport", "CayleyGenerator", "ConductanceMatrix", "ConfigError",
     "ConsensusMatrix", "DimensionMismatch", "Disconnected", "FuzzSupport",
-    "GeometricInstance", "GeometricParams", "GreenMatrix",
-    "InfeasibleDensity", "InvalidGenerator", "InvalidWeights",
-    "InvariantMeasure", "LqConsensusError", "LqReport", "MatrixClass",
-    "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
-    "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
-    "ResistanceMatrix", "ResultRow", "SandwichMargins", "SolveFailure",
-    "SteinDivergence", "SupportGraphs", "ZeroDiagonal", "average_resistance",
+    "GeometricInstance", "GeometricParams", "InfeasibleDensity",
+    "InvalidGenerator", "InvalidWeights", "InvariantMeasure",
+    "LqConsensusError", "LqReport", "MatrixClass", "NegativeEntry",
+    "NotIrreducible", "NotNormal", "NotReversible", "NotStochastic",
+    "NotSymmetric", "OutOfRange", "RejectionExhausted", "ResultRow",
+    "SandwichMargins", "SolveFailure", "SteinDivergence", "SupportGraphs",
+    "ZeroDiagonal", "average_resistance",
     "case1_range", "cayley_case1", "cayley_case1_generator", "cayley_case2",
     "cayley_case2_generator", "cayley_matrix", "circle_matrix",
     "classify", "commuting_example", "conductance_matrix",

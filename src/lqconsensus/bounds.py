@@ -55,16 +55,18 @@ class BoundsReport:
 
 @dataclass(frozen=True, eq=False)
 class FuzzSupport:
-    """Edge set of G(P*P) built combinatorially from back-and-forth paths.
+    """Edges of G(P*P) built combinatorially from back-and-forth paths, as
+    read-only index arrays in row-major order.
 
     An edge {u, v} exists iff some pivot node w has directed edges (w, u) and
-    (w, v); `pivots` stores the smallest-index witness for every edge, and
-    `new_edges` are those absent from G(P).
+    (w, v).  `edges` is m x 2 with u < v in each row, `pivots[k]` is the
+    smallest-index witness of edge k, and `new_edges` (k x 2) are the edges
+    absent from G(P).
     """
 
-    edges: frozenset
-    pivots: dict
-    new_edges: frozenset
+    edges: np.ndarray
+    pivots: np.ndarray
+    new_edges: np.ndarray
 
 
 def f_delta(delta: int) -> float:
@@ -188,29 +190,19 @@ def reversiblization_support(P: ConsensusMatrix) -> FuzzSupport:
     pivots from one argmax per PIVOT_CHUNK edges over the rows of the
     transposed support, so the boolean temporary is PIVOT_CHUNK x n.
     """
-    return _reversiblization_edges(P)[2]
-
-
-def _reversiblization_edges(P: ConsensusMatrix):
-    """(u, v, support): the edges u < v of G(P*P) as index arrays, in
-    row-major order, and the FuzzSupport built from them
-    (`reversiblization_support`)."""
     s = P.support
     indicator = s.astype(float)
-    u, v = np.nonzero(np.triu(indicator.T @ indicator > 0, 1))
+    edges = np.argwhere(np.triu(indicator.T @ indicator > 0, 1))
+    u, v = edges.T
     columns = np.ascontiguousarray(s.T)
-    pivots = np.empty(u.size, dtype=np.intp)
-    for start in range(0, u.size, PIVOT_CHUNK):
+    pivots = np.empty(len(edges), dtype=np.intp)
+    for start in range(0, len(edges), PIVOT_CHUNK):
         chunk = slice(start, start + PIVOT_CHUNK)
         pivots[chunk] = np.argmax(columns[u[chunk]] & columns[v[chunk]], axis=1)
-    new = ~(s | s.T)[u, v]
-    edges = list(zip(u.tolist(), v.tolist()))
-    support = FuzzSupport(
-        edges=frozenset(edges),
-        pivots=dict(zip(edges, pivots.tolist())),
-        new_edges=frozenset(zip(u[new].tolist(), v[new].tolist())),
-    )
-    return u, v, support
+    new_edges = edges[~P.graphs.undirected[u, v]]
+    for array in (edges, pivots, new_edges):
+        array.setflags(write=False)
+    return FuzzSupport(edges=edges, pivots=pivots, new_edges=new_edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +212,8 @@ class SandwichMargins:
     min_upper_margin = min R(G(P)) - R(G(P*P)) and min_lower_margin =
     min R(G(P*P)) - R(G(P)) / (4 delta - 2), both expected nonnegative;
     `variant` records whether delta_in (commuting case) or delta_out was
-    used, and `support` is the G(P*P) edge set the margins were computed on.
+    used, and `support` is the G(P*P) support search the margins were
+    computed on.
     """
 
     min_upper_margin: float
@@ -239,11 +232,12 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     `analyze` call it.
     """
     graphs = P.graphs
-    u, v, fuzz = _reversiblization_edges(P)
+    fuzz = reversiblization_support(P)
+    u, v = fuzz.edges.T
     adj = np.zeros((P.n, P.n), dtype=bool)
     adj[u, v] = adj[v, u] = True
-    r_base = effective_resistance(P.support_network).values
-    r_fuzz = effective_resistance(unit_conductance(adj)).values
+    r_base = effective_resistance(P.support_network)
+    r_fuzz = effective_resistance(unit_conductance(adj))
     if classify(P).commuting:
         delta, variant = graphs.delta_in, "in"
     else:

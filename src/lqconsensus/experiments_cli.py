@@ -45,7 +45,8 @@ from .graph_gen import (
     sample_geometric,
 )
 from .lqcost import green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
-from .pipeline import CSV_COLUMNS, ResultRow, evaluate, growth_fit, torus_fields
+from .pipeline import (CSV_COLUMNS, ResultRow, evaluate, growth_fit,
+                       relative_error, torus_fields)
 from .resistance import effective_resistance, phi_map, weighted_average_resistance
 from .stochastic_core import (
     CLASSIFICATION_TOL,
@@ -146,7 +147,7 @@ def _read_config_file(path) -> dict:
     raw = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -531,7 +532,7 @@ def analyze_matrix(path, truncated: bool = False) -> int:
              "invariant_route": inv.route}, "\n"),
         _kv({"j": report.j, "j_weighted": report.j_weighted,
              "t0_term": report.t0_term, **detail}, "\n"),
-        _kv({"green_trace": green.trace,
+        _kv({"green_trace": np.trace(green),
              **{key: getattr(row, key) for key in ANALYZE_BOUND_COLUMNS
                 if getattr(row, key) is not None},
              "sandwich_variant": sandwich.variant,
@@ -543,7 +544,7 @@ def analyze_matrix(path, truncated: bool = False) -> int:
     if truncated:
         trunc = lq_cost_truncated(matrix)
         blocks.append(_kv({"truncated_j": trunc.j, "truncated_steps": trunc.steps_used,
-                           "truncated_rel_err": abs(trunc.j - report.j) / report.j},
+                           "truncated_rel_err": relative_error(trunc.j, report.j)},
                           "\n"))
     print("\n".join(blocks))
     return 0
@@ -611,8 +612,8 @@ def _suite_green_resistance_identity(rng):
     for _ in range(15):
         matrix = _random_reversible(rng, int(rng.integers(3, 13)))
         rbar_w = weighted_average_resistance(
-            effective_resistance(phi_map(matrix)), matrix.invariant)
-        target = green_matrix(matrix).trace / matrix.n
+            effective_resistance(phi_map(matrix)), matrix.invariant.pi)
+        target = np.trace(green_matrix(matrix)) / matrix.n
         yield 1e-8 - abs(rbar_w - target)
 
 
@@ -660,11 +661,10 @@ def _suite_support_oracle(rng):
         matrix = _random_consensus(rng, int(rng.integers(3, 11)), density=0.35)
         fuzz = reversiblization_support(matrix)
         numeric = (matrix.reversal @ matrix.entries) > SUPPORT_THRESHOLD
-        expected = {(u, v) for u in range(matrix.n) for v in range(u + 1, matrix.n)
-                    if numeric[u, v]}
-        yield 0.0 if fuzz.edges == frozenset(expected) else -1.0
-        witness_ok = all(matrix.support[w, u] and matrix.support[w, v]
-                         for (u, v), w in fuzz.pivots.items())
+        expected = np.argwhere(np.triu(numeric, 1))
+        yield 0.0 if np.array_equal(fuzz.edges, expected) else -1.0
+        (u, v), w = fuzz.edges.T, fuzz.pivots
+        witness_ok = (matrix.support[w, u] & matrix.support[w, v]).all()
         yield 0.0 if witness_ok else -1.0
 
 

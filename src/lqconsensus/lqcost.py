@@ -30,17 +30,6 @@ TRUNCATED_DELTA = 1e-5
 TRUNCATED_WINDOW = 10
 
 
-@dataclass(frozen=True, eq=False)
-class GreenMatrix:
-    """G(P) = sum_{t>=0} (P^t - 1 pi^T); annihilates 1 on the right and pi on the left."""
-
-    values: np.ndarray
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.values))
-
-
 @dataclass(frozen=True)
 class LqReport:
     """J and J_w with how they were computed, named by `method`.
@@ -63,8 +52,9 @@ class LqReport:
     spectral_gap: float | None = None
 
 
-def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
-    """G(P) computed from one dense inverse: (I - P + 1 pi^T)^{-1} - 1 pi^T.
+def green_matrix(P: ConsensusMatrix) -> np.ndarray:
+    """G(P) = sum_{t>=0} (P^t - 1 pi^T) as a read-only array, computed from
+    one dense inverse: (I - P + 1 pi^T)^{-1} - 1 pi^T.
 
     The identities G 1 = 0 and pi^T G = 0 are gated relative to max|G|:
     neither max-norm may exceed GREEN_IDENTITY_TOL * max|G|.
@@ -84,7 +74,7 @@ def green_matrix(P: ConsensusMatrix) -> GreenMatrix:
             f"Green matrix identities violated: |G 1| = {right}, |pi^T G| = {left}"
             f" exceed {GREEN_IDENTITY_TOL} * max|G| = {limit}")
     g.setflags(write=False)
-    return GreenMatrix(values=g)
+    return g
 
 
 def _solve_dual_stein(abar: np.ndarray):

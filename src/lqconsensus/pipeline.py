@@ -37,9 +37,9 @@ class ResultRow:
     (CSV_COLUMNS), and nothing run-dependent is among them, so reruns with
     the same master seed are byte-identical.
 
-    j_exact_rel_err is |J_trunc - J_exact| / J_exact, the relative error of
-    the truncated series against the exact cost, on geometric rows where that
-    cross-check ran; it is empty elsewhere.
+    j_exact_rel_err is |J_trunc - J_exact| / J_exact (`relative_error`), the
+    relative error of the truncated series against the exact cost, on
+    geometric rows where that cross-check ran; it is empty elsewhere.
 
     Construction is the gate.  Its inequalities are listed once, as (smaller
     field, larger field, bound name) in GATED and CERTIFIED_LOWER: the costs
@@ -111,6 +111,13 @@ class ResultRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
+
+
+def relative_error(estimate: float, exact: float) -> float:
+    """|estimate - exact| / exact, or 0.0 where they agree (both 0 on 1 node)."""
+    difference = abs(estimate - exact)
+    return difference / exact if difference else 0.0
+
 
 # The growth law g(N) of J on N nodes in dimension d, by name: the paper's
 # rates on Z_n^d, which j_normalized = J / g(N) and `growth_fit` use.
@@ -255,7 +262,7 @@ def evaluate(source, cross_check: bool = False, nodes: int | None = None,
             detail[key] = getattr(report, key)
     if cross_check:
         check = lq_cost_truncated(source)
-        labels["j_exact_rel_err"] = abs(check.j - report.j) / report.j
+        labels["j_exact_rel_err"] = relative_error(check.j, report.j)
         detail["truncated_steps"] = check.steps_used
     if nodes is not None:
         labels["j_normalized"] = report.j / _growth(labels["d"], nodes)

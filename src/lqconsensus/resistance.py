@@ -38,7 +38,6 @@ from .errors import (
 from .stochastic_core import (
     CLASSIFICATION_TOL,
     ConsensusMatrix,
-    InvariantMeasure,
     classify,
     reach,
     validate_consensus,
@@ -86,13 +85,6 @@ class ConductanceMatrix:
                     f"on a network whose spectrum passes the null-space rule")
         u.setflags(write=False)
         return u, trace
-
-
-@dataclass(frozen=True, eq=False)
-class ResistanceMatrix:
-    """All-pairs effective resistances; symmetric with zero diagonal."""
-
-    values: np.ndarray
 
 
 def conductance_matrix(entries) -> ConductanceMatrix:
@@ -159,8 +151,9 @@ def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     return w[~null]
 
 
-def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
-    """All-pairs effective resistance of the network, R_uv = H_uu + H_vv -
+def effective_resistance(C: ConductanceMatrix) -> np.ndarray:
+    """All-pairs effective resistance of the network as a read-only array,
+    symmetric with zero diagonal: R_uv = H_uu + H_vv -
     2 H_uv with H = U^{-1} U^{-T} = L(C)^+ + 11^T/n, formed by LAPACK
     `dlauum` from the network's cached factor (`_cholesky_inverse`, which
     applies the null-space rule): the product `dpotri` forms.  The resistance
@@ -175,7 +168,7 @@ def effective_resistance(C: ConductanceMatrix) -> ResistanceMatrix:
     r = r + r.T
     r[r < 0.0] = 0.0
     r.setflags(write=False)
-    return ResistanceMatrix(values=r)
+    return r
 
 
 def average_resistance(C: ConductanceMatrix) -> float:
@@ -186,13 +179,14 @@ def average_resistance(C: ConductanceMatrix) -> float:
     return (C._cholesky_inverse[1] - 1.0) / C.n
 
 
-def weighted_average_resistance(R: ResistanceMatrix, pi) -> float:
-    """R_bar_w = (1/2) * sum_{u,v} R_uv pi_u pi_v."""
-    p = pi.pi if isinstance(pi, InvariantMeasure) else np.asarray(pi, dtype=float)
-    if p.shape[0] != R.values.shape[0]:
+def weighted_average_resistance(R: np.ndarray, pi) -> float:
+    """R_bar_w = (1/2) * sum_{u,v} R_uv pi_u pi_v, for all-pairs resistances
+    R and a measure pi, both arrays."""
+    p = np.asarray(pi, dtype=float)
+    if p.shape[0] != R.shape[0]:
         raise DimensionMismatch(
-            f"pi has length {p.shape[0]}, resistance matrix is {R.values.shape[0]} nodes")
-    return float(0.5 * p @ R.values @ p)
+            f"pi has length {p.shape[0]}, resistance matrix is {R.shape[0]} nodes")
+    return float(0.5 * p @ R @ p)
 
 
 def phi_map(P: ConsensusMatrix, alpha: float | None = None) -> ConductanceMatrix:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -149,7 +150,9 @@ def validate_consensus(entries) -> ConsensusMatrix:
 
     Raises DimensionMismatch (empty or not square), NotStochastic,
     NegativeEntry, ZeroDiagonal or NotIrreducible, naming the offending row
-    or node.  Sign, diagonal and row sums are checked to VALIDATION_TOL.
+    or node.  Sign, diagonal and row sums are checked to VALIDATION_TOL.  An
+    accepted negative entry is stored as 0.0 and its row divided by its new
+    sum, so no later layer sees one; a nonnegative input keeps its bits.
     Irreducibility is checked on the support: an entry is a structural zero
     iff it is at most SUPPORT_THRESHOLD, the same rule for matrices built in
     memory and for matrices parsed from text.
@@ -161,7 +164,8 @@ def validate_consensus(entries) -> ConsensusMatrix:
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise NotStochastic(f"entry ({i}, {j}) is not finite")
-    if (a < -VALIDATION_TOL).any():
+    low = a.min()
+    if low < -VALIDATION_TOL:
         i, j = np.argwhere(a < -VALIDATION_TOL)[0]
         raise NegativeEntry(f"entry ({i}, {j}) = {a[i, j]} is negative")
     diag = np.diagonal(a)
@@ -173,6 +177,10 @@ def validate_consensus(entries) -> ConsensusMatrix:
     if (row_err > VALIDATION_TOL).any():
         i = int(np.argmax(row_err))
         raise NotStochastic(f"row {i} sums to {a[i].sum()}, off by {row_err[i]}")
+    if low < 0.0:
+        touched = (a < 0.0).any(axis=1)
+        kept = a[touched].clip(0.0)
+        a[touched] = kept / kept.sum(axis=1, keepdims=True)
     a.setflags(write=False)
     matrix = ConsensusMatrix(n=n, entries=a)
     component = strong_component(matrix.support)
@@ -328,7 +336,10 @@ def load_matrix_csv(path) -> ConsensusMatrix:
     """Parse a CSV matrix and validate it as a consensus matrix.
 
     The rules are those of `validate_consensus`, so a matrix gets the same
-    verdict whether it is built in memory or read back from its file.
+    verdict whether it is built in memory or read back from its file.  A
+    file with no data line (blank or only `#` comments) is DimensionMismatch.
     """
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return validate_consensus(a)
+    lines = Path(path).read_text().splitlines()
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise DimensionMismatch(f"{path} holds no matrix rows")
+    return validate_consensus(np.loadtxt(lines, delimiter=",", ndmin=2))

@@ -102,7 +102,7 @@ def test_criterion_03_green_resistance_identity(record_property, rng):
         P = psi_map(random_conductance(rng, int(rng.integers(3, 13))))
         r_bar_w = weighted_average_resistance(
             effective_resistance(phi_map(P)), P.invariant.pi)
-        assert abs(r_bar_w - green_matrix(P).trace / P.n) <= 1e-8
+        assert abs(r_bar_w - np.trace(green_matrix(P)) / P.n) <= 1e-8
     budget(record_property, t0, 10.0)
 
 
@@ -260,10 +260,9 @@ def test_criterion_11_support_and_truncation(record_property, rng):
         P = random_consensus(rng, int(rng.integers(3, 13)))
         fuzz = reversiblization_support(P)
         product = multiplicative_reversiblization(P).entries
-        numeric = frozenset(
-            (u, v) for u in range(P.n) for v in range(u + 1, P.n)
-            if product[u, v] > 1e-14)
-        assert fuzz.edges == numeric
+        numeric = [(u, v) for u in range(P.n) for v in range(u + 1, P.n)
+                   if product[u, v] > 1e-14]
+        np.testing.assert_array_equal(fuzz.edges, np.reshape(numeric, (-1, 2)))
         exact = lq_cost_exact(P).j
         truncated = lq_cost_truncated(P).j
         assert abs(truncated - exact) <= 1e-5 * exact

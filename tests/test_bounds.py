@@ -42,8 +42,8 @@ from helpers import (
 def fuzz_adjacency(P):
     """Dense undirected adjacency of the combinatorial support of P*P."""
     adj = np.zeros((P.n, P.n), dtype=bool)
-    for u, v in reversiblization_support(P).edges:
-        adj[u, v] = adj[v, u] = True
+    u, v = reversiblization_support(P).edges.T
+    adj[u, v] = adj[v, u] = True
     return adj
 
 
@@ -250,25 +250,28 @@ class TestReversiblizationSupport:
             fuzz = reversiblization_support(P)
             star = P.invariant.pi[:, None] * P.entries
             numeric = P.entries.T @ star
-            numeric_edges = {
+            numeric_edges = [
                 (u, v)
                 for u in range(P.n) for v in range(u + 1, P.n)
                 if numeric[u, v] > 1e-14
-            }
-            assert set(fuzz.edges) == numeric_edges
+            ]
+            np.testing.assert_array_equal(fuzz.edges,
+                                          np.reshape(numeric_edges, (-1, 2)))
 
     def test_every_base_edge_survives(self, rng):
         P = random_consensus(rng, 8, density=0.3)
         und = P.graphs.undirected
-        base = {(u, v) for u in range(8) for v in range(u + 1, 8) if und[u, v]}
         fuzz = reversiblization_support(P)
-        assert base <= set(fuzz.edges)
-        assert set(fuzz.new_edges) == set(fuzz.edges) - base
+        u, v = fuzz.edges.T
+        kept = und[u, v]
+        np.testing.assert_array_equal(fuzz.edges[kept], np.argwhere(np.triu(und, 1)))
+        np.testing.assert_array_equal(fuzz.new_edges, fuzz.edges[~kept])
 
     def test_pivots_are_smallest_witnesses(self, rng):
         P = random_consensus(rng, 7, density=0.4)
         s = P.support
-        for (u, v), w in reversiblization_support(P).pivots.items():
+        fuzz = reversiblization_support(P)
+        for (u, v), w in zip(fuzz.edges.tolist(), fuzz.pivots.tolist()):
             assert s[w, u] and s[w, v]
             for smaller in range(w):
                 assert not (s[smaller, u] and s[smaller, v])
@@ -278,12 +281,13 @@ class TestReversiblizationSupport:
         for _ in range(10):
             P = random_symmetric_support(rng, int(rng.integers(4, 9)))
             two_step = np.linalg.matrix_power(P.entries, 2)
-            expected = {
+            expected = [
                 (u, v)
                 for u in range(P.n) for v in range(u + 1, P.n)
                 if two_step[u, v] > 1e-14 or two_step[v, u] > 1e-14
-            }
-            assert set(reversiblization_support(P).edges) == expected
+            ]
+            np.testing.assert_array_equal(reversiblization_support(P).edges,
+                                          np.reshape(expected, (-1, 2)))
 
     @staticmethod
     def whole_search(P):
@@ -294,9 +298,13 @@ class TestReversiblizationSupport:
         u, v = np.nonzero(np.triu(indicator.T @ indicator > 0, 1))
         pivots = np.argmax(s[:, u] & s[:, v], axis=0)
         new = ~(s | s.T)[u, v]
-        edges = list(zip(u.tolist(), v.tolist()))
-        return (frozenset(edges), dict(zip(edges, pivots.tolist())),
-                frozenset(zip(u[new].tolist(), v[new].tolist())))
+        return (np.column_stack([u, v]), pivots,
+                np.column_stack([u[new], v[new]]))
+
+    def assert_whole_search(self, P, fuzz):
+        for got, want in zip((fuzz.edges, fuzz.pivots, fuzz.new_edges),
+                             self.whole_search(P)):
+            np.testing.assert_array_equal(got, want)
 
     def test_chunks_match_the_whole_search(self, rng, monkeypatch):
         monkeypatch.setattr(bounds, "PIVOT_CHUNK", 7)
@@ -305,19 +313,29 @@ class TestReversiblizationSupport:
                                  density=float(rng.uniform(0.1, 0.6)))
             fuzz = reversiblization_support(P)
             assert len(fuzz.edges) > 2 * bounds.PIVOT_CHUNK
-            assert (fuzz.edges, fuzz.pivots, fuzz.new_edges) == self.whole_search(P)
+            self.assert_whole_search(P, fuzz)
 
     def test_dense_support_matches_the_whole_search(self, rng):
         P = random_consensus(rng, 400, density=0.9)
         fuzz = reversiblization_support(P)
         assert len(fuzz.edges) > 10 * bounds.PIVOT_CHUNK
-        assert (fuzz.edges, fuzz.pivots, fuzz.new_edges) == self.whole_search(P)
+        self.assert_whole_search(P, fuzz)
 
     def test_epsilon_chain_support(self):
         fuzz = reversiblization_support(p_epsilon(0.25))
-        assert set(fuzz.edges) == {(0, 1), (0, 2), (1, 2)}
-        assert fuzz.pivots == {(0, 1): 0, (0, 2): 2, (1, 2): 1}
-        assert not fuzz.new_edges
+        assert fuzz.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert fuzz.pivots.tolist() == [0, 2, 1]
+        assert fuzz.new_edges.shape == (0, 2)
+
+    def test_fields_are_read_only_index_arrays(self, rng):
+        fuzz = reversiblization_support(random_consensus(rng, 9, density=0.3))
+        m, k = len(fuzz.edges), len(fuzz.new_edges)
+        assert (fuzz.edges.shape, fuzz.pivots.shape, fuzz.new_edges.shape) == (
+            (m, 2), (m,), (k, 2))
+        for array in (fuzz.edges, fuzz.pivots, fuzz.new_edges):
+            assert array.dtype.kind == "i"
+            assert not array.flags.writeable
+        assert (fuzz.edges[:, 0] < fuzz.edges[:, 1]).all()
 
 
 class TestResistanceSandwich:

@@ -288,6 +288,15 @@ class TestEvaluate:
         assert line.endswith(" " + experiments_cli._kv(detail))
         assert list(detail)[0] == "method"
 
+    def test_one_node_cross_check(self):
+        # J = 0 on the 1-node matrix, and the truncated series agrees; the
+        # relative error used to divide by that 0.
+        row, report, detail = evaluate(validate_consensus([[1.0]]), cross_check=True,
+                                       experiment="one", n=1, instance=0)
+        assert report.j == 0.0
+        assert row.j_exact_rel_err == 0.0
+        assert "truncated_steps" in detail
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -352,6 +361,16 @@ class TestBuildConfig:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             build_config("epsilon-sweep", config_file=tmp_path / "absent.cfg")
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("seed=1 # r\xe9sum\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            build_config("validate", config_file=cfg)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read config file {cfg}")
+        assert captured.out == ""
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -1004,13 +1023,13 @@ class TestAnalyze:
         # One Cholesky factor each for C_{P*P}, G(P) (shared by the topology
         # theorem, the normal corollary and the sandwich) and G(P*P);
         # all-pairs resistances of G(P) and G(P*P) for the sandwich only; one
-        # G(P*P) support search, whose edge arrays the sandwich reads and
-        # whose FuzzSupport the fuzz_* lines read.
+        # G(P*P) support search, inside the sandwich, whose FuzzSupport the
+        # fuzz_* lines read.
         path = tmp_path / "torus.csv"
         save_matrix_csv(cayley_case1(4, 2, seed=1)[1], path)
         factorizations = count_factorizations(monkeypatch)
         resistances = count_calls(monkeypatch, effective_resistance)
-        supports = count_calls(monkeypatch, bounds._reversiblization_edges)
+        supports = count_calls(monkeypatch, bounds.reversiblization_support)
         assert main(["analyze", str(path)]) == 0
         kv = self.kv(capsys)
         assert kv["normal"] == "true"
@@ -1100,6 +1119,24 @@ class TestAnalyze:
         assert kv["n"] == "1"
         assert kv["fuzz_edges"] == "0"
         assert kv["fuzz_new_edges"] == "0"
+
+    def test_one_node_truncated_block(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("1\n")
+        assert main(["analyze", str(path), "--truncated"]) == 0
+        kv = self.kv(capsys)
+        assert (kv["j"], kv["truncated_j"]) == ("0", "0")
+        assert kv["truncated_rel_err"] == "0"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# no rows\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_file_without_rows_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} holds no matrix rows\n"
+        assert captured.out == ""
 
     def test_non_stochastic_file_fails_with_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

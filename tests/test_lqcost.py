@@ -67,14 +67,19 @@ def lyapunov_cost(P):
 class TestGreenMatrix:
     def test_uniform_closed_form(self):
         g = green_matrix(uniform(3))
-        np.testing.assert_allclose(g.values, np.eye(3) - np.full((3, 3), 1 / 3),
+        np.testing.assert_allclose(g, np.eye(3) - np.full((3, 3), 1 / 3),
                                    atol=1e-12)
-        assert g.trace == pytest.approx(2.0, abs=1e-12)
+        assert np.trace(g) == pytest.approx(2.0, abs=1e-12)
+
+    def test_result_is_a_read_only_array(self):
+        g = green_matrix(uniform(4))
+        assert type(g) is np.ndarray and g.shape == (4, 4)
+        assert not g.flags.writeable
 
     def test_annihilation_identities(self, rng):
         for _ in range(15):
             P = random_consensus(rng, int(rng.integers(3, 12)))
-            g = green_matrix(P).values
+            g = green_matrix(P)
             assert np.abs(g.sum(axis=1)).max() <= 1e-9
             assert np.abs(P.invariant.pi @ g).max() <= 1e-9
 
@@ -87,7 +92,7 @@ class TestGreenMatrix:
         for _ in range(20_000):
             total += power - target
             power = power @ P.entries
-        assert np.abs(green_matrix(P).values - total).max() <= 1e-8
+        assert np.abs(green_matrix(P) - total).max() <= 1e-8
 
     @pytest.mark.parametrize("make", [lambda: uniform(3),
                                       lambda: two_cliques(40, 1e-6)])
@@ -95,7 +100,7 @@ class TestGreenMatrix:
         # The gate is relative to max|G|, so a shift of 1e-6 max|G| must
         # still be refused on a matrix whose G is large.
         P = make()
-        shift = 1e-6 * np.abs(green_matrix(P).values).max()
+        shift = 1e-6 * np.abs(green_matrix(P)).max()
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) + shift)
         with pytest.raises(SolveFailure, match="Green matrix identities"):

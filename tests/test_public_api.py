@@ -1,6 +1,8 @@
 import ast
+import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +14,12 @@ from lqconsensus import experiments_cli
 PUBLIC_NAMES = [
     "BoundsReport", "CayleyGenerator", "ConductanceMatrix", "ConfigError",
     "ConsensusMatrix", "DimensionMismatch", "Disconnected", "FuzzSupport",
-    "GeometricInstance", "GeometricParams", "GreenMatrix",
+    "GeometricInstance", "GeometricParams",
     "InfeasibleDensity", "InvalidGenerator", "InvalidWeights",
     "InvariantMeasure", "LqConsensusError", "LqReport", "MatrixClass",
     "NegativeEntry", "NotIrreducible", "NotNormal", "NotReversible",
     "NotStochastic", "NotSymmetric", "OutOfRange", "RejectionExhausted",
-    "ResistanceMatrix", "ResultRow", "SandwichMargins", "SolveFailure",
+    "ResultRow", "SandwichMargins", "SolveFailure",
     "SteinDivergence", "SupportGraphs", "ZeroDiagonal",
     "average_resistance", "case1_range", "cayley_case1",
     "cayley_case1_generator", "cayley_case2", "cayley_case2_generator",
@@ -196,3 +198,22 @@ def test_no_unused_imports():
                    if p.name != "__init__.py")
     assert len(files) > 10
     assert [entry for path in files for entry in _unused_imports(path, root)] == []
+
+
+# A constant that README quotes with its value: `NAME` (value, or `NAME`
+# word (value, the value in digits, thousands separated by commas.
+README_CONSTANT = re.compile(
+    r"`([A-Z][A-Z0-9_]+)`(?: [a-z]+)?\s+\((\d+(?:,\d{3})*(?:\.\d+)?(?:e[-+]?\d+)?)(?=[\s,)])")
+
+
+def test_readme_constants_match_the_code():
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    quoted = README_CONSTANT.findall(text)
+    # Every constant README names in backticks is quoted with its value.
+    assert {name for name, _ in quoted} == set(re.findall(r"`([A-Z][A-Z0-9_]{3,})`", text))
+    modules = [importlib.import_module(f"lqconsensus.{path.stem}")
+               for path in sorted((root / "src" / "lqconsensus").glob("*.py"))]
+    for name, value in quoted:
+        found = {vars(module)[name] for module in modules if name in vars(module)}
+        assert found == {float(value.replace(",", ""))}, name

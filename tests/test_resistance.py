@@ -169,7 +169,7 @@ class TestEffectiveResistance:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_two_node_reciprocal(self, c):
         R = effective_resistance(conductance_matrix([[0.0, c], [c, 0.0]]))
-        assert R.values[0, 1] == pytest.approx(1.0 / c, abs=1e-12)
+        assert R[0, 1] == pytest.approx(1.0 / c, abs=1e-12)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_cycle_closed_form(self, n):
@@ -177,24 +177,29 @@ class TestEffectiveResistance:
         for u in range(n):
             for v in range(n):
                 k = min((u - v) % n, (v - u) % n)
-                assert R.values[u, v] == pytest.approx(k * (n - k) / n, abs=1e-10)
+                assert R[u, v] == pytest.approx(k * (n - k) / n, abs=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_complete_graph_closed_form(self, n):
         R = effective_resistance(complete_conductance(n))
-        off = R.values[~np.eye(n, dtype=bool)]
+        off = R[~np.eye(n, dtype=bool)]
         np.testing.assert_allclose(off, 2.0 / n, atol=1e-10)
+
+    def test_result_is_a_read_only_array(self):
+        R = effective_resistance(complete_conductance(4))
+        assert type(R) is np.ndarray and R.shape == (4, 4)
+        assert not R.flags.writeable
 
     def test_methods_agree(self, rng):
         for _ in range(20):
             c = random_conductance(rng, int(rng.integers(3, 12)))
-            r1 = effective_resistance(c).values
+            r1 = effective_resistance(c)
             r2 = grounded_resistance(c)
             assert np.abs(r1 - r2).max() <= 1e-9
 
     def test_metric_properties(self, rng):
         c = random_conductance(rng, 8)
-        r = effective_resistance(c).values
+        r = effective_resistance(c)
         np.testing.assert_array_equal(r, r.T)
         assert r.diagonal().max() == 0.0
         assert r.min() >= 0.0
@@ -207,20 +212,20 @@ class TestEffectiveResistance:
             c = random_conductance(rng, n)
             bump = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.4), 1)
             stronger = conductance_matrix(c.entries + bump + bump.T)
-            r_before = effective_resistance(c).values
-            r_after = effective_resistance(stronger).values
+            r_before = effective_resistance(c)
+            r_after = effective_resistance(stronger)
             assert (r_after <= r_before + 1e-9).all()
 
     def test_self_loops_do_not_change_resistance(self, rng):
         base = random_conductance(rng, 5)
         shifted = conductance_matrix(base.entries + np.diag(rng.random(5)))
-        np.testing.assert_allclose(effective_resistance(shifted).values,
-                                   effective_resistance(base).values, atol=1e-10)
+        np.testing.assert_allclose(effective_resistance(shifted),
+                                   effective_resistance(base), atol=1e-10)
 
 
 def all_pairs_mean(C):
     """R_bar = (1/2n^2) sum_{u,v} R_uv, from all-pairs resistance."""
-    return effective_resistance(C).values.sum() / (2.0 * C.n * C.n)
+    return effective_resistance(C).sum() / (2.0 * C.n * C.n)
 
 
 class TestAverageResistance:
@@ -273,7 +278,7 @@ class TestAverageResistance:
     def test_one_node_network_has_zero_average(self):
         C = conductance_matrix([[0.0]])
         assert average_resistance(C) == 0.0
-        assert effective_resistance(C).values.tolist() == [[0.0]]
+        assert effective_resistance(C).tolist() == [[0.0]]
 
 
 def chord_network(n, density, spread, seed):
@@ -320,7 +325,7 @@ for n in (3, 64, 300, 1000):
     r = np.triu(d[:, None] + d[None, :] - 2.0 * h, 1)
     r = r + r.T
     r[r < 0.0] = 0.0
-    if r.tobytes() != effective_resistance(C).values.tobytes():
+    if r.tobytes() != effective_resistance(C).tobytes():
         differ.append(n)
 print(differ)
 """
@@ -337,13 +342,13 @@ class TestCholeskyRoute:
         # On 400 seeded draws of this generator the largest disagreement was
         # 4.8e-14 entry by entry and 3.0e-14 in R_bar.
         C = chord_network(n, density, spread, seed)
-        np.testing.assert_allclose(effective_resistance(C).values,
+        np.testing.assert_allclose(effective_resistance(C),
                                    spectral_resistance(C), rtol=1e-12, atol=0)
         assert average_resistance(C) == pytest.approx(spectral_rbar(C), rel=1e-12)
 
     def test_matches_spectral_oracles_on_the_300_node_workload_graph(self):
         for C in networks(workload_matrix()):
-            np.testing.assert_allclose(effective_resistance(C).values,
+            np.testing.assert_allclose(effective_resistance(C),
                                        spectral_resistance(C), rtol=1e-12, atol=0)
             assert average_resistance(C) == pytest.approx(spectral_rbar(C), rel=1e-12)
 
@@ -406,7 +411,7 @@ class TestCholeskyRoute:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(1) or eigvalsh(a))
-        np.testing.assert_allclose(effective_resistance(C).values, exact,
+        np.testing.assert_allclose(effective_resistance(C), exact,
                                    rtol=1e-6, atol=0)
         assert average_resistance(C) == pytest.approx(exact.sum() / (2 * C.n ** 2),
                                                       rel=1e-6)
@@ -439,7 +444,7 @@ class TestCholeskyRoute:
         for P in matrices:
             for C in networks(P):
                 assert average_resistance(C) > 0.0
-                assert effective_resistance(C).values.max() > 0.0
+                assert effective_resistance(C).max() > 0.0
             resistance_sandwich_check(P)
 
 
@@ -462,7 +467,7 @@ class TestAverages:
     def test_weighted_average_accepts_invariant_measure(self):
         P = validate_consensus(np.full((4, 4), 0.25))
         R = effective_resistance(complete_conductance(4))
-        got = weighted_average_resistance(R, P.invariant)
+        got = weighted_average_resistance(R, P.invariant.pi)
         assert got == pytest.approx(average_resistance(complete_conductance(4)),
                                     abs=1e-12)
 
@@ -479,7 +484,7 @@ class TestAverages:
             c = random_conductance(rng, n, with_diagonal=True)
             pi = psi_map(c).invariant
             rbar = average_resistance(c)
-            rbar_w = weighted_average_resistance(effective_resistance(c), pi)
+            rbar_w = weighted_average_resistance(effective_resistance(c), pi.pi)
             assert n * n * pi.pi_min**2 * rbar <= rbar_w + 1e-12
             assert rbar_w <= n * n * pi.pi_max**2 * rbar + 1e-12
 

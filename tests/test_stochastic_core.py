@@ -21,9 +21,12 @@ from lqconsensus import (
     cayley_matrix,
     classify,
     commuting_example,
+    evaluate,
+    green_matrix,
     load_matrix_csv,
     multiplicative_reversiblization,
     p_epsilon,
+    resistance_sandwich_check,
     save_matrix_csv,
     validate_consensus,
 )
@@ -97,6 +100,50 @@ class TestValidateConsensus:
         # a directed cycle with self loops passes
         P = circle_matrix(5, 0.4, 0.0)
         assert P.n == 5
+
+
+def tiny_negative_entries(rng, n):
+    """A random consensus matrix with one off-support entry set to
+    -10^U(-13, -9.1) and its row's diagonal raised to compensate: a negative
+    entry that validation accepts, since it is above -VALIDATION_TOL."""
+    while True:
+        P = random_consensus(rng, n, density=0.4)
+        off = np.argwhere(~P.support)
+        if len(off):
+            break
+    a = P.entries.copy()
+    i, j = off[rng.integers(len(off))]
+    x = 10.0 ** rng.uniform(-13, -9.1)
+    a[i, j] = -x
+    a[i, i] += x
+    return a
+
+
+class TestTinyNegativeEntries:
+    def test_stored_as_zero_and_row_renormalized(self):
+        a = np.full((3, 3), 1.0 / 3)
+        a[1] = [-1e-10, 0.5 + 1e-10, 0.5]
+        P = validate_consensus(a)
+        assert P.entries[1, 0] == 0.0
+        assert P.entries[1].sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(P.entries[1], a[1].clip(0.0) / a[1].clip(0.0).sum())
+        assert P.entries[[0, 2]].tobytes() == a[[0, 2]].tobytes()
+
+    def test_nonnegative_input_keeps_its_bits(self, rng):
+        a = random_consensus(rng, 7, density=0.4).entries.copy()
+        a[a == 0.0] = -0.0
+        assert validate_consensus(a).entries.tobytes() == a.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+    def test_later_layers_accept_what_validation_accepts(self, n, seed):
+        # C_{P*P} of the stored negative entry held conductances below
+        # -SYMMETRY_TOL, so evaluate refused the matrix with NegativeEntry.
+        P = validate_consensus(tiny_negative_entries(np.random.default_rng(seed), n))
+        assert P.entries.min() >= 0.0
+        evaluate(P, experiment="tiny_negative", n=n, instance=0)
+        resistance_sandwich_check(P)
+        green_matrix(P)
 
 
 class TestInvariantMeasure:
@@ -390,6 +437,15 @@ class TestMatrixFiles:
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.5\n0.5,0.6\n")
         with pytest.raises(NotStochastic, match="row 1"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \t\n", "# a comment\n\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_load_rejects_a_file_without_rows(self, tmp_path, text):
+        # numpy's loadtxt warns on such a file; the warning must not escape.
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(DimensionMismatch, match="no matrix rows"):
             load_matrix_csv(path)
 
     def test_load_rejects_reducible(self, tmp_path):
