@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormal
+from .errors import NotNormal, OutOfRange
 from .lqcost import lq_cost_exact
 from .resistance import (
     average_resistance,
@@ -70,7 +70,10 @@ class FuzzSupport:
 
 
 def f_delta(delta: int) -> float:
-    """The in-degree factor f(delta) = 4 delta^2 + 2 delta - 2."""
+    """The in-degree factor f(delta) = 4 delta^2 + 2 delta - 2, stated for
+    delta >= 1 (only one node has delta_in = 0); raises OutOfRange below."""
+    if delta < 1:
+        raise OutOfRange(f"f(delta) is stated for delta >= 1, got {delta}")
     return float(4 * delta * delta + 2 * delta - 2)
 
 
@@ -106,15 +109,15 @@ def topology_theorem(n: int, pi_min: float, pi_max: float, p_min: float,
     unit conductances and f = f_delta(delta_in):
     J <= pi_max^3 n R_bar / (p_min^2 pi_min^2) and
     J_w <= pi_max^3 n^2 R_bar / (p_min^2 pi_min); the lower bounds swap the
-    extremes and divide by f."""
+    extremes and divide by f, or are 0.0 at delta_in = 0, where R_bar = 0."""
     lo, hi = pi_min, pi_max
-    f_in = f_delta(delta_in)
+    f_in = f_delta(delta_in) if delta_in else None
     return BoundsReport(
         theorem="topology",
         j_upper=hi ** 3 * n / (p_min ** 2 * lo ** 2) * r_bar,
-        j_lower=lo ** 3 * n / (p_max ** 2 * f_in * hi ** 2) * r_bar,
+        j_lower=lo ** 3 * n / (p_max ** 2 * f_in * hi ** 2) * r_bar if f_in else 0.0,
         jw_upper=hi ** 3 * n * n / (p_min ** 2 * lo) * r_bar,
-        jw_lower=lo ** 3 * n * n / (p_max ** 2 * f_in * hi) * r_bar,
+        jw_lower=lo ** 3 * n * n / (p_max ** 2 * f_in * hi) * r_bar if f_in else 0.0,
         lower_applicable=lower_applicable,
         constants={
             "n": n, "pi_min": lo, "pi_max": hi, "p_min": p_min, "p_max": p_max,
@@ -127,12 +130,13 @@ def topology_theorem(n: int, pi_min: float, pi_max: float, p_min: float,
 def normal_corollary(n: int, p_min: float, p_max: float, delta_in: int,
                      r_bar: float) -> BoundsReport:
     """The normal-matrix corollary from its constants, R_bar = R_bar(G(P)):
-    R_bar / (p_max^2 f(delta_in)) <= J <= R_bar / p_min^2."""
-    f_in = f_delta(delta_in)
+    R_bar / (p_max^2 f(delta_in)) <= J <= R_bar / p_min^2, with the lower
+    bound 0.0 at delta_in = 0, where R_bar = 0."""
+    f_in = f_delta(delta_in) if delta_in else None
     return BoundsReport(
         theorem="normal",
         j_upper=r_bar / p_min ** 2,
-        j_lower=r_bar / (p_max ** 2 * f_in),
+        j_lower=r_bar / (p_max ** 2 * f_in) if f_in else 0.0,
         jw_upper=None,
         jw_lower=None,
         lower_applicable=True,
@@ -243,7 +247,8 @@ def resistance_sandwich_check(P: ConsensusMatrix) -> SandwichMargins:
     else:
         delta, variant = graphs.delta_out, "out"
     upper = r_base - r_fuzz
-    lower = r_fuzz - r_base / (4.0 * delta - 2.0)
+    # delta = 0 only on one node, where every resistance is 0.
+    lower = r_fuzz - r_base / (4.0 * delta - 2.0) if delta else r_fuzz
     return SandwichMargins(
         min_upper_margin=float(upper.min()),
         min_lower_margin=float(lower.min()),

@@ -45,8 +45,7 @@ from .graph_gen import (
     sample_geometric,
 )
 from .lqcost import green_matrix, lq_cost_exact, lq_cost_truncated, trace_pair
-from .pipeline import (CSV_COLUMNS, ResultRow, evaluate, growth_fit,
-                       relative_error, torus_fields)
+from .pipeline import CSV_COLUMNS, ResultRow, evaluate, growth_fit, torus_fields
 from .resistance import effective_resistance, phi_map, weighted_average_resistance
 from .stochastic_core import (
     CLASSIFICATION_TOL,
@@ -65,11 +64,6 @@ GEOMETRIC_N_DEFAULT = {
 # Geometric instances of at most this many nodes also run the truncated
 # series as a cross-check of the exact cost.
 EXACT_CHECK_MAX_N = 200
-# The bound columns in the order `analyze` prints them; a row has the norm_*
-# pair only for a normal matrix.
-ANALYZE_BOUND_COLUMNS = (
-    *(name for name in CSV_COLUMNS if name.startswith(("res_", "topo_"))),
-    "lower_applicable", "norm_j_upper", "norm_j_lower")
 
 
 def _fmt(value) -> str:
@@ -282,17 +276,23 @@ def _emit_svg(path, curves, xlabel: str, ylabel: str, logx=False, logy=False):
         fh.write("\n".join(out) + "\n")
 
 
-def _size_means(stem: str, x, per_size, family: str, label: str, logy: bool):
+def _size_means(stem: str, rows, dim: int, family: str, label: str, logy: bool):
     """Per-size means of one sweep as its `_write_sweep` figure: the columns
-    nodes (x), mean_j, mean_j_normalized, mean_<family>_j_upper and
+    nodes, mean_j, mean_j_normalized, mean_<family>_j_upper and
     mean_<family>_j_lower, charted as mean J against the two bounds.
-    `per_size` holds the rows at each x; with none the table has no rows.
+    The rows are grouped by n in order, at nodes = n ** dim (dim = d for a
+    torus side, 1 for a node count); with no rows the table has none.
     """
-    def mean(field):
-        return [float(np.mean([getattr(r, field) for r in rows])) for rows in per_size]
+    per_size = {}
+    for row in rows:
+        per_size.setdefault(row.n, []).append(row)
 
-    columns = {"nodes": np.array(x, dtype=float), "mean_j": mean("j"),
-               "mean_j_normalized": mean("j_normalized")}
+    def mean(field):
+        return [float(np.mean([getattr(r, field) for r in group]))
+                for group in per_size.values()]
+
+    columns = {"nodes": np.array([n ** dim for n in per_size], dtype=float),
+               "mean_j": mean("j"), "mean_j_normalized": mean("j_normalized")}
     curves = [("mean J", "mean_j")]
     for side in ("upper", "lower"):
         columns[f"mean_{family}_j_{side}"] = mean(f"{family}_j_{side}")
@@ -404,8 +404,6 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     case, d, seed = config["case"], config["d"], config["seed"]
     if case not in (1, 2):
         raise ConfigError(f"case={case} must be 1 or 2")
-    if case == 1 and d not in (2, 3):
-        raise ConfigError("case 1 sampling is defined for d in {2, 3}")
     if d not in CAYLEY_N_DEFAULT:
         raise ConfigError(f"d={d} must be 1, 2 or 3")
     if case == 2 and (config["p_min"] is not None or config["p_max"] is not None):
@@ -422,9 +420,8 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
         p_min, p_max = case1_range(d, config["p_min"], config["p_max"])
         settings.update(p_min=_fmt(p_min), p_max=_fmt(p_max))
     start = time.perf_counter()
-    rows, details, per_size = [], [], []
+    rows, details = [], []
     for n in n_list:
-        per_n = []
         for i in range(instances):
             if case == 1:
                 gen = cayley_case1_generator(d, p_min, p_max,
@@ -435,16 +432,13 @@ def run_cayley_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
                                       experiment="cayley", n=n, d=d, case=case,
                                       instance=i)
             rows.append(row)
-            per_n.append(row)
             details.append(_kv({"n": n, "instance": i, **detail}))
-        per_size.append(per_n)
-    nodes = [n ** d for n in n_list]
-    figure = _size_means(f"cayley_case{case}_d{d}", nodes, per_size, "norm",
-                         "corollary", logy=False)
+    figure = _size_means(f"cayley_case{case}_d{d}", rows, d, "norm", "corollary",
+                         logy=False)
     mean_j, normalized = figure[1]["mean_j"], figure[1]["mean_j_normalized"]
     summary = [f"normalized_j_max_over_min={_fmt(max(normalized) / min(normalized))}"]
     if len(n_list) >= 3:
-        summary.append(_kv(growth_fit(d, nodes, mean_j), "\n"))
+        summary.append(_kv(growth_fit(d, figure[1]["nodes"], mean_j), "\n"))
     summary += [
         f"n={n} nodes={n ** d} mean_j={_fmt(j)} mean_j_normalized={_fmt(jn)}"
         for n, j, jn in zip(n_list, mean_j, normalized)
@@ -473,10 +467,9 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
     params = GeometricParams(**{
         f.name: config[f.name] for f in dataclasses.fields(GeometricParams)})
     start = time.perf_counter()
-    rows, details, sizes, per_size = [], [], [], []
+    rows, details = [], []
     skipped = 0
     for n in n_list:
-        per_n = []
         for i in range(instances):
             try:
                 inst = sample_geometric(params, n, d, seed=[seed, d, n, i],
@@ -490,19 +483,12 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
                 inst.matrix, cross_check=n <= EXACT_CHECK_MAX_N, nodes=n,
                 experiment="geometric", n=n, d=d, instance=i)
             rows.append(row)
-            per_n.append(row)
-            counts = {key: value for key, value in inst.audit.items()
-                      if key != "seed"}
-            details.append(_kv({"n": n, "instance": i, **counts, **inst.measured,
+            details.append(_kv({"n": n, "instance": i, **inst.audit, **inst.measured,
                                 **detail}))
             # The matrix caches several n x n arrays; without this they
             # would stay alive through the next instance's sampling.
             del inst
-        if per_n:
-            sizes.append(n)
-            per_size.append(per_n)
-    figure = _size_means(f"geometric_d{d}", sizes, per_size, "topo", "topology",
-                         logy=True)
+    figure = _size_means(f"geometric_d{d}", rows, 1, "topo", "topology", logy=True)
     settings = {"d": d, "n_list": ",".join(map(str, n_list)), "instances": instances}
     return _write_sweep(out_dir, "geometric", seed, settings, rows, details, start,
                         figure=figure, svg=svg, skipped=skipped)
@@ -510,7 +496,9 @@ def run_geometric_sweep(config: dict, out_dir: Path, svg: bool = False) -> int:
 
 def analyze_matrix(path, truncated: bool = False) -> int:
     """Validate and fully characterize one consensus matrix file; the report
-    prints the fixed CLASSIFICATION_TOL as classification_tol."""
+    prints the fixed CLASSIFICATION_TOL as classification_tol, then what
+    `evaluate` returns (with `truncated`, its cross-check): the detail, and
+    the row's populated columns from j_exact_rel_err on, in CSV order."""
     try:
         matrix = load_matrix_csv(path)
     except OSError as exc:
@@ -520,8 +508,8 @@ def analyze_matrix(path, truncated: bool = False) -> int:
     cls = classify(matrix)
     inv = matrix.invariant
     # The sweep rows' gate: J and J_w outside a printed certified bound raise.
-    row, report, detail = evaluate(matrix, experiment="analyze", n=matrix.n,
-                                   instance=0)
+    row, report, detail = evaluate(matrix, cross_check=truncated,
+                                   experiment="analyze", n=matrix.n, instance=0)
     green = green_matrix(matrix)
     sandwich = resistance_sandwich_check(matrix)
     blocks = [
@@ -533,7 +521,8 @@ def analyze_matrix(path, truncated: bool = False) -> int:
         _kv({"j": report.j, "j_weighted": report.j_weighted,
              "t0_term": report.t0_term, **detail}, "\n"),
         _kv({"green_trace": np.trace(green),
-             **{key: getattr(row, key) for key in ANALYZE_BOUND_COLUMNS
+             **{key: getattr(row, key)
+                for key in CSV_COLUMNS[CSV_COLUMNS.index("j_exact_rel_err"):]
                 if getattr(row, key) is not None},
              "sandwich_variant": sandwich.variant,
              "sandwich_min_upper_margin": sandwich.min_upper_margin,
@@ -541,11 +530,6 @@ def analyze_matrix(path, truncated: bool = False) -> int:
              "fuzz_edges": len(sandwich.support.edges),
              "fuzz_new_edges": len(sandwich.support.new_edges)}, "\n"),
     ]
-    if truncated:
-        trunc = lq_cost_truncated(matrix)
-        blocks.append(_kv({"truncated_j": trunc.j, "truncated_steps": trunc.steps_used,
-                           "truncated_rel_err": relative_error(trunc.j, report.j)},
-                          "\n"))
     print("\n".join(blocks))
     return 0
 
@@ -754,6 +738,11 @@ def run_validation_suite(config: dict, inject_fault: bool = False) -> int:
     return 0 if passed == len(_VALIDATION_SUITES) else 2
 
 
+# Each sweep subcommand and its driver.
+_SWEEPS = {"epsilon-sweep": run_epsilon_sweep, "cayley": run_cayley_sweep,
+           "geometric": run_geometric_sweep}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit code 1)."""
 
@@ -780,12 +769,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: results)")
     sweep.add_argument("--svg", action="store_true",
                        help="also write a built-in SVG chart of the sweep")
-    for name in ("epsilon-sweep", "cayley", "geometric"):
+    for name in _SWEEPS:
         sub.add_parser(name, parents=[sweep])
     analyze = sub.add_parser("analyze")
     analyze.add_argument("path", type=Path, help="matrix CSV file")
     analyze.add_argument("--truncated", action="store_true",
-                         help="also report the truncated-series estimate")
+                         help="also run the truncated-series cross-check:"
+                         " truncated_steps and j_exact_rel_err")
     validate = sub.add_parser("validate", parents=[common])
     validate.add_argument("--inject-fault", action="store_true",
                           help="negative control: make every suite miss")
@@ -801,11 +791,7 @@ def main(argv=None) -> int:
         config = build_config(args.command, args.config, args.param, args.seed)
         if args.command == "validate":
             return run_validation_suite(config, inject_fault=args.inject_fault)
-        if args.command == "epsilon-sweep":
-            return run_epsilon_sweep(config, args.out, svg=args.svg)
-        if args.command == "cayley":
-            return run_cayley_sweep(config, args.out, svg=args.svg)
-        return run_geometric_sweep(config, args.out, svg=args.svg)
+        return _SWEEPS[args.command](config, args.out, svg=args.svg)
     except (ConfigError, LqConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

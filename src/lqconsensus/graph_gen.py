@@ -261,7 +261,8 @@ class GeometricParams:
 @dataclass(frozen=True, eq=False)
 class GeometricInstance:
     """An accepted sample: coordinates, the undirected geometric graph, the
-    consensus matrix, measured parameters and the rejection audit trail."""
+    consensus matrix, measured parameters and the rejection audit trail,
+    which holds only counts: the attempts and each screen's rejections."""
 
     coordinates: np.ndarray
     graph: np.ndarray
@@ -594,7 +595,7 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
     u < v (`_pair_distances`), in the row-major order of np.triu_indices.
     The invariant-measure screen rejects when n pi_min < pi_bar_min or
     n pi_max > pi_bar_max.  `measured` holds s_n, r_n and rho_n, and
-    `audit` the seed and the attempt and rejection counts.
+    `audit` the attempt and rejection counts.
     """
     if n < 2:
         raise OutOfRange(f"need at least 2 nodes, got {n}")
@@ -612,7 +613,6 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         "rejected_rho": 0,
         "rejected_reducible": 0,
         "rejected_pi_range": 0,
-        "seed": str(seed),
     }
     index = np.arange(n)
     upper = index[:, None] < index
@@ -663,6 +663,6 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
         return GeometricInstance(coordinates=coords, graph=adj, matrix=matrix,
                                  measured=measured, audit=audit)
     raise RejectionExhausted(
-        f"no acceptable instance after {max_attempts} attempts "
+        f"no acceptable instance after {max_attempts} attempts at seed {seed} "
         f"(audit: {audit})")
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lqconsensus import (
     Disconnected,
     NotNormal,
+    OutOfRange,
     average_resistance,
     cayley_case1,
     cayley_case2,
@@ -52,6 +53,24 @@ class TestFDelta:
         assert f_delta(1) == 4.0
         assert f_delta(2) == 18.0
         assert f_delta(26) == 2754.0
+
+    @pytest.mark.parametrize("delta", [0, -1])
+    def test_refuses_delta_below_one(self, delta):
+        # f(0) = -2 would flip the sign of a lower bound.
+        with pytest.raises(OutOfRange, match=f"delta >= 1, got {delta}"):
+            f_delta(delta)
+
+    def test_one_node_lower_bounds_are_positive_zero(self):
+        # The 1-node matrix is the only one with delta_in = 0; its R_bar are
+        # 0, and its lower bounds are +0.0 from no factor at all.
+        P = validate_consensus([[1.0]])
+        topo = theorem_topology_bounds(P)
+        norm = corollary_normal_bounds(P)
+        assert topo.constants["delta_in"] == 0
+        assert topo.constants["f_delta_in"] is norm.constants["f_delta_in"] is None
+        lowers = [topo.j_lower, topo.jw_lower, norm.j_lower,
+                  resistance_sandwich_check(P).min_lower_margin]
+        assert all(x == 0.0 and np.copysign(1.0, x) == 1.0 for x in lowers)
 
 
 class TestReversiblizationConductance:

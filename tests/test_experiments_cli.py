@@ -1015,7 +1015,7 @@ class TestAnalyze:
         kv = self.kv(capsys)
         assert kv["lower_applicable"] == "false"
         assert kv["sandwich_variant"] == "out"
-        assert float(kv["truncated_rel_err"]) <= 1e-5
+        assert float(kv["j_exact_rel_err"]) <= 1e-5
         assert int(kv["truncated_steps"]) >= 11
 
     def test_report_computes_each_derived_quantity_once(self, tmp_path, capsys,
@@ -1125,8 +1125,62 @@ class TestAnalyze:
         path.write_text("1\n")
         assert main(["analyze", str(path), "--truncated"]) == 0
         kv = self.kv(capsys)
-        assert (kv["j"], kv["truncated_j"]) == ("0", "0")
-        assert kv["truncated_rel_err"] == "0"
+        assert (kv["j"], kv["j_exact_rel_err"]) == ("0", "0")
+        assert "truncated_j" not in kv
+
+    def test_one_node_prints_no_negative_zero(self, tmp_path, capsys):
+        # delta_in = 0 on one node: no lower bound may divide by f(0) = -2.
+        path = tmp_path / "one.csv"
+        path.write_text("1\n")
+        for flags in ([], ["--truncated"]):
+            assert main(["analyze", str(path), *flags]) == 0
+            kv = self.kv(capsys)
+            assert kv["topo_j_lower"] == kv["norm_j_lower"] == "0"
+            assert [key for key, value in kv.items() if value.startswith("-")] == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: p_epsilon(0.1),
+        lambda: cayley_case1(4, 2, seed=1)[1],
+        commuting_example,
+        lambda: sample_geometric(GeometricParams(), 25, 2, seed=[1, 2, 25, 0]).matrix,
+    ], ids=["epsilon", "torus", "commuting", "geometric"])
+    def test_row_block_is_the_csv_row(self, tmp_path, capsys, make):
+        # After green_trace the report prints the row's populated columns
+        # from j_exact_rel_err on, in CSV order and with the CSV's bytes,
+        # then the sandwich.
+        matrix = make()
+        path = tmp_path / "matrix.csv"
+        save_matrix_csv(matrix, path)
+        assert main(["analyze", str(path)]) == 0
+        printed = [line.split("=", 1) for line in capsys.readouterr().out.splitlines()]
+        row, _, _ = evaluate(matrix, experiment="analyze", n=matrix.n, instance=0)
+        tail = CSV_COLUMNS.index("j_exact_rel_err")
+        expected = [[key, cell] for key, cell in
+                    zip(CSV_COLUMNS[tail:], experiments_cli._cells(row)[tail:]) if cell]
+        start = [key for key, _ in printed].index("green_trace") + 1
+        assert printed[start:start + len(expected)] == expected
+        assert printed[start + len(expected)][0] == "sandwich_variant"
+
+    def test_truncated_block_is_the_sweep_cross_check(self, tmp_path, capsys):
+        # --truncated prints the geometric sweep's cross-check of the same
+        # matrix under the sweep's names.
+        out = tmp_path / "run"
+        assert main(["geometric", "-p", "n_list=25", "-p", "instances=1",
+                     "--seed", "1", "--out", str(out)]) == 0
+        _, _, (row,) = read_results(out / "results.csv")
+        (line,) = [line for line in (out / "audit.txt").read_text().splitlines()
+                   if line.startswith("n=25 instance=0 ")]
+        detail = dict(item.split("=", 1) for item in line.split())
+        path = tmp_path / "geometric.csv"
+        save_matrix_csv(sample_geometric(GeometricParams(), 25, 2,
+                                         seed=[1, 2, 25, 0]).matrix, path)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--truncated"]) == 0
+        kv = self.kv(capsys)
+        assert row["j_exact_rel_err"] != ""
+        assert (kv["j_exact_rel_err"], kv["truncated_steps"]) == \
+            (row["j_exact_rel_err"], detail["truncated_steps"])
+        assert "truncated_rel_err" not in kv and "truncated_j" not in kv
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "# no rows\n"],
                              ids=["empty", "blank", "comment"])

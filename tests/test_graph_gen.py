@@ -784,6 +784,17 @@ class TestSampleGeometric:
         with pytest.raises(RejectionExhausted):
             sample_geometric(params, n=15, d=2, seed=0, max_attempts=3)
 
+    def test_audit_holds_only_counts(self):
+        # The seed is the caller's; the refusal names it, the audit does not.
+        inst = sample_geometric(GeometricParams(), n=25, d=2, seed=[1, 2, 25, 0])
+        assert list(inst.audit) == [
+            "attempts", "nodes_rejected", "rejected_disconnected", "rejected_gamma",
+            "rejected_rho", "rejected_reducible", "rejected_pi_range"]
+        assert all(type(count) is int for count in inst.audit.values())
+        with pytest.raises(RejectionExhausted, match=r"at seed \[1, 2, 15, 0\] "):
+            sample_geometric(GeometricParams(rho=10.0), n=15, d=2, seed=[1, 2, 15, 0],
+                             max_attempts=3)
+
     def test_argument_gates(self):
         with pytest.raises(OutOfRange):
             sample_geometric(GeometricParams(), n=1, d=2, seed=0)
@@ -795,15 +806,15 @@ class TestSampleGeometric:
                                  max_attempts=max_attempts)
 
 
-def instance_digest(inst):
+def instance_digest(inst, seed):
     """SHA-256 of an instance's coordinates, graph, entries and audit.  The
     pins were taken while the audit also held the constant entry
-    pi_check='symmetric', since dropped; it is hashed back in, so the pins
-    keep their values."""
+    pi_check='symmetric' and the entry seed=str(seed), both since dropped;
+    they are hashed back in, so the pins keep their values."""
     h = hashlib.sha256()
     for array in (inst.coordinates, inst.graph, inst.matrix.entries):
         h.update(array.tobytes())
-    audit = {**inst.audit, "pi_check": "symmetric"}
+    audit = {**inst.audit, "pi_check": "symmetric", "seed": str(seed)}
     h.update(repr(sorted(audit.items())).encode())
     return h.hexdigest()
 
@@ -825,4 +836,4 @@ class TestSamplerDigests:
     ])
     def test_instance_is_unchanged(self, n, d, c, seed, digest):
         inst = sample_geometric(GeometricParams(c=c), n, d, seed=[seed, d, n])
-        assert instance_digest(inst) == digest
+        assert instance_digest(inst, [seed, d, n]) == digest

@@ -200,6 +200,45 @@ def test_no_unused_imports():
     assert [entry for path in files for entry in _unused_imports(path, root)] == []
 
 
+def _private_names(tree) -> list:
+    """(name, line) of every top-level private function or class and every
+    module-level constant (UPPER_CASE or a leading underscore) that a module
+    defines; dunders are exempt."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name] if node.name.startswith("_") else []
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [target.id for target in assigned if isinstance(target, ast.Name)
+                       and (target.id.isupper() or target.id.startswith("_"))]
+        else:
+            continue
+        names += [(name, node.lineno) for name in targets
+                  if not (name.startswith("__") and name.endswith("__"))]
+    return names
+
+
+def test_no_dead_private_names():
+    # Every private definition and constant of the package is read in
+    # `src/`, as a loaded name or an attribute; importing it is no read.
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((root / "src").rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(path, name, line) for path, tree in trees.items()
+               for name, line in _private_names(tree)]
+    assert len(defined) > 50
+    assert [f"{path.relative_to(root)}:{line} {name}" for path, name, line in defined
+            if name not in read] == []
+
+
 # A constant that README quotes with its value: `NAME` (value, or `NAME`
 # word (value, the value in digits, thousands separated by commas.
 README_CONSTANT = re.compile(
