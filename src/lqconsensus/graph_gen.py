@@ -648,13 +648,16 @@ def sample_geometric(params: GeometricParams, n: int, d: int, seed,
             continue
         m[nz] = params.b + rng.random(int(nz.sum())) * (1.0 - params.b)
         m /= m.sum(axis=1, keepdims=True)
-        matrix = validate_consensus(m)
+        # Valid by construction: rows sum to 1, and every entry on nz (diagonal
+        # included) is at least b/n, far above VALIDATION_TOL and SUPPORT_THRESHOLD,
+        # so the support is nz, which the screen above found strongly connected.
+        matrix = ConsensusMatrix(n=n, entries=m)
         npi = n * matrix.invariant.pi
         if npi.min() < params.pi_bar_min or npi.max() > params.pi_bar_max:
             audit["rejected_pi_range"] += 1
             continue
-        coords.setflags(write=False)
-        adj.setflags(write=False)
+        for array in (coords, adj, m):
+            array.setflags(write=False)
         measured = {
             "s_n": float(pairs.min()),
             "r_n": float(pairs[adj[upper]].max()),

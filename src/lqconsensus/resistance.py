@@ -202,8 +202,8 @@ def phi_map(P: ConsensusMatrix, alpha: float | None = None) -> ConductanceMatrix
                             f"exceeds tolerance {CLASSIFICATION_TOL}")
     if alpha is None:
         alpha = float(P.n)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     pip = P.invariant.pi[:, None] * P.entries
     c = alpha * (pip + pip.T) / 2.0
     return conductance_matrix(c)

@@ -3,7 +3,8 @@
 A consensus matrix is row stochastic, irreducible (strongly connected directed
 support) and has a strictly positive diagonal.  Its invariant measure pi is the
 positive left eigenvector of eigenvalue 1, normalized to sum 1, so that
-P^t -> 1 pi^T.
+P^t -> 1 pi^T.  Least squares finds it; where that misses its gate, GTH state
+reduction (Grassmann, Taksar and Heyman 1985), which adds no negative term.
 
 Irreducibility is exact reachability on the support: `reach` packs each row of
 a boolean adjacency into one Python int and runs a breadth-first search from
@@ -32,7 +33,6 @@ from .errors import (
 VALIDATION_TOL = 1e-9
 CLASSIFICATION_TOL = 1e-9
 INVARIANT_RESIDUAL_TOL = 1e-10
-POWER_ITERATION_MAX_STEPS = 200_000
 SUPPORT_THRESHOLD = 1e-14
 # Rows of an adjacency that `reach` copies and packs at a time.
 PACK_BAND = 256
@@ -42,8 +42,8 @@ PACK_BAND = 256
 class InvariantMeasure:
     """Positive left eigenvector pi of P with pi^T P = pi^T and sum(pi) = 1.
 
-    `route` names the solver that produced pi: "lstsq", or "power_iteration"
-    when least squares misses the residual gate or gives a nonpositive entry.
+    `route` names the solver that produced pi: "lstsq", or "gth" when least
+    squares misses the residual gate or gives a nonpositive entry.
     """
 
     pi: np.ndarray
@@ -245,34 +245,31 @@ def _solve_invariant(P: ConsensusMatrix) -> InvariantMeasure:
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    residual = _invariant_residual(a, pi)
     route = "lstsq"
-    if residual > INVARIANT_RESIDUAL_TOL or (pi <= 0).any():
-        pi, residual = _power_iteration(a)
-        route = "power_iteration"
-    if residual > INVARIANT_RESIDUAL_TOL:
+    if _invariant_residual(a, pi) > INVARIANT_RESIDUAL_TOL or (pi <= 0).any():
+        pi, route = _gth(a), "gth"
+    residual = _invariant_residual(a, pi)
+    if not residual <= INVARIANT_RESIDUAL_TOL:
         raise SolveFailure(
             f"invariant measure residual {residual} exceeds {INVARIANT_RESIDUAL_TOL}")
-    if (pi <= 0).any():
+    if not (pi > 0).all():
         raise SolveFailure("invariant measure has a nonpositive entry")
     pi = pi / pi.sum()
     pi.setflags(write=False)
     return InvariantMeasure(pi=pi, residual=residual, route=route)
 
 
-def _power_iteration(a: np.ndarray):
-    # Stop when every entry changes by at most 1e-15 of itself, so entries
-    # far below the largest one converge as well.
+def _gth(a: np.ndarray) -> np.ndarray:
+    # Censor states n-1, ..., 1, with row k's off-diagonal sum in place of 1 - a_kk.
+    a = a.copy()
     n = a.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(POWER_ITERATION_MAX_STEPS):
-        nxt = pi @ a
-        nxt /= nxt.sum()
-        if (np.abs(nxt - pi) <= 1e-15 * nxt).all():
-            pi = nxt
-            break
-        pi = nxt
-    return pi, _invariant_residual(a, pi)
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def multiplicative_reversiblization(P: ConsensusMatrix) -> ConsensusMatrix:

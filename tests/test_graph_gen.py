@@ -30,8 +30,9 @@ from lqconsensus import (
     p_epsilon,
     rho_check,
     sample_geometric,
+    validate_consensus,
 )
-from lqconsensus import graph_gen
+from lqconsensus import graph_gen, stochastic_core
 from helpers import gamma_check_full_grid, rho_n_floyd_warshall
 
 
@@ -783,6 +784,28 @@ class TestSampleGeometric:
         params = GeometricParams(rho=10.0)
         with pytest.raises(RejectionExhausted):
             sample_geometric(params, n=15, d=2, seed=0, max_attempts=3)
+
+    @pytest.mark.parametrize("n, d, c", [(200, 1, 0.2), (60, 2, 0.5), (60, 3, 0.5)])
+    def test_matrix_is_valid_by_construction(self, monkeypatch, n, d, c):
+        # The sampler wraps its matrix unvalidated, so strong connectivity is
+        # tested once per attempt that reaches the reducibility screen (the
+        # attempts no graph screen refused), and not again after the weights.
+        calls = []
+        strong_component = stochastic_core.strong_component
+
+        def counted(support):
+            calls.append(None)
+            return strong_component(support)
+
+        monkeypatch.setattr(graph_gen, "strong_component", counted)
+        monkeypatch.setattr(stochastic_core, "strong_component", counted)
+        inst = sample_geometric(GeometricParams(c=c), n, d, seed=[0, d, n])
+        audit = inst.audit
+        assert len(calls) == (audit["attempts"] - audit["rejected_disconnected"]
+                              - audit["rejected_gamma"] - audit["rejected_rho"])
+        entries = inst.matrix.entries
+        assert not entries.flags.writeable
+        assert validate_consensus(entries).entries.tobytes() == entries.tobytes()
 
     def test_audit_holds_only_counts(self):
         # The seed is the caller's; the refusal names it, the audit does not.

@@ -518,9 +518,11 @@ class TestNetworkMaps:
             phi_map(p_epsilon(0.1))
 
     def test_phi_rejects_nonpositive_alpha(self):
+        # A non-finite alpha gets the same refusal, before any arithmetic.
         P = validate_consensus(np.full((3, 3), 1.0 / 3))
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            phi_map(P, alpha=0)
+        for alpha in (0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                phi_map(P, alpha=alpha)
 
     def test_psi_rejects_zero_diagonal(self):
         with pytest.raises(ZeroDiagonal):

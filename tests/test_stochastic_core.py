@@ -146,6 +146,14 @@ class TestTinyNegativeEntries:
         green_matrix(P)
 
 
+def birth_death(n, up, down):
+    """Entries of the birth-death chain on n states that steps up with
+    probability `up` and down with probability `down`."""
+    a = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+    a += np.diag(1.0 - a.sum(axis=1))
+    return a
+
+
 class TestInvariantMeasure:
     def test_uniform_measure(self):
         inv = uniform(4).invariant
@@ -173,45 +181,74 @@ class TestInvariantMeasure:
             assert inv.pi.min() > 0
             np.testing.assert_allclose(inv.pi @ P.entries, inv.pi, atol=1e-9)
 
+    # The two tests below keep the names they had when the fallback was a
+    # power iteration; they check the same chain through the elimination.
     def test_power_iteration_fallback_on_tiny_entries(self):
         # A birth-death chain with pi_k proportional to (up/down)^k: least
         # squares returns an entry of about -4e-17 here, so only the
-        # power-iteration fallback gives a positive measure.
+        # fallback gives a positive measure.
         n, up, down = 10, 0.005, 0.5
-        a = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
-        a += np.diag(1.0 - a.sum(axis=1))
-        inv = validate_consensus(a).invariant
+        inv = validate_consensus(birth_death(n, up, down)).invariant
         r = up / down
         assert (inv.pi > 0).all()
         assert inv.pi_min == pytest.approx(r ** (n - 1) * (1 - r) / (1 - r ** n),
                                            rel=1e-4)
         assert inv.residual <= 1e-15
-        assert inv.route == "power_iteration"
+        assert inv.route == "gth"
 
     def test_power_iteration_converges_in_every_entry(self):
-        # Same chain: pi_k is proportional to (up/down)^k, entries spanning
-        # 18 decades, so each one is checked relative to its exact value.
+        # Same chain: entries span 18 decades, so each one is checked
+        # relative to its exact value.
         n, up, down = 10, 0.005, 0.5
-        a = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
-        a += np.diag(1.0 - a.sum(axis=1))
-        pi = validate_consensus(a).invariant.pi
+        pi = validate_consensus(birth_death(n, up, down)).invariant.pi
         r = Fraction(up) / Fraction(down)
         total = sum(r ** k for k in range(n))
         for k in range(n):
-            assert pi[k] == pytest.approx(float(r ** k / total), rel=1e-12, abs=0)
+            assert pi[k] == pytest.approx(float(r ** k / total), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n, up, down", [
+        (60, 0.1, 0.5), (300, 0.2, 0.3), (300, 0.01, 0.02),
+    ])
+    def test_gth_fallback_matches_the_exact_measure(self, n, up, down):
+        # Least squares misses its gate on each of these chains, so pi comes
+        # from the elimination.  pi_k is proportional to (up/down)^k, entries
+        # spanning up to 90 decades, so each one is checked relative to its
+        # exact value.
+        inv = validate_consensus(birth_death(n, up, down)).invariant
+        assert inv.route == "gth"
+        assert inv.residual <= 1e-15
+        r = Fraction(up) / Fraction(down)
+        weights = [r ** k for k in range(n)]
+        total = sum(weights)
+        exact = np.array([float(w / total) for w in weights])
+        np.testing.assert_allclose(inv.pi, exact, rtol=1e-13, atol=0)
+
+    def test_underflowing_entry_is_a_solve_failure(self):
+        # pi_299 is about 0.002^299 = 1e-807, below the smallest double.
+        with pytest.raises(SolveFailure, match="nonpositive entry"):
+            validate_consensus(birth_death(300, 1e-3, 0.5)).invariant
+
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-9, 1e-12])
+    def test_gth_on_near_reducible_cliques(self, coupling):
+        # The two cliques are symmetric, so pi is uniform.  The elimination
+        # keeps every entry to a few ulps at any coupling; least squares
+        # drifts by 3e-9, 2e-6 and 4e-3 at these couplings.
+        pi = stochastic_core._gth(two_cliques(40, coupling).entries)
+        np.testing.assert_allclose(pi, 1.0 / 40, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("pi, residual, message", [
         ([0.5, 0.5], 1.0, "residual 1.0 exceeds"),
         ([1.5, -0.5], 0.0, "nonpositive entry"),
+        ([np.nan, np.nan], np.nan, "residual nan exceeds"),
     ])
     def test_failed_fallback_is_a_solve_failure(self, monkeypatch, pi, residual,
                                                 message):
         # Least squares is made to look failed, so the fallback runs and its
         # result meets the same two gates.
+        residuals = iter([1.0, residual])
         monkeypatch.setattr(stochastic_core, "_invariant_residual",
-                            lambda *args: 1.0)
-        monkeypatch.setattr(stochastic_core, "_power_iteration",
-                            lambda a: (np.array(pi), residual))
+                            lambda *args: next(residuals))
+        monkeypatch.setattr(stochastic_core, "_gth", lambda a: np.array(pi))
         P = validate_consensus([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(SolveFailure, match=message):
             P.invariant
