@@ -3,12 +3,14 @@
 A conductance matrix is symmetric, nonnegative and irreducible; its Laplacian
 is L(C) = diag(C 1) - C, so diagonal entries of C never matter.  The effective
 resistance between nodes a and b is (e_a - e_b)^T L(C)^+ (e_a - e_b).  Each
-network caches one certified factor: the inverse U^{-1} of the Cholesky
-factor of M = U^T U = L(C) + 11^T/n, whose inverse H = U^{-1} U^{-T} is
+network caches one certified factor: the inverse K^{-1} of the lower Cholesky
+factor of M = K K^T = L(C) + 11^T/n, whose inverse H = K^{-T} K^{-1} is
 L(C)^+ + 11^T/n on a connected network: the added term cancels in every
 resistance and adds 1 to the trace.  The average R_bar = tr(L(C)^+)/n reads
-||U^{-1}||_F^2 and all-pairs R reads H, so a network is factored once
-however many of the two are asked for.  One null-space rule decides
+||K^{-1}||_F^2 and all-pairs R reads H, so a network is factored once
+however many of the two are asked for.  The factor and its inverse take
+numpy alone: `np.linalg.cholesky`, then `_lower_inverse`, which splits the
+triangle into halves and joins them by GEMMs.  One null-space rule decides
 connectivity: Laplacian eigenvalues at most CONNECTIVITY_RTOL times the
 largest diagonal entry are null.  The factor certifies the spectral gap
 above that threshold at no extra cost (`ConductanceMatrix._cholesky_inverse`);
@@ -47,6 +49,8 @@ SYMMETRY_TOL = 1e-12
 # Laplacian eigenvalues at most this fraction of the largest diagonal entry
 # count as the null space, so a second one means a disconnected network.
 CONNECTIVITY_RTOL = 1e-10
+# Triangles of at most this many rows are inverted whole (`_lower_inverse`).
+INVERSE_LEAF = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,33 +62,51 @@ class ConductanceMatrix:
 
     @cached_property
     def _cholesky_inverse(self) -> tuple[np.ndarray, float]:
-        """(U^{-1}, tr H) for the Cholesky factor M = U^T U of M = L(C) +
-        11^T/n, where H = M^{-1} = L(C)^+ + 11^T/n and tr H = ||U^{-1}||_F^2.
+        """(K^{-1}, tr H) for the lower Cholesky factor K of M = K K^T =
+        L(C) + 11^T/n, where H = M^{-1} = L(C)^+ + 11^T/n and tr H =
+        ||K^{-1}||_F^2.
 
         The null-space rule refuses iff lambda_2 <= tau = CONNECTIVITY_RTOL *
         max diag L.  Since lambda_min(M) = min(lambda_2, 1) and ||H||_2 <=
         tr H, tr H * tau < 1 certifies lambda_2 > tau.  Only when that
         certificate or the factorization fails do the eigenvalues decide,
-        through `_nonzero_spectrum`; a failed factorization of a network they
-        accept raises SolveFailure.  A refusal is not cached.
+        through `_nonzero_spectrum`; a failed factorization (numpy's
+        LinAlgError) on a network they accept raises SolveFailure.  A
+        refusal is not cached.
         """
-        from scipy.linalg import lapack
-
         L = laplacian(self)
         scale = float(np.diagonal(L).max())
-        u, info = lapack.dpotrf(L + 1.0 / self.n)
-        trace = np.inf
-        if info == 0:
-            u, info = lapack.dtrtri(u, overwrite_c=1)
-            trace = float(np.vdot(u, u))
-        if info != 0 or not trace * CONNECTIVITY_RTOL * scale < 1.0:
+        try:
+            inverse = _lower_inverse(np.linalg.cholesky(L + 1.0 / self.n))
+        except np.linalg.LinAlgError as error:
             _nonzero_spectrum(np.linalg.eigvalsh(L), scale)
-            if info != 0:
-                raise SolveFailure(
-                    f"Cholesky inverse of L + 11^T/n failed (LAPACK info {info}) "
-                    f"on a network whose spectrum passes the null-space rule")
-        u.setflags(write=False)
-        return u, trace
+            raise SolveFailure(
+                f"Cholesky inverse of L + 11^T/n failed ({error}) on a network "
+                f"whose spectrum passes the null-space rule") from error
+        trace = float(np.vdot(inverse, inverse))
+        if not trace * CONNECTIVITY_RTOL * scale < 1.0:
+            _nonzero_spectrum(np.linalg.eigvalsh(L), scale)
+        inverse.setflags(write=False)
+        return inverse, trace
+
+
+def _lower_inverse(k: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular `k`: [[A, 0], [B, D]]^{-1} =
+    [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]], so the halves recurse and the
+    corner takes two GEMMs.  A triangle of at most INVERSE_LEAF rows is
+    inverted by np.linalg.inv through its transpose: LU of an
+    upper-triangular matrix swaps no rows, so the zeros above the diagonal
+    stay exact.
+    """
+    n = k.shape[0]
+    if n <= INVERSE_LEAF:
+        return np.linalg.inv(k.T).T
+    m = n // 2
+    out = np.zeros_like(k)
+    out[:m, :m] = _lower_inverse(k[:m, :m])
+    out[m:, m:] = _lower_inverse(k[m:, m:])
+    out[m:, :m] = -(out[m:, m:] @ k[m:, :m]) @ out[:m, :m]
+    return out
 
 
 def conductance_matrix(entries) -> ConductanceMatrix:
@@ -153,16 +175,15 @@ def _nonzero_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
 
 def effective_resistance(C: ConductanceMatrix) -> np.ndarray:
     """All-pairs effective resistance of the network as a read-only array,
-    symmetric with zero diagonal: R_uv = H_uu + H_vv -
-    2 H_uv with H = U^{-1} U^{-T} = L(C)^+ + 11^T/n, formed by LAPACK
-    `dlauum` from the network's cached factor (`_cholesky_inverse`, which
-    applies the null-space rule): the product `dpotri` forms.  The resistance
-    sandwich and the validate battery's Green-identity suite need all pairs;
-    the bounds read R_bar from `average_resistance`.
+    symmetric with zero diagonal: R_uv = H_uu + H_vv - 2 H_uv with H =
+    K^{-T} K^{-1} = L(C)^+ + 11^T/n, one product of the network's cached
+    factor (`_cholesky_inverse`, which applies the null-space rule) with its
+    own transpose, which numpy hands to BLAS syrk.  The resistance sandwich
+    and the validate battery's Green-identity suite need all pairs; the
+    bounds read R_bar from `average_resistance`.
     """
-    from scipy.linalg import lapack
-
-    h, _ = lapack.dlauum(C._cholesky_inverse[0])
+    inverse = C._cholesky_inverse[0]
+    h = inverse.T @ inverse
     d = np.diagonal(h)
     r = np.triu(d[:, None] + d[None, :] - 2.0 * h, 1)
     r = r + r.T
@@ -172,7 +193,7 @@ def effective_resistance(C: ConductanceMatrix) -> np.ndarray:
 
 
 def average_resistance(C: ConductanceMatrix) -> float:
-    """R_bar = (1/2n^2) sum_{u,v} R_uv = tr(L(C)^+)/n = (||U^{-1}||_F^2 - 1)/n,
+    """R_bar = (1/2n^2) sum_{u,v} R_uv = tr(L(C)^+)/n = (||K^{-1}||_F^2 - 1)/n,
     from the network's cached factor (`_cholesky_inverse`, which applies the
     null-space rule), with no n x n resistance matrix built.
     """

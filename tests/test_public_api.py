@@ -135,28 +135,38 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_sampler_and_validate_load_no_scipy_spatial():
+def test_sampler_and_validate_load_no_scipy_spatial(tmp_path):
     # The geometric sampler's distance and coverage screens run on numpy
     # alone, so neither sampling in any dimension nor the validate battery,
-    # whose gamma suite calls the coverage screen, loads scipy.spatial.
+    # whose gamma suite calls the coverage screen, loads scipy.spatial.  The
+    # resistor networks factor on numpy alone too: analyze, epsilon-sweep and
+    # cayley load no scipy module, and validate and the geometric sweep load
+    # only scipy.sparse, for the truncated series.
     src = str(Path(lqconsensus.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import contextlib, io, sys\n"
-            "from lqconsensus import GeometricParams, sample_geometric\n"
+            "from lqconsensus import GeometricParams, sample_geometric, save_matrix_csv\n"
             "from lqconsensus.experiments_cli import main\n"
-            "def spatial():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy.spatial'))\n"
+            "def loaded(prefix):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(prefix))\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        return main(list(argv))\n"
             "sample_geometric(GeometricParams(c=0.2), 200, 1, seed=[0, 1, 200])\n"
             "sample_geometric(GeometricParams(), 25, 2, seed=[0, 2, 25])\n"
             "sample_geometric(GeometricParams(), 60, 3, seed=[0, 3, 60])\n"
-            "print(spatial())\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = main(['validate', '--seed', '0'])\n"
-            "print(status, spatial())\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            "save_matrix_csv(sample_geometric(GeometricParams(), 300, 2,\n"
+            "                                 seed=[1, 2, 300, 0]).matrix, 'g300.csv')\n"
+            "print(loaded('scipy'))\n"
+            "print(run('analyze', 'g300.csv'), run('epsilon-sweep', '--out', 'eps'),\n"
+            "      run('cayley', '--out', 'cayley'), loaded('scipy'))\n"
+            "print(run('validate', '--seed', '0'),\n"
+            "      run('geometric', '--out', 'geo', '-p', 'n_list=20,25', '-p', 'instances=1'),\n"
+            "      loaded('scipy.linalg'), loaded('scipy.spatial'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "0 []"]
+    assert out.splitlines() == ["[]", "0 0 0 []", "0 0 [] []"]
 
 
 def test_pipeline_loads_no_cli():

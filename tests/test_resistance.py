@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 from scipy.sparse import csgraph, csr_matrix
 
 import lqconsensus
@@ -36,7 +35,7 @@ from lqconsensus import (
     validate_consensus,
     weighted_average_resistance,
 )
-from lqconsensus.resistance import _nonzero_spectrum
+from lqconsensus.resistance import INVERSE_LEAF, _lower_inverse, _nonzero_spectrum
 from helpers import (
     grounded_resistance,
     random_reversible,
@@ -305,13 +304,13 @@ def networks(P):
     return unit_conductance(P.graphs.undirected), reversiblization_conductance(P)
 
 
-# Prints the sizes n at which effective_resistance differs in any bit from R
-# built from LAPACK dpotri's H = M^{-1}, on chord networks of n nodes.
-DPOTRI_PIN = """
+# Prints the SHA-256 of the bytes of effective_resistance and
+# average_resistance on chord networks of n nodes.
+BITS_PIN = """
+import hashlib
 import numpy as np
-from scipy.linalg import lapack
-from lqconsensus import conductance_matrix, effective_resistance, laplacian
-differ = []
+from lqconsensus import average_resistance, conductance_matrix, effective_resistance
+digest = hashlib.sha256()
 for n in (3, 64, 300, 1000):
     rng = np.random.default_rng(n)
     chords = np.triu(rng.random((n, n)) < 0.1, 1)
@@ -319,15 +318,9 @@ for n in (3, 64, 300, 1000):
     chords[order[:-1], order[1:]] = True
     c = np.where(chords | chords.T, 10.0 ** rng.uniform(-1, 1, (n, n)), 0.0)
     C = conductance_matrix(np.triu(c, 1) + np.triu(c, 1).T)
-    h, info = lapack.dpotri(lapack.dpotrf(laplacian(C) + 1.0 / n)[0])
-    assert info == 0
-    d = np.diagonal(h)
-    r = np.triu(d[:, None] + d[None, :] - 2.0 * h, 1)
-    r = r + r.T
-    r[r < 0.0] = 0.0
-    if r.tobytes() != effective_resistance(C).tobytes():
-        differ.append(n)
-print(differ)
+    digest.update(effective_resistance(C).tobytes())
+    digest.update(np.float64(average_resistance(C)).tobytes())
+print(digest.hexdigest())
 """
 
 
@@ -352,20 +345,32 @@ class TestCholeskyRoute:
                                        spectral_resistance(C), rtol=1e-12, atol=0)
             assert average_resistance(C) == pytest.approx(spectral_rbar(C), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, INVERSE_LEAF, INVERSE_LEAF + 1, 97, 301])
+    def test_lower_inverse_is_an_exact_triangle(self, n):
+        # Sizes on both sides of the leaf and odd splits below the root.
+        a = np.random.default_rng(n).random((n, n))
+        k = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+        inverse = _lower_inverse(k)
+        assert not np.triu(inverse, 1).any()
+        np.testing.assert_allclose(inverse @ k, np.eye(n), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("threads", ["1", None],
                              ids=["one_blas_thread", "default_blas_threads"])
-    def test_all_pairs_bits_are_dpotri_bits(self, threads):
-        # dlauum of the cached U^{-1} is the product dpotri forms after its
-        # own dtrtri, so R keeps the bits of the dpotri route it replaced.
+    def test_fresh_processes_give_identical_bits(self, threads):
+        # R's bits may differ between BLAS thread settings, but two fresh
+        # processes under one setting agree byte for byte, which is what
+        # byte-identical reruns of results.csv need.
         src = str(Path(lqconsensus.__file__).resolve().parents[1])
         env = {key: value for key, value in os.environ.items()
                if key != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
-        out = subprocess.run([sys.executable, "-c", DPOTRI_PIN], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        digests = [subprocess.run([sys.executable, "-c", BITS_PIN], env=env, check=True,
+                                  capture_output=True, text=True).stdout
+                   for _ in range(2)]
+        assert len(digests[0].strip()) == 64
+        assert digests[0] == digests[1]
 
     def test_verdict_is_the_spectral_rule(self):
         # Two 20-cliques joined by couplings from 1e-12 to 1e-8: their
@@ -420,11 +425,14 @@ class TestCholeskyRoute:
     def test_failed_factorization_is_a_solve_failure(self, monkeypatch):
         # A factorization that fails on a network the eigenvalues accept is
         # an error of the solve; on a network they refuse, their verdict.
-        monkeypatch.setattr(lapack, "dpotrf", lambda a: (a, 1))
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
         connected = complete_conductance(4)
         split = conductance_matrix(two_clique_entries(40, 1e-12))
         for route in (effective_resistance, average_resistance):
-            with pytest.raises(SolveFailure, match="LAPACK info 1"):
+            with pytest.raises(SolveFailure, match="Matrix is not positive definite"):
                 route(connected)
             with pytest.raises(Disconnected, match="null space has dimension 2"):
                 route(split)
