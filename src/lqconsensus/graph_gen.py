@@ -42,8 +42,6 @@ WEIGHT_SUM_TOL = 1e-12
 GAMMA_GRID_DIVISIONS = 30
 # Candidate positions tried for one node before the density is infeasible.
 NODE_ATTEMPT_CAP = 10_000
-# Pairs whose distances `_pair_distances` computes in one block.
-PAIR_BLOCK = 1 << 16
 # Uniform weight draws a case-1 generator gets before its band is given up.
 CASE1_MAX_DRAWS = 100_000
 # Case-1 weight draws taken from the generator at once.
@@ -281,32 +279,13 @@ def _pair_distances(coordinates, later) -> np.ndarray:
     square root taken last, which is the arithmetic of
     scipy.spatial.distance.cdist, so the two agree bit for bit.  Row u's
     pairs are a run of n - 1 - u, so each axis takes one repeat and one
-    gather.  The rows go in blocks of at most PAIR_BLOCK pairs (a longer row
-    is a block of its own), so that each block's temporaries stay in cache.
+    gather.
     """
     coords = np.asarray(coordinates, dtype=float)
     runs = np.arange(coords.shape[0] - 1, -1, -1)
-    if later.size <= PAIR_BLOCK:
-        return _row_distances(coords, slice(None), runs, later)
-    bounds = np.concatenate(([0], np.cumsum(runs)))  # row u's pairs: bounds[u:u+2]
-    total = np.empty(later.size)
-    first = 0
-    while first < runs.size:
-        fit = np.searchsorted(bounds, bounds[first] + PAIR_BLOCK, side="right") - 1
-        last = max(first + 1, int(fit))
-        lo, hi = bounds[first], bounds[last]
-        total[lo:hi] = _row_distances(coords, slice(first, last), runs[first:last],
-                                      later[lo:hi])
-        first = last
-    return total
-
-
-def _row_distances(coords, rows, runs, later) -> np.ndarray:
-    """`_pair_distances` of the rows `rows`, whose runs are `runs` and whose
-    pairs' v are `later`."""
     total = None
     for column in coords.T:
-        diff = np.repeat(column[rows], runs)
+        diff = np.repeat(column, runs)
         diff -= column.take(later)
         diff *= diff
         if total is None:

@@ -510,20 +510,6 @@ class TestPairDistances:
             expected = cdist(coords, coords)[upper]
             assert distances.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("block", [1, 250, graph_gen.PAIR_BLOCK])
-    def test_row_blocks_keep_cdist_bits(self, monkeypatch, block, d):
-        # 400 nodes make 79,800 pairs, two blocks of the default size; a
-        # block of 1 or 250 pairs leaves rows longer than a block, each of
-        # which is a block of its own.
-        from scipy.spatial.distance import cdist
-
-        monkeypatch.setattr(graph_gen, "PAIR_BLOCK", block)
-        coords = np.random.default_rng([d, 400]).random((400, d)) * 20.0
-        upper = np.triu(np.ones((400, 400), dtype=bool), 1)
-        distances = graph_gen._pair_distances(coords, upper.nonzero()[1])
-        assert distances.tobytes() == cdist(coords, coords)[upper].tobytes()
-
 
 class TestRhoCheck:
     def test_two_nodes(self):
