@@ -8,17 +8,17 @@ Both Cayley families come as generators (`cayley_case1_generator`,
 and as matrices (`cayley_case1`, `cayley_case2`).
 The geometric pipeline samples node positions with minimum spacing, draws
 edges within range r with probability p_e, screens the graph with the
-coverage (gamma) and distance-ratio (rho) checks, randomly deletes edge
-directions, assigns weights uniform on [b, 1], row-normalizes, and finally
-screens the invariant measure; any screening failure restarts the whole
-construction.
+coverage (gamma, each node marking the grid points it covers) and
+distance-ratio (rho) checks, randomly deletes edge directions, assigns
+weights uniform on [b, 1], row-normalizes, and finally screens the
+invariant measure; any screening failure restarts the whole construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .stochastic_core import (
 WEIGHT_SUM_TOL = 1e-12
 # The coverage certificate's grid has this many steps along each axis.
 GAMMA_GRID_DIVISIONS = 30
+# Box points, summed over nodes, that the coverage screen stamps at once, so
+# that their temporaries (about 17 bytes a point) stay in a core's cache.
+STAMP_BLOCK = 1 << 15
 # Candidate positions tried for one node before the density is infeasible.
 NODE_ATTEMPT_CAP = 10_000
 # Uniform weight draws a case-1 generator gets before its band is given up.
@@ -230,7 +233,7 @@ def circle_matrix(n: int, p: float, q: float) -> ConsensusMatrix:
 
 @dataclass(frozen=True)
 class GeometricParams:
-    """Pipeline parameters; defaults reproduce the reference experiment."""
+    """Finite pipeline parameters; defaults reproduce the reference experiment."""
 
     s: float = 0.1
     r: float = 1.0
@@ -244,6 +247,9 @@ class GeometricParams:
     pi_bar_max: float = 3.0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise OutOfRange(f"{name} = {value} must be finite")
         if not (0 < self.s < self.r):
             raise OutOfRange(f"need 0 < s < r, got s = {self.s}, r = {self.r}")
         if not (0 < self.p_e <= 1):
@@ -295,129 +301,23 @@ def _pair_distances(coordinates, later) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _line_pairs(coords, lo, hi, step, limit):
-    """The (node, line) pairs within reach, for the grid lines along the
-    last axis: each line's index, the node's squared distance to it summed
-    over the other axes in index order (the sum to which a nearest-node
-    query adds the last axis's term), and the node's last coordinate.
-
-    lo and hi bound each node's ticks within reach along each axis.  The
-    pairs are read off a dense array of each node's ticks from lo on the
-    other axes, in which a tick past hi has an infinite term.
-    """
-    divisions = GAMMA_GRID_DIVISIONS
-    n, d = coords.shape
-    shape = [n] + [1] * (d - 1)
-    rest = np.zeros(shape)
-    first = np.zeros(n, dtype=np.intp)
-    offset = np.zeros((), dtype=np.intp)
-    for k in range(d - 1):
-        tick = lo[:, k, None] + np.arange(int((hi[:, k] - lo[:, k]).max()) + 1)
-        term = np.square(tick * step - coords[:, k, None])
-        term[tick > hi[:, k, None]] = np.inf
-        shape[k + 1] = tick.shape[1]
-        rest = rest + term.reshape(shape)
-        shape[k + 1] = 1
-        first = first * (divisions + 1) + lo[:, k]
-        offset = np.add.outer(offset * (divisions + 1), np.arange(tick.shape[1]))
-    pair = np.flatnonzero(rest <= limit)
-    node = pair // offset.size
-    line = first.take(node)
-    line += offset.ravel().take(pair - node * offset.size)
-    return line, rest.ravel().take(pair), coords[:, -1].take(node)
-
-
-def _covers(tick, step, centre, rest, limit, out=None):
-    """Whether the grid point at `tick` of a line along the last axis lies
-    within the margin of a node, in the arithmetic of a nearest-node query:
-    rest, the node's squared differences on the other axes summed in index
-    order, plus the square of the last one, at most `limit`."""
-    total = np.multiply(tick, step, out=out)
-    total -= centre
-    total *= total
-    total += rest
-    return total <= limit
-
-
-def _line_depth(step, limit, d, line, rest, centre) -> np.ndarray:
-    """How many nodes cover each point of the grid, an array with one axis
-    per axis of the box, from (node, line) pairs of `_line_pairs`.
-
-    A node's squared distance to the points of a line falls and then rises
-    along it, so the node covers one interval of ticks (`_covers`).  Its
-    ends are estimated as the ticks within sqrt(limit - rest) of the node
-    and then settled by `_covers`, and the intervals are added up with
-    bincount and cumsum.  Large arrays are named and updated in place: a
-    fresh temporary of this size costs more than the arithmetic on it.
-    """
-    divisions = GAMMA_GRID_DIVISIONS
-
-    def covers(tick, pick):
-        return _covers(tick, step, centre[pick], rest[pick], limit)
-
-    # ends[0] is the last tick of each interval and ends[1] the first, as
-    # floats; way points away from the interval, and edge is the last tick
-    # that way.
-    half = np.subtract(limit, rest)
-    np.maximum(half, 0.0, out=half)
-    np.sqrt(half, out=half)
-    ends = np.empty((2, centre.size))
-    np.add(centre, half, out=ends[0])
-    np.subtract(centre, half, out=ends[1])
-    ends /= step
-    np.clip(np.floor(ends[0], out=ends[0]), -1, divisions, out=ends[0])
-    np.clip(np.ceil(ends[1], out=ends[1]), 0, divisions + 1, out=ends[1])
-    way = np.array([[1.0], [-1.0]])
-    edge = np.array([[divisions], [0.0]])
-    # Each end moves outward while the next tick is covered, and otherwise
-    # inward while its own tick is not.
-    scratch = np.empty_like(ends)
-    ends += way
-    outward = _covers(ends, step, centre, rest, limit, out=scratch)
-    ends -= way
-    outward &= ends != edge
-    inward = _covers(ends, step, centre, rest, limit, out=scratch)
-    inward |= outward
-    np.logical_not(inward, out=inward)
-    for end, out, last, moved in zip(ends, way[:, 0], edge[:, 0], outward):
-        pick = moved.nonzero()[0]
-        while pick.size:
-            end[pick] += out
-            pick = pick[(end[pick] != last) & covers(end[pick] + out, pick)]
-    for end, out, moved in zip(ends, way[:, 0], inward):
-        moved &= ends[1] <= ends[0]
-        pick = moved.nonzero()[0]
-        while pick.size:
-            end[pick] -= out
-            pick = pick[(ends[1, pick] <= ends[0, pick]) & ~covers(end[pick], pick)]
-    # A node covers ticks ends[1] to ends[0]; an empty interval starts and
-    # stops at one place, so it adds nothing.
-    ends[0] += 1
-    np.minimum(ends[1], ends[0], out=ends[1])
-    ends += np.multiply(line, divisions + 2, out=scratch[0])
-    ends = ends.astype(np.intp)
-    size = (divisions + 1) ** (d - 1) * (divisions + 2)
-    depth = np.bincount(ends[1], minlength=size)
-    depth -= np.bincount(ends[0], minlength=size)
-    np.cumsum(depth, out=depth)
-    return depth.reshape((divisions + 1,) * (d - 1) + (divisions + 2,))[..., :-1]
-
-
 def gamma_check(coordinates, l: float, gamma: float) -> bool:
     """One-sided coverage certificate: gamma_n <= gamma if this passes.
 
     Tests a grid of (GAMMA_GRID_DIVISIONS + 1)^d points with spacing
     step = l / GAMMA_GRID_DIVISIONS; every grid point must lie within
     gamma - step sqrt(d)/2 of some node.  A pass guarantees coverage; a fail
-    may be spurious (never the reverse).
+    may be spurious (never the reverse).  Raises OutOfRange unless l and
+    gamma are finite.
 
     The verdict is that of one nearest-node query of the whole grid (the
     square root of the squared differences summed axis by axis, compared
-    with the margin), but no point is queried.  The grid is read as lines
-    along the last axis; on each line a node covers one interval of
-    points, whose ends are settled in the query's arithmetic
-    (`_line_depth`), and the grid passes if every point has a node.
+    with the margin): each node marks, on one boolean grid, the points of
+    its box of ticks that it covers in that arithmetic, STAMP_BLOCK box
+    points at a time, and the grid passes if every point is marked.
     """
+    if not (math.isfinite(l) and math.isfinite(gamma)):
+        raise OutOfRange(f"l = {l} and gamma = {gamma} must be finite")
     coords = np.asarray(coordinates, dtype=float)
     n, d = coords.shape
     divisions = GAMMA_GRID_DIVISIONS
@@ -433,12 +333,32 @@ def gamma_check(coordinates, l: float, gamma: float) -> bool:
     while math.sqrt(limit) > margin:
         limit = math.nextafter(limit, -math.inf)
     # Each node's ticks within margin of it along each axis, with one tick of
-    # slack each way for rounding.
-    lo = np.maximum(np.ceil((coords - margin) / step).astype(np.intp) - 1, 0)
+    # slack each way for rounding; a node beyond the grid has lo past hi.
+    lo = np.clip(np.ceil((coords - margin) / step).astype(np.intp) - 1, 0,
+                 divisions)
     hi = np.minimum(np.floor((coords + margin) / step).astype(np.intp) + 1,
                     divisions)
-    line, rest, centre = _line_pairs(coords, lo, hi, step, limit)
-    return bool(_line_depth(step, limit, d, line, rest, centre).all())
+    # Each node's box of ticks from lo on, its axes the grid's reversed so that
+    # the last term is added to rows of width^(d-1) points.  The squared
+    # differences are summed in the query's axis order; a tick past hi, and so
+    # every tick past the grid, adds inf.
+    width = int((hi - lo).max(initial=0)) + 1
+    tick = lo[:, :, None] + np.arange(width)
+    term = np.square(tick * step - coords[:, :, None])
+    term[tick > hi[:, :, None]] = np.inf
+    along = [term[:, k].reshape((n,) + (1,) * (d - k - 1) + (width,) + (1,) * k)
+             for k in range(d)]
+    # The flat grid index of each box's corner, and of each box point from it.
+    grid = (divisions + 1,) * d
+    corner = np.ravel_multi_index(lo.T, grid).reshape((n,) + (1,) * d)
+    offset = np.ravel_multi_index(np.indices((width,) * d)[::-1], grid)
+    covered = np.zeros(grid, dtype=bool).ravel()
+    per_block = max(1, STAMP_BLOCK // offset.size)
+    for first in range(0, n, per_block):
+        block = slice(first, first + per_block)
+        total = sum(axis[block] for axis in along)
+        covered[(corner[block] + offset)[total <= limit]] = True
+    return bool(covered.all())
 
 
 def _hop_distances(graph) -> np.ndarray:

@@ -250,12 +250,20 @@ def evaluate(source, cross_check: bool = False, nodes: int | None = None,
     relative error against J becomes j_exact_rel_err.  `nodes` is the node
     count N that j_normalized = J / g(N) uses, in dimension `labels["d"]`.
     Columns that neither the cost, the bounds nor `labels` give are empty.
+    Raises ValueError for `cross_check` with a closed form, which has no
+    matrix for the series, and for `nodes` without a `d` label.
 
     Returns the gated ResultRow, the LqReport and the detail dict: the
     method, then whichever of steps_used, stein_residual and spectral_gap
     the report has, then the series' truncated_steps if it ran.
     """
-    report, bounds = source if isinstance(source, tuple) else _dense_fields(source)
+    closed_form = isinstance(source, tuple)
+    if cross_check and closed_form:
+        raise ValueError("cross_check needs a ConsensusMatrix source, not a "
+                         "closed-form (LqReport, columns) pair")
+    if nodes is not None and "d" not in labels:
+        raise ValueError("nodes needs the dimension label d")
+    report, bounds = source if closed_form else _dense_fields(source)
     detail = {"method": report.method}
     for key in ("steps_used", "stein_residual", "spectral_gap"):
         if getattr(report, key) is not None:

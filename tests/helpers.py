@@ -221,7 +221,7 @@ def stein_by_doubling(abar, max_doublings=100):
 def gamma_check_full_grid(coordinates, l, gamma):
     """The coverage certificate by one query of the whole grid of
     (GAMMA_GRID_DIVISIONS + 1)^d points: a reference for `gamma_check`,
-    which queries no point and reads the grid as lines."""
+    which queries no point and stamps each node's box of grid points."""
     from scipy.spatial import cKDTree
 
     divisions = graph_gen.GAMMA_GRID_DIVISIONS

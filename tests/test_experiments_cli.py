@@ -296,6 +296,15 @@ class TestEvaluate:
         assert row.j_exact_rel_err == 0.0
         assert "truncated_steps" in detail
 
+    def test_cross_check_of_a_closed_form_refused(self):
+        source = torus_fields(cayley_case2_generator(2), 4)
+        with pytest.raises(ValueError, match="cross_check"):
+            evaluate(source, cross_check=True, experiment="cayley", n=4)
+
+    def test_nodes_without_dimension_refused(self):
+        with pytest.raises(ValueError, match="nodes"):
+            evaluate(p_epsilon(0.2), nodes=3, experiment="epsilon-sweep", n=3)
+
 
 class TestBuildConfig:
     def test_defaults(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -320,8 +321,40 @@ class TestGeometricParams:
         with pytest.raises(OutOfRange):
             GeometricParams(gamma=0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GeometricParams)])
+    def test_non_finite_field_refused(self, name, value):
+        with pytest.raises(OutOfRange, match=name):
+            GeometricParams(**{name: value})
+
 
 class TestGammaCheck:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("arg", ["l", "gamma"])
+    def test_non_finite_refused(self, arg, value):
+        # An infinite margin would keep the search for the largest square
+        # under it going forever, and a nan one would fail a cast.
+        kwargs = {"l": 1.0, "gamma": 1.0, arg: value}
+        with pytest.raises(OutOfRange):
+            gamma_check(np.array([[0.5, 0.5]]), **kwargs)
+
+    def test_verdict_independent_of_block(self, monkeypatch):
+        # One node per block, and every node in one block.
+        params = GeometricParams()
+        verdicts = {}
+        for block in (1, 2**30):
+            monkeypatch.setattr(graph_gen, "STAMP_BLOCK", block)
+            verdicts[block] = []
+            for n, d in [(25, 2), (300, 2), (50, 3), (343, 3)]:
+                l = params.c * n ** (1.0 / d)
+                for seed in range(10):
+                    coords = graph_gen._place_nodes(
+                        np.random.default_rng([seed, n, d]), n, d, l, params.s,
+                        {"nodes_rejected": 0})
+                    verdicts[block].append(gamma_check(coords, l, params.gamma))
+        assert verdicts[1] == verdicts[2**30]
+        assert 0 < sum(verdicts[1]) < len(verdicts[1])
+
     def test_center_node_passes(self):
         assert gamma_check(np.array([[0.5, 0.5]]), l=1.0, gamma=0.75)
 
@@ -333,6 +366,11 @@ class TestGammaCheck:
     def test_empty_corner_fails(self):
         coords = np.array([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2]])
         assert not gamma_check(coords, l=2.0, gamma=1.0)
+
+    def test_nodes_beyond_the_box(self):
+        # A node past the grid covers none of it, and the others still count.
+        assert not gamma_check(np.array([[5.0, 5.0]]), l=1.0, gamma=1.0)
+        assert gamma_check(np.array([[5.0, 5.0], [0.5, 0.5]]), l=1.0, gamma=0.75)
 
     def test_tiny_gamma_fails_fast(self):
         assert not gamma_check(np.array([[0.5, 0.5]]), l=1.0, gamma=0.001)
@@ -459,36 +497,6 @@ class TestGammaFacesFirst:
             cases += [(l, gamma) for gamma in margin_ties(coords, l)]
         for l, gamma in cases:
             assert gamma_check(coords, l, gamma) == gamma_check_full_grid(coords, l, gamma)
-
-
-class TestLineDepth:
-    """`_line_depth` settles each interval's ends in the reference
-    arithmetic, so its counts equal a test of every (pair, tick)."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_counts_every_point_near_ties(self, seed):
-        # Each pair's rest is set so that one tick's sum lands within a few
-        # ulps of the limit, where the estimated ends are most often off.
-        rng = np.random.default_rng(seed)
-        divisions = graph_gen.GAMMA_GRID_DIVISIONS
-        step, limit, d = 0.1, 0.49, 2
-        size = 4000
-        centre = rng.uniform(-0.5, divisions * step + 0.5, size)
-        boundary = rng.integers(0, divisions + 1, size)
-        term = np.square(boundary * step - centre)
-        rest = np.maximum(limit - term, 0.0)
-        for _ in range(3):
-            nudge = rng.integers(-1, 2, size)
-            rest = np.where(nudge > 0, np.nextafter(rest, np.inf),
-                            np.where(nudge < 0, np.nextafter(rest, -np.inf), rest))
-        rest = np.maximum(rest, 0.0)
-        line = rng.integers(0, divisions + 1, size)
-        depth = graph_gen._line_depth(step, limit, d, line, rest, centre)
-        ticks = np.arange(divisions + 1)
-        covered = (np.square(ticks * step - centre[:, None]) + rest[:, None]) <= limit
-        expected = np.zeros((divisions + 1, divisions + 1), dtype=np.intp)
-        np.add.at(expected, line, covered.astype(np.intp))
-        assert np.array_equal(depth, expected)
 
 
 class TestPairDistances:
